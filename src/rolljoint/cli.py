@@ -151,6 +151,7 @@ def _solve_scenario(design: MechanismDesign, scenario: Scenario,
         "final_residual_norm": rep.final_residual_norm,
         "gradient_norm": rep.gradient_norm,
         "objective_mm2": rep.objective,
+        "length_error_mm": rep.length_error_mm,
         "target_lengths_mm": list(rep.target_lengths),
         "backtrack_count": rep.backtrack_count,
     }

@@ -36,6 +36,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _finite(value, what: str) -> np.ndarray:
+    """Scenario numbers as floats; NaN and infinities are refused here, since
+    the solvers cannot tell them from a converged state."""
+    array = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(array)):
+        raise ParseError(f"{what} must be finite")
+    return array
+
+
 def _pose_from_dict(data: dict) -> Pose2:
     return Pose2(float(data.get("angle", 0.0)), data.get("translation", (0.0, 0.0)))
 
@@ -169,21 +178,21 @@ def _load_from_dict(entry: dict, index: int) -> ExternalLoad:
     target = int(_require(entry, "target_link", where))
     if target < 1:
         raise ParseError(f"{where}: target_link is 1-based and must be >= 1")
-    force = np.asarray(entry.get("force", (0.0, 0.0)), dtype=float)
-    moment = float(entry.get("moment", 0.0))
+    force = _finite(entry.get("force", (0.0, 0.0)), f"{where} force")
+    moment = float(_finite(entry.get("moment", 0.0), f"{where} moment"))
     if variant == "constant_body":
         return ConstantBody(target_link=target, wrench=Wrench2(moment, force))
     if variant == "constant_workspace":
         return ConstantWorkspace(
             target_link=target,
             wrench=Wrench2(moment, force),
-            attach=entry.get("attach", (0.0, 0.0)),
+            attach=_finite(entry.get("attach", (0.0, 0.0)), f"{where} attach"),
         )
     if variant == "linear_spring":
         return LinearSpring(
             target_link=target,
-            stiffness=float(_require(entry, "stiffness", where)),
-            anchor=_require(entry, "anchor", where),
+            stiffness=float(_finite(_require(entry, "stiffness", where), f"{where} stiffness")),
+            anchor=_finite(_require(entry, "anchor", where), f"{where} anchor"),
         )
     raise ParseError(f"{where}: unknown variant '{variant}'")
 
@@ -205,19 +214,19 @@ def scenario_from_dict(data: dict) -> Scenario:
     tau_init = np.array([1.0, 1.0])
     if mode == "tension":
         if "tau_gram" in actuation:
-            tau = np.asarray(actuation["tau_gram"], dtype=float) * GRAM_FORCE_N
+            tau = _finite(actuation["tau_gram"], "tau_gram") * GRAM_FORCE_N
         else:
-            tau = np.asarray(_require(actuation, "tau", "actuation"), dtype=float)
+            tau = _finite(_require(actuation, "tau", "actuation"), "tau")
         if tau.shape != (2,) or np.any(tau <= 0.0):
             raise ParseError("tension mode needs two positive tensions")
     elif mode == "displacement":
-        lengths = np.asarray(_require(actuation, "lengths", "actuation"), dtype=float)
+        lengths = _finite(_require(actuation, "lengths", "actuation"), "lengths")
         if lengths.shape != (2,):
             raise ParseError("displacement mode needs two target lengths")
         if "tau_init_gram" in actuation:
-            tau_init = np.asarray(actuation["tau_init_gram"], dtype=float) * GRAM_FORCE_N
+            tau_init = _finite(actuation["tau_init_gram"], "tau_init_gram") * GRAM_FORCE_N
         elif "tau_init" in actuation:
-            tau_init = np.asarray(actuation["tau_init"], dtype=float)
+            tau_init = _finite(actuation["tau_init"], "tau_init")
     else:
         raise ParseError(f"unknown actuation mode '{mode}'")
 

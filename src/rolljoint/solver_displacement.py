@@ -1,12 +1,30 @@
 """Displacement-actuation solver.
 
 Desired tendon lengths are generally not exactly reachable (pulling one
-tendon releases the other), so the tensions are found by gradient descent on
-the squared length error, with the equilibrium re-established after every
-tension update.  The length-vs-tension Jacobian comes from an impulse test:
-unit tension perturbations are pushed through the same block recursion the
-equilibrium solver uses, and the resulting contact-point shifts are
-contracted with the tendon-segment derivatives.
+tendon releases the other), so the tensions are found by least squares on
+the length error e = l(tau) - l_des, with the equilibrium re-established
+after every tension update.  The length-vs-tension Jacobian J comes from an
+impulse test: unit tension perturbations are pushed through the same block
+recursion the equilibrium solver uses, and the resulting contact-point
+shifts are contracted with the tendon-segment derivatives.
+
+Each outer step is a damped Gauss-Newton (Levenberg-Marquardt) step on the
+2x2 normal equations, (J^T J + lambda I) dtau = J^T e, written in step-size
+form alpha = 1/lambda:
+
+    dtau = alpha (I + alpha J^T J)^-1 J^T e.
+
+As alpha -> 0 this is the gradient step alpha J^T e of plain gradient
+descent, so that method is the heavily damped limit of the same iteration.
+alpha grows by `alpha_growth` after an accepted step (towards Gauss-Newton)
+and shrinks by `backtrack_factor` after a rejected one (towards gradient
+descent).  It is capped so that lambda stays above DAMPING_FLOOR * ||J||_F^2:
+the 2x2 system then stays solvable (condition number at most
+1 + 1/DAMPING_FLOOR) where J is rank 1 (unloaded chains, J tau = 0), while a
+weak load, which leaves J only nearly rank 1, still gets an almost undamped
+step.  Tensions are projected onto the tension floor; a tension held at the
+floor by its gradient is dropped from the normal matrix (a projected Newton
+step), so the other tension still gets its Gauss-Newton step.
 """
 
 from __future__ import annotations
@@ -26,20 +44,23 @@ from .solver_tension import (
     SolverOptions,
     _back_substitute,
     _boundary_solve,
+    _clamp_s,
     _eliminate,
     solve_tension,
 )
 from .statics import all_joint_geometry, assemble_blocks, residual, residual_norm
 
+DAMPING_FLOOR = 1e-10  # lower bound on lambda / ||J||_F^2
+
 
 @dataclass(frozen=True)
 class DisplacementOptions:
-    alpha: Optional[float] = None   # step size; default 1 / ||J||_F^2
+    alpha: Optional[float] = None   # first 1/lambda; default 1 / ||J||_F^2
     grad_tol: float = 1e-10
     max_outer_iters: int = 500
     tension_floor: float = 1e-3     # tendons cannot push
-    alpha_growth: float = 1.2
-    backtrack_factor: float = 0.5
+    alpha_growth: float = 10.0      # alpha factor after an accepted step
+    backtrack_factor: float = 0.5   # alpha factor after a rejected step
     max_backtracks: int = 40
     inner: SolverOptions = field(default_factory=SolverOptions)
 
@@ -62,6 +83,7 @@ class DisplacementReport:
     inner_iterations: int
     backtrack_count: int
     objective_history: tuple[float, ...] = ()
+    length_error_mm: float = 0.0    # max |achieved - target|
 
 
 def _impulse_response(design: MechanismDesign, config: Configuration, tau, loads):
@@ -106,6 +128,15 @@ def _jacobian_with_sensitivity(design, config, tau, loads):
     return jac, ds_sens, df_sens
 
 
+def damped_step(normal: np.ndarray, grad: np.ndarray, alpha: float) -> np.ndarray:
+    """Levenberg-Marquardt step (normal + I/alpha)^-1 grad in step-size form.
+
+    `normal` is J^T J and `grad` is J^T e; the step is subtracted from the
+    tensions.  For alpha -> 0 it tends to the gradient step alpha * grad.
+    """
+    return alpha * np.linalg.solve(np.eye(len(grad)) + alpha * normal, grad)
+
+
 def solve_displacement(
     design: MechanismDesign,
     l_des,
@@ -118,6 +149,8 @@ def solve_displacement(
     l_des = np.asarray(l_des, dtype=float)
     tau = np.asarray(tau_init, dtype=float)
     floor = opts.tension_floor
+    if not (np.all(np.isfinite(l_des)) and np.all(np.isfinite(tau))):
+        raise ValueError("target lengths and initial tensions must be finite")
     if np.any(tau < floor):
         raise ValueError("initial tensions must be at or above the tension floor")
 
@@ -148,16 +181,23 @@ def solve_displacement(
                 inner_iterations=inner_iters,
                 backtrack_count=backtracks,
                 objective_history=tuple(history),
+                length_error_mm=float(np.abs(error).max()),
             )
             return tau, config, report
         if outer == opts.max_outer_iters:
             break
+        jac_sq = max(jac_norm**2, 1e-30)
         if alpha is None:
-            alpha = 1.0 / max(jac_norm**2, 1e-30)
+            alpha = 1.0 / jac_sq
+        alpha = min(alpha, 1.0 / (DAMPING_FLOOR * jac_sq))
+        # a tension the gradient pushes into the floor is left out of the
+        # normal matrix, so the projection cannot undo the other's step
+        free = (tau > floor) | (grad <= 0.0)
+        normal = (jac.T @ jac) * np.outer(free, free)
 
         accepted = False
         for _ in range(opts.max_backtracks + 1):
-            tau_trial = np.maximum(tau - alpha * grad, floor)
+            tau_trial = np.maximum(tau - damped_step(normal, grad, alpha), floor)
             step = tau_trial - tau
             if not np.any(step):
                 if np.all(tau <= floor):
@@ -168,9 +208,7 @@ def solve_displacement(
                 break
             s_ws = config.s + ds_sens @ step
             f_ws = config.f + df_sens @ step
-            warm = Configuration.from_unknowns(
-                design, _clamp_into_domains(design, s_ws), f_ws
-            )
+            warm = Configuration.from_unknowns(design, _clamp_s(design, s_ws)[0], f_ws)
             try:
                 config_trial, rep_trial = solve_tension(
                     design, tau_trial, loads, init=warm, opts=opts.inner
@@ -206,6 +244,7 @@ def solve_displacement(
         inner_iterations=inner_iters,
         backtrack_count=backtracks,
         objective_history=tuple(history),
+        length_error_mm=float(np.abs(error).max()),
     )
     raise NoConvergenceError(
         "displacement descent did not reach the gradient tolerance",
@@ -220,10 +259,3 @@ def _safe_jacobian(design, config, tau, loads) -> np.ndarray:
     except Exception:
         return np.zeros((2, 2))
 
-
-def _clamp_into_domains(design: MechanismDesign, s: np.ndarray) -> np.ndarray:
-    out = np.array(s, dtype=float)
-    for j in range(design.joint_count):
-        lo, hi = design.joint_domain(j)
-        out[j] = min(max(out[j], lo), hi)
-    return out

@@ -241,8 +241,8 @@ def solve_tension(
     """Find the equilibrium configuration under the given tendon tensions."""
     opts = opts or SolverOptions()
     tau = np.asarray(tau, dtype=float)
-    if np.any(tau <= 0.0):
-        raise ValueError("tendon tensions must be positive")
+    if not (np.all(np.isfinite(tau)) and np.all(tau > 0.0)):
+        raise ValueError("tendon tensions must be finite and positive")
     check_targets(loads, design.n)
 
     if init is not None:
@@ -263,7 +263,7 @@ def solve_tension(
     norm_inf = residual_norm(rows, np.inf)
     history.append(norm_inf)
 
-    while norm_inf > opts.tol_residual:
+    while not norm_inf <= opts.tol_residual:   # a NaN residual keeps iterating
         if iterations >= opts.max_iters:
             report = _report(
                 iterations, norm_inf, backtracks, clamped_all, False,

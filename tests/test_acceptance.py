@@ -219,6 +219,20 @@ def test_criterion_6_displacement_round_trips():
                    f"loaded tensions {worst_tau:.1e} N")
 
 
+def test_criterion_6_cases_converge_within_30_outer_iterations():
+    unloaded, loaded = round_trip_cases()
+    opts = DisplacementOptions(grad_tol=1e-8, max_outer_iters=4000, inner=TIGHT)
+    worst = 0
+    for design, tau_gen, loads, tau_init in unloaded + loaded:
+        generator, _ = solve_tension(design, tau_gen, loads, opts=TIGHT)
+        l_des = tendon_lengths(design, generator)
+        _, _, rep = solve_displacement(design, l_des, loads, tau_init=tau_init, opts=opts)
+        assert rep.converged
+        worst = max(worst, rep.outer_iterations)
+    assert worst <= 30
+    report_line(6, f"worst case {worst} outer iterations")
+
+
 # --- criterion 7: linearization and load derivatives -------------------------
 
 def test_criterion_7_linearization_and_load_derivatives(paper5):

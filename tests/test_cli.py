@@ -231,6 +231,50 @@ def test_scenario_parsing_errors():
                             "solver": {"warp_speed": 9}})
 
 
+TENSION_31 = {"mode": "tension", "tau": [3.0, 1.0]}
+
+
+@pytest.mark.parametrize("scenario", [
+    {"actuation": {"mode": "tension", "tau": [math.nan, 1.0]}},
+    {"actuation": {"mode": "tension", "tau_gram": [100.0, math.inf]}},
+    {"actuation": {"mode": "displacement", "lengths": [math.nan, 100.0]}},
+    {"actuation": {"mode": "displacement", "lengths": [90.0, 100.0],
+                   "tau_init": [1.0, math.nan]}},
+    {"actuation": TENSION_31, "loads": [
+        {"variant": "constant_workspace", "target_link": 5, "force": [math.nan, 0.0]}]},
+    {"actuation": TENSION_31, "loads": [
+        {"variant": "constant_body", "target_link": 5, "moment": -math.inf}]},
+    {"actuation": TENSION_31, "loads": [
+        {"variant": "linear_spring", "target_link": 5, "stiffness": 0.1,
+         "anchor": [math.nan, 90.0]}]},
+], ids=["tau", "tau_gram", "lengths", "tau_init", "force", "moment", "anchor"])
+def test_non_finite_scenario_values_are_parse_errors(scenario):
+    with pytest.raises(ParseError):
+        scenario_from_dict(scenario)
+
+
+def test_solve_nan_tension_exits_with_parse_error(tmp_path, capsys):
+    # json accepts the NaN token; the scenario must still be refused
+    scenario = tmp_path / "s.json"
+    scenario.write_text('{"actuation": {"mode": "tension", "tau": [NaN, 1.0]}}')
+    out = tmp_path / "out"
+    assert main(["solve", "--design", str(DESIGN), "--scenario", str(scenario),
+                 "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_displacement_report_gives_length_error(tmp_path):
+    out = tmp_path / "out"
+    assert main(["solve", "--design", str(DESIGN),
+                 "--scenario", str(SCENARIOS / "displacement_pose1.json"),
+                 "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    gap = np.abs(np.array(report["lengths_mm"]) - np.array(report["target_lengths_mm"]))
+    assert report["length_error_mm"] == pytest.approx(gap.max(), abs=1e-9)
+    assert report["length_error_mm"] > 1.0   # converged, but short of the target
+
+
 def test_set_by_path_nested():
     data = {"loads": [{"force": [0.0, 0.0]}], "actuation": {"tau": [1.0, 2.0]}}
     set_by_path(data, "loads.0.force.0", 1.5)

@@ -7,6 +7,7 @@ from rolljoint.loads import ConstantWorkspace, LinearSpring
 from rolljoint.mechanism import tendon_lengths
 from rolljoint.solver_displacement import (
     DisplacementOptions,
+    damped_step,
     solve_displacement,
     tendon_jacobian,
 )
@@ -168,6 +169,22 @@ def test_unreachable_stretch_target_stalls_or_pins(paper5):
         solve_displacement(paper5, l_des, spring, tau_init=(1.75, 1.21), opts=floor_opts)
 
 
+def test_floor_stall_ends_early(paper5):
+    # the target above: once one tension is pinned at the floor the other
+    # still takes Gauss-Newton steps, so the stall shows within a few steps
+    # (gradient descent needed 291 outer iterations and 100 backtracks)
+    spring = (LinearSpring(target_link=5, stiffness=0.05, anchor=(30.0, 75.0)),)
+    inner = SolverOptions(tol_residual=1e-10)
+    gen, _ = solve_tension(paper5, (0.8, 0.55), spring, opts=inner)
+    floor_opts = DisplacementOptions(
+        grad_tol=1e-10, max_outer_iters=600, tension_floor=1.2, inner=inner)
+    with pytest.raises(NoConvergenceError) as info:
+        solve_displacement(paper5, tendon_lengths(paper5, gen), spring,
+                           tau_init=(1.75, 1.21), opts=floor_opts)
+    assert info.value.report.outer_iterations <= 30
+    assert info.value.report.backtrack_count <= floor_opts.max_backtracks + 30
+
+
 def test_option_validation():
     with pytest.raises(ValueError):
         DisplacementOptions(alpha=-1.0)
@@ -178,3 +195,47 @@ def test_option_validation():
 def test_initial_tension_below_floor_rejected(paper5):
     with pytest.raises(ValueError):
         solve_displacement(paper5, (90.0, 90.0), tau_init=(1e-5, 1.0))
+
+
+def test_non_finite_inputs_rejected(paper5):
+    with pytest.raises(ValueError):
+        solve_displacement(paper5, (90.0, 90.0), tau_init=(np.nan, 1.0))
+    with pytest.raises(ValueError):
+        solve_displacement(paper5, (np.nan, 90.0))
+    with pytest.raises(ValueError):
+        solve_displacement(paper5, (90.0, np.inf))
+
+
+def test_damped_step_limits(paper5):
+    # heavily damped: the paper's gradient step; undamped: Gauss-Newton
+    loads = (ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (1.0, -0.2))),)
+    config, _ = solve_tension(paper5, (6.0, 3.0), loads, opts=TIGHT)
+    jac = tendon_jacobian(paper5, config, (6.0, 3.0), loads)
+    error = np.array([0.3, -1.7])
+    grad = error @ jac
+    alpha = 1e-12 / np.linalg.norm(jac) ** 2
+    step = damped_step(jac.T @ jac, grad, alpha)
+    assert np.linalg.norm(step - alpha * grad) <= 1e-9 * np.linalg.norm(alpha * grad)
+    step = damped_step(jac.T @ jac, grad, 1e12)
+    np.testing.assert_allclose(step, np.linalg.solve(jac, error), rtol=1e-9)
+
+
+@pytest.mark.parametrize("load", [
+    ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (1.0, -0.2))),
+    LinearSpring(target_link=5, stiffness=0.2, anchor=(60.0, 90.0)),
+], ids=["tip_pull", "spring"])
+def test_loaded_round_trip_with_default_options(paper5, load):
+    tau_gen = np.array([6.0, 3.0])
+    generator, _ = solve_tension(paper5, tau_gen, (load,), opts=TIGHT)
+    l_des = tendon_lengths(paper5, generator)
+    tau, _, report = solve_displacement(paper5, l_des, (load,), tau_init=(5.0, 4.0))
+    assert report.converged
+    assert np.abs(tau - tau_gen).max() < 1e-4
+
+
+def test_length_error_reports_unreached_target(paper5):
+    _, _, report = solve_displacement(paper5, (90.52, 100.88))
+    gap = np.abs(np.asarray(report.achieved_lengths) - np.asarray(report.target_lengths))
+    assert report.converged                       # a stationary point ...
+    assert report.length_error_mm == gap.max()    # ... that misses the target
+    assert report.length_error_mm > 1.0

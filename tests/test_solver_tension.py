@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from rolljoint.errors import ContactRolloffError, NoConvergenceError, SingularBlockError
+from rolljoint.errors import (
+    ContactRolloffError,
+    NoConvergenceError,
+    RolljointError,
+    SingularBlockError,
+)
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
 from rolljoint.mechanism import Configuration, tendon_lengths
@@ -25,6 +30,18 @@ def test_requires_positive_tensions(paper5):
         solve_tension(paper5, (0.0, 1.0))
     with pytest.raises(ValueError):
         solve_tension(paper5, (1.0, -2.0))
+    with pytest.raises(ValueError):
+        solve_tension(paper5, (np.nan, 1.0))
+    with pytest.raises(ValueError):
+        solve_tension(paper5, (1.0, np.inf))
+
+
+def test_nan_residual_never_converges(paper5):
+    # a NaN load makes every residual NaN; the loop must not read that as
+    # within tolerance
+    nan_pull = (ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (np.nan, 0.0))),)
+    with pytest.raises(RolljointError):
+        solve_tension(paper5, (1.0, 1.0), nan_pull)
 
 
 def test_equal_tensions_give_straight_stack(paper5):
