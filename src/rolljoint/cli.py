@@ -1,7 +1,8 @@
 """Command-line front end: solve, sweep and verify.
 
-Exit codes: 0 success, 2 parse/validation error, 3 no convergence,
-4 contact rolled off a surface domain, 5 verification failure.
+Exit codes: 0 success, 2 parse/validation error, 3 no convergence or
+another solver error, 4 contact rolled off a surface domain, 5 verification
+failure.
 """
 
 from __future__ import annotations
@@ -12,19 +13,14 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    ContactRolloffError,
-    NoConvergenceError,
-    RolljointError,
-    SolveError,
-)
+from .errors import ContactRolloffError, RolljointError, SolveError
 from .fileio import ParseError, Scenario, load_design, load_scenario, scenario_from_dict, set_by_path
+from .loads import check_targets
 from .mechanism import Configuration, MechanismDesign, tendon_lengths, validate
 from .render import render_svg
 from .solver_displacement import solve_displacement
@@ -139,7 +135,7 @@ def _solve_scenario(design: MechanismDesign, scenario: Scenario,
             "backtrack_count": rep.backtrack_count,
             "clamped_joints": list(rep.clamped_joints),
         }
-        return config, np.asarray(scenario.tau), rep, extra
+        return config, np.asarray(scenario.tau), extra
     tau, config, rep = solve_displacement(
         design, scenario.lengths, scenario.loads,
         tau_init=scenario.tau_init, opts=scenario.displacement_options,
@@ -155,36 +151,35 @@ def _solve_scenario(design: MechanismDesign, scenario: Scenario,
         "target_lengths_mm": list(rep.target_lengths),
         "backtrack_count": rep.backtrack_count,
     }
-    return config, tau, rep, extra
+    return config, tau, extra
 
 
-def _check_scenario_targets(design: MechanismDesign, scenario: Scenario) -> None:
-    for load in scenario.loads:
-        if not 1 <= load.target_link <= design.n:
-            raise ParseError(
-                f"load target_link {load.target_link} outside 1..{design.n}")
+def _failure(exc: RolljointError) -> tuple[str, int]:
+    """report.json status and exit code of a failed solve."""
+    if isinstance(exc, ContactRolloffError):
+        return "contact_rolloff", EXIT_ROLLOFF
+    if isinstance(exc, SolveError):
+        return "no_convergence", EXIT_NO_CONVERGENCE
+    return "solve_error", EXIT_NO_CONVERGENCE
 
 
 def cmd_solve(args) -> int:
     try:
         design = load_design(args.design)
         scenario = _scenario_with_flags(load_scenario(args.scenario), args)
-        _check_scenario_targets(design, scenario)
-    except ParseError as exc:
+        check_targets(scenario.loads, design.n)
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        config, tau, _, extra = _solve_scenario(design, scenario)
-    except ContactRolloffError as exc:
-        _write_failure(out_dir, scenario, "contact_rolloff", str(exc))
+        config, tau, extra = _solve_scenario(design, scenario)
+    except RolljointError as exc:
+        status, code = _failure(exc)
+        _write_failure(out_dir, scenario, status, str(exc))
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ROLLOFF
-    except (NoConvergenceError, SolveError) as exc:
-        _write_failure(out_dir, scenario, "no_convergence", str(exc))
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
+        return code
 
     write_solution_csv(out_dir / "solution.csv", design, config)
     lengths = tendon_lengths(design, config)
@@ -214,6 +209,24 @@ def _scenario_with_flags(scenario: Scenario, args) -> Scenario:
     return replace(scenario, solver_options=solver, displacement_options=disp)
 
 
+def _solve_warm(design: MechanismDesign, scenario: Scenario,
+                previous: Configuration | None):
+    """Solve one sweep item from the previous item's solution; a tension item
+    whose warm start fails is retried cold."""
+    if previous is not None and scenario.mode == "tension":
+        try:
+            # keep the previous geometry but refit forces to the new inputs;
+            # the stale forces of a different tension level mislead Newton
+            init = Configuration.from_unknowns(
+                design, previous.s,
+                initial_forces(design, previous.s, scenario.tau, scenario.loads),
+            )
+            return _solve_scenario(design, scenario, init=init)
+        except RolljointError:
+            pass
+    return _solve_scenario(design, scenario)
+
+
 def cmd_sweep(args) -> int:
     try:
         design = load_design(args.design)
@@ -228,87 +241,48 @@ def cmd_sweep(args) -> int:
             item = copy.deepcopy(template)
             set_by_path(item, parameter, value)
             scenario = _scenario_with_flags(scenario_from_dict(item), args)
-            _check_scenario_targets(design, scenario)
+            check_targets(scenario.loads, design.n)
             scenarios.append(scenario)
-    except (ParseError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results: list[dict] = [{} for _ in values]
-    configs: list[Configuration | None] = [None] * len(values)
-
-    def run_item(idx: int, init: Configuration | None):
-        scenario = scenarios[idx]
+    lines = ["index,value,status,tip_x_mm,tip_y_mm,tip_theta_rad,iterations,residual"]
+    solved: list[Configuration] = []
+    previous = None
+    # items run in order, each warm-started from the last solution found
+    for idx, (value, scenario) in enumerate(zip(values, scenarios)):
         item_dir = out_dir / f"item_{idx:03d}"
         item_dir.mkdir(exist_ok=True)
-        if init is not None and scenario.mode == "tension":
-            # keep the previous geometry but refit forces to the new inputs;
-            # the stale forces of a different tension level mislead Newton
-            init = Configuration.from_unknowns(
-                design, init.s,
-                initial_forces(design, init.s, scenario.tau, scenario.loads),
-            )
         try:
-            config, tau, _, extra = _solve_scenario(design, scenario, init=init)
-        except SolveError:
-            init = None
-            config = None
-        if config is None:
-            try:
-                config, tau, _, extra = _solve_scenario(design, scenario, init=None)
-            except SolveError as exc:
-                status = "contact_rolloff" if isinstance(exc, ContactRolloffError) else "no_convergence"
-                _write_failure(item_dir, scenario, status, str(exc))
-                results[idx] = {"status": status}
-                return None
+            config, tau, extra = _solve_warm(design, scenario, previous)
+        except RolljointError as exc:
+            status, _ = _failure(exc)
+            _write_failure(item_dir, scenario, status, str(exc))
+            lines.append(f"{idx},{_fmt_value(value)},{status},,,,,")
+            continue
         write_solution_csv(item_dir / "solution.csv", design, config)
         lengths = tendon_lengths(design, config)
         extra["status"] = "ok"
         _write_report(item_dir / "report.json", _report_dict(scenario, tau, lengths, extra))
         tip = config.poses[-1]
-        results[idx] = {
-            "status": "ok",
-            "tip_x_mm": tip.translation[0],
-            "tip_y_mm": tip.translation[1],
-            "tip_theta_rad": tip.angle,
-            "iterations": extra.get("iterations", extra.get("outer_iterations", 0)),
-            "residual": extra["final_residual_norm"],
-        }
-        configs[idx] = config
-        return config
-
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(lambda i: run_item(i, None), range(len(values))))
-    else:
-        # sequential items warm-start from the previous solution
-        previous = None
-        for idx in range(len(values)):
-            previous = run_item(idx, previous) or previous
-
-    lines = ["index,value,status,tip_x_mm,tip_y_mm,tip_theta_rad,iterations,residual"]
-    for idx, value in enumerate(values):
-        res = results[idx]
-        if res.get("status") == "ok":
-            lines.append(",".join([
-                str(idx), _fmt_value(value), "ok",
-                _fmt(res["tip_x_mm"]), _fmt(res["tip_y_mm"]),
-                _fmt(res["tip_theta_rad"]), str(res["iterations"]),
-                _fmt(res["residual"]),
-            ]))
-        else:
-            lines.append(f"{idx},{_fmt_value(value)},{res.get('status', 'failed')},,,,,")
+        lines.append(",".join([
+            str(idx), _fmt_value(value), "ok",
+            _fmt(tip.translation[0]), _fmt(tip.translation[1]), _fmt(tip.angle),
+            str(extra.get("iterations", extra.get("outer_iterations", 0))),
+            _fmt(extra["final_residual_norm"]),
+        ]))
+        solved.append(config)
+        previous = config
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
-    if args.svg:
-        solved = [c for c in configs if c is not None]
-        if solved:
-            (out_dir / "sweep.svg").write_text(
-                render_svg(design, solved, scenarios[0].loads)
-            )
-    return EXIT_OK if all(r.get("status") == "ok" for r in results) else EXIT_NO_CONVERGENCE
+    if args.svg and solved:
+        (out_dir / "sweep.svg").write_text(
+            render_svg(design, solved, scenarios[0].loads)
+        )
+    return EXIT_OK if len(solved) == len(values) else EXIT_NO_CONVERGENCE
 
 
 def cmd_verify(args) -> int:
@@ -362,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--svg", action="store_true", help="render all poses overlaid")
     sweep.add_argument("--tol", type=float, default=None)
     sweep.add_argument("--max-iters", type=int, default=None)
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the self-check suites on a design")

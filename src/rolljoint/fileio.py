@@ -198,8 +198,7 @@ def _load_from_dict(entry: dict, index: int) -> ExternalLoad:
 
 
 _SOLVER_KEYS = frozenset(
-    ("tol_residual", "max_iters", "line_search", "backtrack_factor",
-     "max_backtracks", "s_clamp")
+    ("tol_residual", "max_iters", "backtrack_factor", "max_backtracks")
 )
 _DISPLACEMENT_KEYS = frozenset(
     ("alpha", "grad_tol", "max_outer_iters", "tension_floor",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -93,10 +94,17 @@ class MechanismDesign:
             min(child.s_max, parent.s_max),
         )
 
+    @cached_property
+    def domains(self) -> np.ndarray:
+        """Read-only (joints, 2) array of every joint_domain; built on first
+        use, so that `validate` can still report a design with a missing
+        surface."""
+        out = np.array([self.joint_domain(j) for j in range(self.joint_count)]).reshape(-1, 2)
+        out.setflags(write=False)
+        return out
+
     def joint_midpoints(self) -> np.ndarray:
-        return np.array(
-            [0.5 * sum(self.joint_domain(j)) for j in range(self.joint_count)]
-        )
+        return self.domains.mean(axis=1)
 
 
 def _mean_link_extent(links) -> float:

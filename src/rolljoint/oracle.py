@@ -42,11 +42,7 @@ def _fd_jacobian(design: MechanismDesign, z: np.ndarray, tau, loads) -> np.ndarr
 
 
 def _clamp(design: MechanismDesign, s: np.ndarray) -> np.ndarray:
-    out = s.copy()
-    for j in range(design.joint_count):
-        lo, hi = design.joint_domain(j)
-        out[j] = min(max(out[j], lo), hi)
-    return out
+    return np.clip(s, *design.domains.T)
 
 
 def _affine_force_fit(design: MechanismDesign, s: np.ndarray, tau, loads) -> np.ndarray:
@@ -180,12 +176,11 @@ def energy_minimize(
     if init_s is None:
         init_s = design.joint_midpoints()
     init_s = np.asarray(init_s, dtype=float)
-    bounds = [design.joint_domain(j) for j in range(design.joint_count)]
     result = minimize(
         lambda s: energy(design, s, tau, loads),
         init_s,
         method="Nelder-Mead",
-        bounds=bounds,
+        bounds=design.domains,
         options={
             "xatol": xatol,
             "fatol": 1e-15,

@@ -26,10 +26,8 @@ CONDITION_LIMIT = 1e12
 class SolverOptions:
     tol_residual: float = 1e-9      # scaled residual infinity norm [N]
     max_iters: int = 100
-    line_search: bool = True
     backtrack_factor: float = 0.5
     max_backtracks: int = 20
-    s_clamp: bool = True
 
     def __post_init__(self):
         if self.tol_residual <= 0.0 or self.max_iters < 1:
@@ -57,27 +55,10 @@ class NewtonStep:
     solves_6x6: int
 
 
-def _checked_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    row_scale = np.abs(matrix).max(axis=1)
-    if np.any(row_scale == 0.0) or not np.all(np.isfinite(row_scale)):
-        raise SingularBlockError(f"singular {what}")
-    balanced = matrix / row_scale[:, None]
-    col_scale = np.abs(balanced).max(axis=0)
-    if np.any(col_scale == 0.0):
-        raise SingularBlockError(f"singular {what}")
-    try:
-        cond = np.linalg.cond(balanced / col_scale[None, :])
-        out = np.linalg.inv(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"singular {what}") from exc
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularBlockError(f"ill-conditioned {what} (cond {cond:.2e})")
-    return out
-
-
-def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Solve after one row/column equilibration pass; mixed units (mm, rad, N)
-    otherwise inflate the conditioning estimate for purely notational reasons."""
+def _equilibrate(matrix: np.ndarray, what: str):
+    """One row/column max-abs equilibration pass plus a condition check; mixed
+    units (mm, rad, N) otherwise inflate the conditioning estimate for purely
+    notational reasons.  Returns (balanced matrix, row scales, column scales)."""
     row_scale = np.abs(matrix).max(axis=1)
     if not np.all(np.isfinite(row_scale)) or np.any(row_scale == 0.0):
         raise SingularBlockError(f"singular {what}")
@@ -92,6 +73,19 @@ def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.nd
         raise SingularBlockError(f"singular {what}") from exc
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise SingularBlockError(f"ill-conditioned {what} (cond {cond:.2e})")
+    return balanced, row_scale, col_scale
+
+
+def _checked_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
+    _equilibrate(matrix, what)
+    try:
+        return np.linalg.inv(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise SingularBlockError(f"singular {what}") from exc
+
+
+def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    balanced, row_scale, col_scale = _equilibrate(matrix, what)
     solution = np.linalg.solve(balanced, rhs / row_scale[:, None])
     return solution / col_scale[:, None]
 
@@ -211,24 +205,15 @@ def default_initial_state(design: MechanismDesign, tau, loads=()) -> tuple[np.nd
 
 
 def _clamp_s(design: MechanismDesign, s: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    clamped = []
-    out = s.copy()
-    for j in range(design.joint_count):
-        lo, hi = design.joint_domain(j)
-        if out[j] < lo or out[j] > hi:
-            clamped.append(j)
-            out[j] = min(max(out[j], lo), hi)
-    return out, clamped
+    lo, hi = design.domains.T
+    clamped = np.flatnonzero((s < lo) | (s > hi)).tolist()
+    return np.clip(s, lo, hi), clamped
 
 
 def _pinned_joints(design: MechanismDesign, s: np.ndarray) -> list[int]:
-    pinned = []
-    for j in range(design.joint_count):
-        lo, hi = design.joint_domain(j)
-        slack = 1e-9 * (hi - lo)
-        if s[j] <= lo + slack or s[j] >= hi - slack:
-            pinned.append(j)
-    return pinned
+    lo, hi = design.domains.T
+    slack = 1e-9 * (hi - lo)
+    return np.flatnonzero((s <= lo + slack) | (s >= hi - slack)).tolist()
 
 
 def solve_tension(
@@ -284,16 +269,12 @@ def solve_tension(
         scale = 1.0
         accepted = False
         for _ in range(opts.max_backtracks + 1):
-            s_trial = s + scale * step.ds
-            if opts.s_clamp:
-                s_trial, clamped = _clamp_s(design, s_trial)
-            else:
-                clamped = []
+            s_trial, clamped = _clamp_s(design, s + scale * step.ds)
             f_trial = f + scale * step.df
             trial = Configuration.from_unknowns(design, s_trial, f_trial)
             rows_trial = residual(design, trial, tau, loads)
             trial_2 = residual_norm(rows_trial, 2)
-            if (not opts.line_search) or trial_2 < norm_2 or trial_2 <= opts.tol_residual:
+            if trial_2 < norm_2 or trial_2 <= opts.tol_residual:
                 accepted = True
                 break
             scale *= opts.backtrack_factor

@@ -160,7 +160,7 @@ def check_load_derivatives(rng: np.random.Generator, samples: int = 100):
 def _random_feasible_config(design: MechanismDesign, rng: np.random.Generator) -> Configuration:
     s = np.array([
         rng.uniform(lo + 0.3 * (hi - lo), hi - 0.3 * (hi - lo))
-        for lo, hi in (design.joint_domain(j) for j in range(design.joint_count))
+        for lo, hi in design.domains
     ])
     f = rng.uniform(-2.0, 2.0, (design.joint_count, 2))
     return Configuration.from_unknowns(design, s, f)

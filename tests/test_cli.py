@@ -1,13 +1,16 @@
 import json
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rolljoint.catalog import demo_five_link, standard_link_chain
+from rolljoint.catalog import demo_five_link, polynomial_link_chain, standard_link_chain
 from rolljoint.cli import main, read_solution_csv
 from rolljoint.fileio import (
+    _DISPLACEMENT_KEYS,
+    _SOLVER_KEYS,
     GRAM_FORCE_N,
     ParseError,
     design_to_dict,
@@ -16,7 +19,9 @@ from rolljoint.fileio import (
     scenario_from_dict,
     set_by_path,
 )
-from rolljoint.mechanism import Configuration, tendon_lengths
+from rolljoint.mechanism import Configuration, tendon_lengths, validate
+from rolljoint.solver_displacement import DisplacementOptions
+from rolljoint.solver_tension import SolverOptions
 
 DESIGN = Path(__file__).resolve().parents[1] / "src" / "rolljoint" / "designs" / "paper5.json"
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "rolljoint" / "scenarios"
@@ -146,17 +151,6 @@ def test_sweep_empty_values_is_parse_error(tmp_path):
                  "--sweep", sweep, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_sweep_parallel_jobs(tmp_path):
-    out = tmp_path / "sweep"
-    code = main(["sweep", "--design", str(DESIGN),
-                 "--scenario", str(SCENARIOS / "tension_31.json"),
-                 "--sweep", str(SCENARIOS / "sweep_fig3.json"),
-                 "--out", str(out), "--jobs", "3"])
-    assert code == 0
-    lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
-    assert [line.split(",")[2] for line in lines] == ["ok"] * 3
-
-
 def test_verify_command_passes_on_shipped_design(capsys):
     assert main(["verify", "--design", str(DESIGN), "--seed", "0"]) == 0
     output = capsys.readouterr().out
@@ -226,9 +220,16 @@ def test_scenario_parsing_errors():
     with pytest.raises(ParseError):
         scenario_from_dict({"actuation": {"mode": "tension", "tau": [1, 1]},
                             "loads": [{"variant": "mystery", "target_link": 1}]})
-    with pytest.raises(ParseError):
-        scenario_from_dict({"actuation": {"mode": "tension", "tau": [1, 1]},
-                            "solver": {"warp_speed": 9}})
+    for solver in ({"warp_speed": 9}, {"s_clamp": False}, {"line_search": False}):
+        with pytest.raises(ParseError, match=next(iter(solver))):
+            scenario_from_dict({"actuation": {"mode": "tension", "tau": [1, 1]},
+                                "solver": solver})
+
+
+def test_scenario_solver_keys_match_option_fields():
+    # a key without its field would make replace() raise TypeError at parse time
+    assert _SOLVER_KEYS == {f.name for f in fields(SolverOptions)}
+    assert _DISPLACEMENT_KEYS == {f.name for f in fields(DisplacementOptions)} - {"inner"}
 
 
 TENSION_31 = {"mode": "tension", "tau": [3.0, 1.0]}
@@ -297,3 +298,39 @@ def test_out_of_range_load_target_is_parse_error(tmp_path):
         loads=[{"variant": "constant_body", "target_link": 9, "moment": 1.0}]))
     assert main(["solve", "--design", str(DESIGN), "--scenario", scenario,
                  "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.fixture
+def degenerate_design(tmp_path):
+    # passes validate, but both tendons run through the contact point, so the
+    # gap segments have zero length and the solver raises DegenerateTendonError
+    design = polynomial_link_chain(2, channel_x=0.0, entry_inset=0.0)
+    assert validate(design) == []
+    path = tmp_path / "degenerate.json"
+    save_design(design, path)
+    return str(path)
+
+
+def test_solve_other_solver_error_exits_3(tmp_path, capsys, degenerate_design):
+    scenario = write_json(tmp_path / "s.json", tension_scenario([1.0, 1.0]))
+    out = tmp_path / "out"
+    assert main(["solve", "--design", degenerate_design, "--scenario", scenario,
+                 "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    report = json.loads((out / "report.json").read_text())
+    assert report["status"] == "solve_error"
+    assert "tendon segment" in report["message"]
+
+
+def test_sweep_other_solver_error_rows(tmp_path, degenerate_design):
+    scenario = write_json(tmp_path / "s.json", tension_scenario([1.0, 1.0]))
+    sweep = write_json(tmp_path / "w.json", {"parameter": "actuation.tau",
+                                             "values": [[1.0, 1.0], [2.0, 1.0]]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--design", degenerate_design, "--scenario", scenario,
+                 "--sweep", sweep, "--out", str(out)]) == 3
+    lines = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [line.split(",")[2] for line in lines] == ["solve_error"] * 2
+    for idx in range(2):
+        report = json.loads((out / f"item_{idx:03d}" / "report.json").read_text())
+        assert report["status"] == "solve_error"

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from rolljoint.catalog import standard_link_chain
+from rolljoint.catalog import polynomial_link_chain, standard_link_chain
 from rolljoint.geometry import Pose2
 from rolljoint.mechanism import (
     Configuration,
@@ -197,3 +199,20 @@ def test_forward_poses_rejects_out_of_domain(paper5):
         forward_poses(paper5, bad)
     with pytest.raises(ValueError):
         forward_poses(paper5, np.zeros(3))
+
+
+def test_domains_array_matches_joint_domain(paper5, chain2):
+    # unequal mating domains: the base's child surface spans [-30, 4] mm,
+    # unlike the tip's parent surface, so the joint domain is their overlap
+    wide = replace(chain2.links[0].child_surface, s_min=-30.0, s_max=4.0)
+    uneven = MechanismDesign(
+        (replace(chain2.links[0], child_surface=wide), chain2.links[1]),
+        chain2.base_pose,
+    )
+    for design in (paper5, polynomial_link_chain(3), uneven):
+        assert design.domains.shape == (design.joint_count, 2)
+        for j in range(design.joint_count):
+            assert tuple(design.domains[j]) == design.joint_domain(j)
+        with pytest.raises(ValueError):
+            design.domains[0, 0] = 0.0
+    assert uneven.domains[0, 0] > wide.s_min and uneven.domains[0, 1] == 4.0

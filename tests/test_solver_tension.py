@@ -13,7 +13,9 @@ from rolljoint.mechanism import Configuration, tendon_lengths
 from rolljoint.solver_tension import (
     SolverOptions,
     _checked_inverse,
+    _clamp_s,
     _equilibrated_solve,
+    _pinned_joints,
     newton_step,
     solve_tension,
 )
@@ -178,6 +180,25 @@ def test_singular_matrix_guards():
         _checked_inverse(singular, "test block")
     with pytest.raises(SingularBlockError):
         _equilibrated_solve(singular, np.eye(3), "test system")
+
+
+def test_clamp_and_pin_match_per_joint_loop(paper5):
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        s = rng.uniform(-12.0, 12.0, paper5.joint_count)
+        s[rng.integers(paper5.joint_count)] = 9.0 - 1e-12   # within the pin slack
+        clamped, pinned, expected = [], [], s.copy()
+        for j in range(paper5.joint_count):
+            lo, hi = paper5.joint_domain(j)
+            if s[j] < lo or s[j] > hi:
+                clamped.append(j)
+                expected[j] = min(max(s[j], lo), hi)
+            slack = 1e-9 * (hi - lo)
+            if s[j] <= lo + slack or s[j] >= hi - slack:
+                pinned.append(j)
+        out, out_clamped = _clamp_s(paper5, s)
+        assert np.array_equal(out, expected) and out_clamped == clamped
+        assert _pinned_joints(paper5, s) == pinned
 
 
 def test_solver_options_validation():
