@@ -18,6 +18,7 @@ from .errors import (
     ContactRolloffError,
     DegenerateTendonError,
     DomainError,
+    InvalidLoadError,
     NoConvergenceError,
     RolljointError,
     SingularBlockError,
@@ -83,6 +84,6 @@ __all__ = [
     "catalog",
     # errors
     "RolljointError", "DomainError", "DegenerateTendonError", "SingularBlockError",
-    "UnsupportedLoadError", "SolveError", "NoConvergenceError",
+    "UnsupportedLoadError", "InvalidLoadError", "SolveError", "NoConvergenceError",
     "ContactRolloffError", "TensionFloorError",
 ]

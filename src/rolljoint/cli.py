@@ -53,8 +53,7 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _solution_rows(design: MechanismDesign, config: Configuration):
-    lengths = tendon_lengths(design, config)
+def _solution_rows(config: Configuration, lengths):
     rows = []
     for k, pose in enumerate(config.poses):
         row = {
@@ -83,9 +82,9 @@ CSV_COLUMNS = ("link_index", "x_mm", "y_mm", "theta_rad", "s_mm",
                "f_x_N", "f_y_N", "l_left_mm", "l_right_mm")
 
 
-def write_solution_csv(path: Path, design: MechanismDesign, config: Configuration) -> None:
+def write_solution_csv(path: Path, config: Configuration, lengths) -> None:
     lines = [",".join(CSV_COLUMNS)]
-    for row in _solution_rows(design, config):
+    for row in _solution_rows(config, lengths):
         lines.append(",".join(row[c] for c in CSV_COLUMNS))
     path.write_text("\n".join(lines) + "\n")
 
@@ -118,6 +117,15 @@ def _report_dict(scenario: Scenario, tau, lengths, extra: dict) -> dict:
 
 def _write_report(path: Path, data: dict) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+
+
+def _write_solved(out_dir: Path, design: MechanismDesign, scenario: Scenario,
+                  config: Configuration, tau, extra: dict) -> None:
+    """solution.csv and an `ok` report.json of one solved scenario."""
+    lengths = tendon_lengths(design, config)
+    write_solution_csv(out_dir / "solution.csv", config, lengths)
+    extra["status"] = "ok"
+    _write_report(out_dir / "report.json", _report_dict(scenario, tau, lengths, extra))
 
 
 def _solve_scenario(design: MechanismDesign, scenario: Scenario,
@@ -181,10 +189,7 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return code
 
-    write_solution_csv(out_dir / "solution.csv", design, config)
-    lengths = tendon_lengths(design, config)
-    extra["status"] = "ok"
-    _write_report(out_dir / "report.json", _report_dict(scenario, tau, lengths, extra))
+    _write_solved(out_dir, design, scenario, config, tau, extra)
     if args.svg:
         (out_dir / "config.svg").write_text(
             render_svg(design, [config], scenario.loads)
@@ -209,19 +214,24 @@ def _scenario_with_flags(scenario: Scenario, args) -> Scenario:
     return replace(scenario, solver_options=solver, displacement_options=disp)
 
 
-def _solve_warm(design: MechanismDesign, scenario: Scenario,
-                previous: Configuration | None):
-    """Solve one sweep item from the previous item's solution; a tension item
-    whose warm start fails is retried cold."""
-    if previous is not None and scenario.mode == "tension":
+def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
+    """Solve one sweep item from the previous item's (configuration, tensions);
+    an item whose warm start fails is retried cold."""
+    if previous is not None:
+        prev_config, prev_tau = previous
         try:
-            # keep the previous geometry but refit forces to the new inputs;
-            # the stale forces of a different tension level mislead Newton
-            init = Configuration.from_unknowns(
-                design, previous.s,
-                initial_forces(design, previous.s, scenario.tau, scenario.loads),
-            )
-            return _solve_scenario(design, scenario, init=init)
+            if scenario.mode == "tension":
+                # keep the previous geometry but refit forces to the new
+                # inputs; the stale forces of a different tension level
+                # mislead Newton
+                init = Configuration.from_unknowns(
+                    design, prev_config.s,
+                    initial_forces(design, prev_config.s, scenario.tau, scenario.loads),
+                )
+                return _solve_scenario(design, scenario, init=init)
+            floor = scenario.displacement_options.tension_floor
+            warm = replace(scenario, tau_init=np.maximum(prev_tau, floor))
+            return _solve_scenario(design, warm)
         except RolljointError:
             pass
     return _solve_scenario(design, scenario)
@@ -263,10 +273,7 @@ def cmd_sweep(args) -> int:
             _write_failure(item_dir, scenario, status, str(exc))
             lines.append(f"{idx},{_fmt_value(value)},{status},,,,,")
             continue
-        write_solution_csv(item_dir / "solution.csv", design, config)
-        lengths = tendon_lengths(design, config)
-        extra["status"] = "ok"
-        _write_report(item_dir / "report.json", _report_dict(scenario, tau, lengths, extra))
+        _write_solved(item_dir, design, scenario, config, tau, extra)
         tip = config.poses[-1]
         lines.append(",".join([
             str(idx), _fmt_value(value), "ok",
@@ -275,7 +282,7 @@ def cmd_sweep(args) -> int:
             _fmt(extra["final_residual_norm"]),
         ]))
         solved.append(config)
-        previous = config
+        previous = config, tau
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
     if args.svg and solved:

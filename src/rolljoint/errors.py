@@ -21,6 +21,11 @@ class UnsupportedLoadError(RolljointError):
     """Load variant not usable in the requested context (e.g. energy)."""
 
 
+class InvalidLoadError(RolljointError, ValueError):
+    """A load aimed at a link the mechanism lacks, or with a non-finite value;
+    a ValueError like every other invalid solver input."""
+
+
 class SolveError(RolljointError):
     """Solver failure carrying the partial result for diagnosis."""
 

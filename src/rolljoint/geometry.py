@@ -34,14 +34,6 @@ def cross2(a, b) -> float:
     return float(a[0] * b[1] - a[1] * b[0])
 
 
-def wrap_angle(angle: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    wrapped = math.remainder(angle, math.tau)
-    if wrapped <= -math.pi:
-        wrapped += math.tau
-    return wrapped
-
-
 def _frozen_vec2(value) -> np.ndarray:
     vec = np.array(value, dtype=float).reshape(2)
     vec.setflags(write=False)
@@ -62,11 +54,6 @@ class Pose2:
     @staticmethod
     def identity() -> "Pose2":
         return Pose2(0.0, (0.0, 0.0))
-
-    @staticmethod
-    def from_matrix(matrix) -> "Pose2":
-        matrix = np.asarray(matrix, dtype=float)
-        return Pose2(math.atan2(matrix[1, 0], matrix[0, 0]), matrix[:2, 2])
 
     @property
     def rotation(self) -> np.ndarray:
@@ -113,11 +100,6 @@ class Wrench2:
     @staticmethod
     def zero() -> "Wrench2":
         return Wrench2(0.0, (0.0, 0.0))
-
-    @staticmethod
-    def from_array(arr) -> "Wrench2":
-        arr = np.asarray(arr, dtype=float)
-        return Wrench2(arr[0], arr[1:3])
 
     def as_array(self) -> np.ndarray:
         return np.array([self.m, self.f[0], self.f[1]])

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidLoadError
 from .geometry import Pose2, Wrench2, cross2, skew2, _frozen_vec2
 
 
@@ -106,11 +107,19 @@ def derivative(load: ExternalLoad, pose: Pose2) -> np.ndarray:
 
 
 def check_targets(loads, link_count: int) -> None:
-    """Reject loads aimed at links the mechanism does not have."""
+    """Reject loads aimed at links the mechanism does not have, and loads
+    with a non-finite force, moment, attach point, stiffness or anchor."""
     for load in loads:
         if not 1 <= load.target_link <= link_count:
-            raise ValueError(
+            raise InvalidLoadError(
                 f"load target_link {load.target_link} outside 1..{link_count}"
+            )
+        numbers = [v.as_array() if isinstance(v, Wrench2) else v
+                   for v in vars(load).values()
+                   if isinstance(v, (Wrench2, float, np.ndarray))]
+        if not all(np.all(np.isfinite(v)) for v in numbers):
+            raise InvalidLoadError(
+                f"{type(load).__name__} load on link {load.target_link} has a non-finite value"
             )
 
 

@@ -1,5 +1,9 @@
 """Link and mechanism data model: serial pose chain and tendon geometry.
 
+`joint_geometry` is the one place a joint's contact frames, relative pose
+and tendon gap segments (with their s-derivatives) are computed; the tendon
+views and lengths here and the force balance in `statics` all read it.
+
 Indexing: links are stored 0-based; joint j couples the child surface of
 link j with the parent surface of link j+1 and carries one contact arc
 length s[j] (the same value addresses both mating surfaces, which is the
@@ -17,7 +21,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DegenerateTendonError
-from .geometry import Pose2, compose, inverse, _frozen_vec2
+from .geometry import Pose2, Twist2, compose, inverse, skew1, _frozen_vec2
 from .surface import ContactSurface
 
 SIDES = ("l", "r")
@@ -161,6 +165,75 @@ def forward_poses(design: MechanismDesign, s) -> tuple[Pose2, ...]:
     return tuple(poses)
 
 
+def unit_segment(segment: np.ndarray) -> tuple[np.ndarray, float]:
+    norm = float(np.linalg.norm(segment))
+    if norm < MIN_SEGMENT_LENGTH:
+        raise DegenerateTendonError(f"tendon segment length {norm} below minimum")
+    return segment / norm, norm
+
+
+@dataclass(frozen=True)
+class SegmentGeometry:
+    """One tendon gap segment of a joint, with unit vector and s-derivatives."""
+
+    vec: np.ndarray
+    unit: np.ndarray
+    length: float
+    d_vec: np.ndarray
+    d_unit: np.ndarray
+
+
+@dataclass(frozen=True)
+class JointGeometry:
+    """Everything the kinematics and the balance need about joint j at
+    contact arc length s_j."""
+
+    child_frame: Pose2        # in link j coordinates
+    parent_frame: Pose2       # in link j+1 coordinates
+    child_twist: Twist2
+    parent_twist: Twist2
+    relative: Pose2           # link j+1 expressed in link j
+    v: dict[str, SegmentGeometry]   # child-side segments of link j
+    w: dict[str, SegmentGeometry]   # parent-side segments of link j+1
+
+
+def joint_geometry(design: MechanismDesign, j: int, s_j: float) -> JointGeometry:
+    child, parent = design.joint_surfaces(j)
+    t_child = child.frame_at(s_j)
+    t_parent = parent.frame_at(s_j)
+    xi_child = child.twist_at(s_j)
+    xi_parent = parent.twist_at(s_j)
+    relative = compose(t_child, inverse(t_parent))
+    rel_rot = relative.rotation
+    curve_gap = skew1(xi_child.w - xi_parent.w)
+
+    v_segments: dict[str, SegmentGeometry] = {}
+    w_segments: dict[str, SegmentGeometry] = {}
+    for side in SIDES:
+        p_next = design.links[j + 1].parent_point(side)
+        c_here = design.links[j].child_point(side)
+
+        vec = relative.apply(p_next) - c_here
+        unit, length = unit_segment(vec)
+        d_vec = curve_gap @ (rel_rot @ (p_next - t_parent.translation))
+        d_unit = (d_vec - unit * float(unit @ d_vec)) / length
+        v_segments[side] = SegmentGeometry(vec, unit, length, d_vec, d_unit)
+
+        wvec = inverse(relative).apply(c_here) - p_next
+        wunit, wlength = unit_segment(wvec)
+        dw_vec = (-curve_gap) @ (rel_rot.T @ (c_here - t_child.translation))
+        dw_unit = (dw_vec - wunit * float(wunit @ dw_vec)) / wlength
+        w_segments[side] = SegmentGeometry(wvec, wunit, wlength, dw_vec, dw_unit)
+
+    return JointGeometry(
+        t_child, t_parent, xi_child, xi_parent, relative, v_segments, w_segments
+    )
+
+
+def all_joint_geometry(design: MechanismDesign, config: Configuration) -> list[JointGeometry]:
+    return [joint_geometry(design, j, config.s[j]) for j in range(design.joint_count)]
+
+
 class TendonSegments(NamedTuple):
     """Gap-segment vectors at one link: v points from the child entry toward
     the next link's parent entry (absent at the tip); w points from the parent
@@ -174,16 +247,14 @@ def tendon_segment_v(design: MechanismDesign, config: Configuration, k: int, sid
     """Gap segment leaving link k toward link k+1, in link k coordinates."""
     if not 0 <= k <= design.n - 2:
         raise IndexError(f"link {k} has no child-side tendon segment")
-    rel = joint_relative_pose(design, k, config.s[k])
-    return rel.apply(design.links[k + 1].parent_point(side)) - design.links[k].child_point(side)
+    return joint_geometry(design, k, config.s[k]).v[side].vec
 
 
 def tendon_segment_w(design: MechanismDesign, config: Configuration, k: int, side: str) -> np.ndarray:
     """Gap segment leaving link k toward link k-1, in link k coordinates."""
     if not 1 <= k <= design.n - 1:
         raise IndexError(f"link {k} has no parent-side tendon segment")
-    rel = inverse(joint_relative_pose(design, k - 1, config.s[k - 1]))
-    return rel.apply(design.links[k - 1].child_point(side)) - design.links[k].parent_point(side)
+    return joint_geometry(design, k - 1, config.s[k - 1]).w[side].vec
 
 
 def tendon_segments(design: MechanismDesign, config: Configuration, k: int, side: str) -> TendonSegments:
@@ -192,22 +263,16 @@ def tendon_segments(design: MechanismDesign, config: Configuration, k: int, side
     return TendonSegments(v, w)
 
 
-def unit_segment(segment: np.ndarray) -> tuple[np.ndarray, float]:
-    norm = float(np.linalg.norm(segment))
-    if norm < MIN_SEGMENT_LENGTH:
-        raise DegenerateTendonError(f"tendon segment length {norm} below minimum")
-    return segment / norm, norm
-
-
 def tendon_lengths(design: MechanismDesign, config: Configuration) -> np.ndarray:
     """Total left/right tendon lengths: in-link spans plus gap segments [mm]."""
+    geoms = all_joint_geometry(design, config)
     lengths = np.zeros(2)
     for idx, side in enumerate(SIDES):
         total = 0.0
         for link in design.links:
             total += float(np.linalg.norm(link.child_point(side) - link.parent_point(side)))
-        for k in range(design.n - 1):
-            total += float(np.linalg.norm(tendon_segment_v(design, config, k, side)))
+        for geom in geoms:
+            total += geom.v[side].length
         lengths[idx] = total
     return lengths
 

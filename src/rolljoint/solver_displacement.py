@@ -39,16 +39,9 @@ from .errors import (
     NoConvergenceError,
     TensionFloorError,
 )
-from .mechanism import SIDES, Configuration, MechanismDesign, tendon_lengths
-from .solver_tension import (
-    SolverOptions,
-    _back_substitute,
-    _boundary_solve,
-    _clamp_s,
-    _eliminate,
-    solve_tension,
-)
-from .statics import all_joint_geometry, assemble_blocks, residual, residual_norm
+from .mechanism import SIDES, Configuration, MechanismDesign, all_joint_geometry, tendon_lengths
+from .solver_tension import SolverOptions, _clamp_s, block_solve, solve_tension
+from .statics import assemble_blocks, residual, residual_norm
 
 DAMPING_FLOOR = 1e-10  # lower bound on lambda / ||J||_F^2
 
@@ -86,19 +79,6 @@ class DisplacementReport:
     length_error_mm: float = 0.0    # max |achieved - target|
 
 
-def _impulse_response(design: MechanismDesign, config: Configuration, tau, loads):
-    """Joint sensitivities (ds, df per unit tension impulse) and the geometry
-    needed to turn them into length sensitivities."""
-    geoms = all_joint_geometry(design, config)
-    blocks = assemble_blocks(design, config, tau, loads, geoms=geoms)
-    rhs = [np.vstack([np.zeros((3, 2)), -blk.F]) for blk in blocks]
-    p_list, q_rhs, prod, acc, _ = _eliminate(blocks, rhs)
-    solution = _boundary_solve(prod, acc)
-    etas, _ = _back_substitute(p_list, q_rhs, solution[3:])
-    # etas: (joints, 3, 2); row 0 is ds per unit (tau_l, tau_r) impulse
-    return etas[:, 0, :], etas[:, 1:, :], geoms
-
-
 def tendon_jacobian(
     design: MechanismDesign,
     config: Configuration,
@@ -115,11 +95,18 @@ def tendon_jacobian(
 
 
 def _jacobian_with_sensitivity(design, config, tau, loads):
+    """The length Jacobian plus the joint sensitivities (ds, df per unit
+    tension impulse) it is contracted from, all from one joint geometry."""
     tau = np.asarray(tau, dtype=float)
-    rows = residual(design, config, tau, loads)
+    geoms = all_joint_geometry(design, config)
+    rows = residual(design, config, tau, loads, geoms=geoms)
     if residual_norm(rows, np.inf) > 1e-6:
         raise ValueError("tendon_jacobian requires an equilibrium configuration")
-    ds_sens, df_sens, geoms = _impulse_response(design, config, tau, loads)
+    blocks = assemble_blocks(design, config, tau, loads, geoms=geoms)
+    rhs = [np.vstack([np.zeros((3, 2)), -blk.F]) for blk in blocks]
+    etas, _, _ = block_solve(blocks, rhs)
+    # etas: (joints, 3, 2); row 0 is ds per unit (tau_l, tau_r) impulse
+    ds_sens, df_sens = etas[:, 0, :], etas[:, 1:, :]
     jac = np.zeros((2, 2))
     for row, side in enumerate(SIDES):
         for j, geom in enumerate(geoms):
@@ -169,22 +156,8 @@ def solve_displacement(
         grad_norm = float(np.linalg.norm(grad))
         jac_norm = float(np.linalg.norm(jac))
         scale = max(1.0, float(np.linalg.norm(error)) * jac_norm)
-        if grad_norm <= opts.grad_tol * scale:
-            report = DisplacementReport(
-                outer_iterations=outer,
-                converged=True,
-                gradient_norm=grad_norm,
-                objective=objective,
-                achieved_lengths=tuple(lengths),
-                target_lengths=tuple(l_des),
-                final_residual_norm=inner_rep.final_residual_norm,
-                inner_iterations=inner_iters,
-                backtrack_count=backtracks,
-                objective_history=tuple(history),
-                length_error_mm=float(np.abs(error).max()),
-            )
-            return tau, config, report
-        if outer == opts.max_outer_iters:
+        converged = grad_norm <= opts.grad_tol * scale
+        if converged or outer == opts.max_outer_iters:
             break
         jac_sq = max(jac_norm**2, 1e-30)
         if alpha is None:
@@ -233,10 +206,12 @@ def solve_displacement(
         if not accepted:
             break
 
+    # a rejected step leaves config unchanged, so grad_norm always belongs
+    # to the last evaluated iterate
     report = DisplacementReport(
         outer_iterations=len(history) - 1,
-        converged=False,
-        gradient_norm=float(np.linalg.norm(error @ _safe_jacobian(design, config, tau, loads))),
+        converged=converged,
+        gradient_norm=grad_norm,
         objective=objective,
         achieved_lengths=tuple(lengths),
         target_lengths=tuple(l_des),
@@ -246,16 +221,10 @@ def solve_displacement(
         objective_history=tuple(history),
         length_error_mm=float(np.abs(error).max()),
     )
+    if converged:
+        return tau, config, report
     raise NoConvergenceError(
         "displacement descent did not reach the gradient tolerance",
         report=report,
         configuration=config,
     )
-
-
-def _safe_jacobian(design, config, tau, loads) -> np.ndarray:
-    try:
-        return tendon_jacobian(design, config, tau, loads)
-    except Exception:
-        return np.zeros((2, 2))
-

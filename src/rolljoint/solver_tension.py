@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContactRolloffError, NoConvergenceError, SingularBlockError
 from .loads import check_targets
-from .mechanism import Configuration, MechanismDesign
+from .mechanism import Configuration, MechanismDesign, all_joint_geometry
 from .statics import LinkBlocks, assemble_blocks, residual, residual_norm
 
 CONDITION_LIMIT = 1e12
@@ -127,28 +127,26 @@ def _eliminate(blocks: list[LinkBlocks], rhs: list[np.ndarray]):
     return p_list, q_rhs, prod, acc, inversions
 
 
-def _boundary_solve(prod: np.ndarray, acc: np.ndarray) -> np.ndarray:
-    """Solve for (d_xi_tip, d_eta_base) from the accumulated recursion."""
+def block_solve(blocks: list[LinkBlocks], rhs: list[np.ndarray]):
+    """Solve the block recursion for per-link right-hand sides (6, width):
+    eliminate forward, solve the 6x6 boundary system for (d_xi_tip,
+    d_eta_base), then back-substitute every joint update from the base one.
+
+    Returns the stacked joint updates (joints, 3, width), the tip pose
+    perturbation (3, width) and the interior 3x3 inversion count.
+    """
+    p_list, q_rhs, prod, acc, inversions = _eliminate(blocks, rhs)
     boundary = np.zeros((6, 6))
     boundary[:3, :3] = np.eye(3)
     boundary[:, 3:] = -prod[:, 3:]
-    return _equilibrated_solve(boundary, acc, "boundary system")
-
-
-def _back_substitute(
-    p_list: list[np.ndarray], q_rhs: list[np.ndarray], eta_base: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Recover every joint update from the base update; returns the stacked
-    joint updates (joints, 3, width) and the tip pose perturbation."""
-    width = eta_base.shape[1]
-    state = np.zeros((6, width))
-    state[3:] = eta_base
-    etas = [eta_base]
+    state = np.zeros_like(acc)
+    state[3:] = _equilibrated_solve(boundary, acc, "boundary system")[3:]
+    etas = [state[3:]]
     for k in range(len(p_list)):
         state = p_list[k] @ state + q_rhs[k]
         if k < len(p_list) - 1:
             etas.append(state[3:])
-    return np.array(etas), state[:3]
+    return np.array(etas), state[:3], inversions
 
 
 def newton_step(
@@ -162,9 +160,7 @@ def newton_step(
     if blocks is None:
         blocks = assemble_blocks(design, config, tau, loads)
     rhs = [np.concatenate([np.zeros(3), -blk.h]).reshape(6, 1) for blk in blocks]
-    p_list, q_rhs, prod, acc, inversions = _eliminate(blocks, rhs)
-    solution = _boundary_solve(prod, acc)
-    etas, d_xi_tip = _back_substitute(p_list, q_rhs, solution[3:])
+    etas, d_xi_tip, inversions = block_solve(blocks, rhs)
     return NewtonStep(
         ds=etas[:, 0, 0],
         df=etas[:, 1:, 0],
@@ -243,8 +239,11 @@ def solve_tension(
     boundary_solves = 0
     iterations = 0
 
+    # each evaluated iterate's joint geometry is built once and shared by
+    # its residual and, once accepted, its Newton blocks
     config = Configuration.from_unknowns(design, s, f)
-    rows = residual(design, config, tau, loads)
+    geoms = all_joint_geometry(design, config)
+    rows = residual(design, config, tau, loads, geoms=geoms)
     norm_inf = residual_norm(rows, np.inf)
     history.append(norm_inf)
 
@@ -260,7 +259,8 @@ def solve_tension(
                 report=report,
                 configuration=config,
             )
-        step = newton_step(design, config, tau, loads)
+        blocks = assemble_blocks(design, config, tau, loads, geoms=geoms)
+        step = newton_step(design, config, tau, loads, blocks=blocks)
         inversions += step.inversions_3x3
         boundary_solves += step.solves_6x6
         iterations += 1
@@ -272,7 +272,8 @@ def solve_tension(
             s_trial, clamped = _clamp_s(design, s + scale * step.ds)
             f_trial = f + scale * step.df
             trial = Configuration.from_unknowns(design, s_trial, f_trial)
-            rows_trial = residual(design, trial, tau, loads)
+            geoms_trial = all_joint_geometry(design, trial)
+            rows_trial = residual(design, trial, tau, loads, geoms=geoms_trial)
             trial_2 = residual_norm(rows_trial, 2)
             if trial_2 < norm_2 or trial_2 <= opts.tol_residual:
                 accepted = True
@@ -297,7 +298,7 @@ def solve_tension(
                 report=report,
                 configuration=config,
             )
-        s, f, config, rows = s_trial, f_trial, trial, rows_trial
+        s, f, config, rows, geoms = s_trial, f_trial, trial, rows_trial, geoms_trial
         clamped_all.update(clamped)
         norm_inf = residual_norm(rows, np.inf)
         history.append(norm_inf)

@@ -20,79 +20,17 @@ from typing import Optional
 import numpy as np
 
 from . import loads as loads_mod
-from .geometry import (
-    Pose2,
-    Twist2,
-    adjoint,
-    coadjoint,
-    coadjoint_small,
-    compose,
-    inverse,
-    skew1,
-    wrench_at_point,
+from .geometry import adjoint, coadjoint, coadjoint_small, inverse, wrench_at_point
+# the joint geometry is owned by mechanism; its names stay importable here
+from .mechanism import (  # noqa: F401
+    SIDES,
+    Configuration,
+    JointGeometry,
+    MechanismDesign,
+    SegmentGeometry,
+    all_joint_geometry,
+    joint_geometry,
 )
-from .mechanism import SIDES, Configuration, MechanismDesign, unit_segment
-
-
-@dataclass(frozen=True)
-class SegmentGeometry:
-    """One tendon gap segment of a joint, with unit vector and s-derivatives."""
-
-    vec: np.ndarray
-    unit: np.ndarray
-    length: float
-    d_vec: np.ndarray
-    d_unit: np.ndarray
-
-
-@dataclass(frozen=True)
-class JointGeometry:
-    """Everything the balance needs about joint j at contact arc length s_j."""
-
-    child_frame: Pose2        # in link j coordinates
-    parent_frame: Pose2       # in link j+1 coordinates
-    child_twist: Twist2
-    parent_twist: Twist2
-    relative: Pose2           # link j+1 expressed in link j
-    v: dict[str, SegmentGeometry]   # child-side segments of link j
-    w: dict[str, SegmentGeometry]   # parent-side segments of link j+1
-
-
-def joint_geometry(design: MechanismDesign, j: int, s_j: float) -> JointGeometry:
-    child, parent = design.joint_surfaces(j)
-    t_child = child.frame_at(s_j)
-    t_parent = parent.frame_at(s_j)
-    xi_child = child.twist_at(s_j)
-    xi_parent = parent.twist_at(s_j)
-    relative = compose(t_child, inverse(t_parent))
-    rel_rot = relative.rotation
-    curve_gap = skew1(xi_child.w - xi_parent.w)
-
-    v_segments: dict[str, SegmentGeometry] = {}
-    w_segments: dict[str, SegmentGeometry] = {}
-    for side in SIDES:
-        p_next = design.links[j + 1].parent_point(side)
-        c_here = design.links[j].child_point(side)
-
-        vec = relative.apply(p_next) - c_here
-        unit, length = unit_segment(vec)
-        d_vec = curve_gap @ (rel_rot @ (p_next - t_parent.translation))
-        d_unit = (d_vec - unit * float(unit @ d_vec)) / length
-        v_segments[side] = SegmentGeometry(vec, unit, length, d_vec, d_unit)
-
-        wvec = inverse(relative).apply(c_here) - p_next
-        wunit, wlength = unit_segment(wvec)
-        dw_vec = (-curve_gap) @ (rel_rot.T @ (c_here - t_child.translation))
-        dw_unit = (dw_vec - wunit * float(wunit @ dw_vec)) / wlength
-        w_segments[side] = SegmentGeometry(wvec, wunit, wlength, dw_vec, dw_unit)
-
-    return JointGeometry(
-        t_child, t_parent, xi_child, xi_parent, relative, v_segments, w_segments
-    )
-
-
-def all_joint_geometry(design: MechanismDesign, config: Configuration) -> list[JointGeometry]:
-    return [joint_geometry(design, j, config.s[j]) for j in range(design.joint_count)]
 
 
 def tendon_direction_derivatives(
@@ -143,15 +81,18 @@ def residual(
     tau,
     loads=(),
     scaled: bool = True,
+    geoms: Optional[list[JointGeometry]] = None,
 ) -> np.ndarray:
     """Equilibrium residuals, one row per non-base link (links 1..n-1).
 
     With `scaled` the moment row is divided by the design's characteristic
     length so all rows share force units; that scaled form is what solver
-    tolerances refer to.
+    tolerances refer to.  `geoms` is the configuration's joint geometry when
+    the caller has already built it.
     """
     tau = np.asarray(tau, dtype=float)
-    geoms = all_joint_geometry(design, config)
+    if geoms is None:
+        geoms = all_joint_geometry(design, config)
     rows = np.array(
         [
             _link_raw_residual(design, config, geoms, tau, loads, k)

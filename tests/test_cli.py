@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rolljoint import cli
 from rolljoint.catalog import demo_five_link, polynomial_link_chain, standard_link_chain
 from rolljoint.cli import main, read_solution_csv
 from rolljoint.fileio import (
@@ -334,3 +335,42 @@ def test_sweep_other_solver_error_rows(tmp_path, degenerate_design):
     for idx in range(2):
         report = json.loads((out / f"item_{idx:03d}" / "report.json").read_text())
         assert report["status"] == "solve_error"
+
+
+def test_displacement_sweep_items_warm_start(tmp_path):
+    # nearby targets: each item after the first starts its tension search
+    # from the previous item's tensions and needs fewer outer iterations
+    sweep = write_json(tmp_path / "w.json", {
+        "parameter": "actuation.lengths",
+        "values": [[90.52, 100.88], [90.6, 100.8], [90.7, 100.7]],
+    })
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--design", str(DESIGN),
+                 "--scenario", str(SCENARIOS / "displacement_pose1.json"),
+                 "--sweep", sweep, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in
+            (out / "sweep.csv").read_text().strip().splitlines()[1:]]
+    assert [row[2] for row in rows] == ["ok"] * 3
+    outer = [int(row[6]) for row in rows]
+    assert outer[1] < outer[0] and outer[2] < outer[0]
+
+
+def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):
+    # solution.csv and report.json of an item share one tendon_lengths call
+    calls = []
+
+    def counted(design, config):
+        calls.append(config)
+        return tendon_lengths(design, config)
+
+    monkeypatch.setattr(cli, "tendon_lengths", counted)
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--design", str(DESIGN),
+                 "--scenario", str(SCENARIOS / "tension_31.json"),
+                 "--sweep", str(SCENARIOS / "sweep_fig3.json"),
+                 "--out", str(out)]) == 0
+    assert len(calls) == 3
+    for idx, config in enumerate(calls):
+        summary = (out / f"item_{idx:03d}" / "solution.csv").read_text().strip().splitlines()[-1]
+        report = json.loads((out / f"item_{idx:03d}" / "report.json").read_text())
+        assert summary.split(",")[-2:] == [f"{v:.12g}" for v in report["lengths_mm"]]

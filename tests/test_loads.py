@@ -11,6 +11,8 @@ from rolljoint.loads import (
     net_derivative,
     net_wrench,
 )
+from rolljoint.oracle import dense_solve, energy
+from rolljoint.solver_tension import solve_tension
 
 
 def random_pose(rng):
@@ -109,3 +111,23 @@ def test_loads_superpose(rng):
 def test_negative_stiffness_rejected():
     with pytest.raises(ValueError):
         LinearSpring(target_link=1, stiffness=-0.1, anchor=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("load", [
+    ConstantBody(target_link=5, wrench=Wrench2(np.nan, (0.0, 0.0))),
+    ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (np.nan, 0.0))),
+    ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (1.0, 0.0)), attach=(np.inf, 0.0)),
+    LinearSpring(target_link=5, stiffness=np.nan, anchor=(60.0, 90.0)),
+    LinearSpring(target_link=5, stiffness=0.2, anchor=(60.0, -np.inf)),
+], ids=["body_moment", "workspace_force", "workspace_attach", "spring_stiffness",
+        "spring_anchor"])
+def test_non_finite_load_rejected_at_library_entry(paper5, load):
+    # without the check a NaN force reached the block recursion and ended in
+    # SingularBlockError after RuntimeWarnings, and the energy oracle returned NaN
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_tension(paper5, (3.0, 1.0), (load,))
+    with pytest.raises(ValueError, match="non-finite"):
+        dense_solve(paper5, (3.0, 1.0), (load,))
+    if not isinstance(load, ConstantBody):   # the energy refuses body loads first
+        with pytest.raises(ValueError, match="non-finite"):
+            energy(paper5, paper5.joint_midpoints(), (3.0, 1.0), (load,))

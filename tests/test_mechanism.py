@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rolljoint.catalog import polynomial_link_chain, standard_link_chain
+from rolljoint.errors import DegenerateTendonError
 from rolljoint.geometry import Pose2
 from rolljoint.mechanism import (
     Configuration,
@@ -216,3 +217,14 @@ def test_domains_array_matches_joint_domain(paper5, chain2):
         with pytest.raises(ValueError):
             design.domains[0, 0] = 0.0
     assert uneven.domains[0, 0] > wide.s_min and uneven.domains[0, 1] == 4.0
+
+
+def test_degenerate_gap_raises_in_tendon_lengths():
+    # both tendons run through the contact point, so every gap segment has
+    # zero length at s = 0; the length sum used to report 40 mm there
+    design = polynomial_link_chain(2, channel_x=0.0, entry_inset=0.0)
+    config = Configuration.from_unknowns(design, np.zeros(1), np.zeros((1, 2)))
+    with pytest.raises(DegenerateTendonError):
+        tendon_lengths(design, config)
+    with pytest.raises(DegenerateTendonError):
+        tendon_segments(design, config, 0, "l")

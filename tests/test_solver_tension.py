@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from rolljoint.solver_tension import (
     newton_step,
     solve_tension,
 )
-from rolljoint.statics import residual, residual_norm
+from rolljoint.statics import joint_geometry, residual, residual_norm
 
 from conftest import max_pose_error
 from helpers import dense_newton_step
@@ -221,3 +223,46 @@ def test_load_target_out_of_range_rejected(chain2):
     from rolljoint.loads import ConstantBody
     with pytest.raises(ValueError):
         solve_tension(chain2, (1.0, 1.0), (ConstantBody(target_link=5),))
+
+
+def test_nan_initial_forces_never_converge(paper5):
+    # a NaN warm start makes every residual NaN; the loop must not read that
+    # as within tolerance
+    config, _ = solve_tension(paper5, (3.0, 1.0))
+    nan_init = Configuration.from_unknowns(paper5, config.s, np.full_like(config.f, np.nan))
+    with pytest.raises(RolljointError):
+        solve_tension(paper5, (3.0, 1.0), init=nan_init)
+
+
+@pytest.fixture
+def joint_geometry_calls(monkeypatch):
+    """Counts joint_geometry calls through every rolljoint namespace that
+    binds it."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return joint_geometry(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rolljoint" or name.startswith("rolljoint."):
+            for key, value in list(vars(module).items()):
+                if value is joint_geometry:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_joint_geometry_built_once_per_evaluated_iterate(paper5, joint_geometry_calls):
+    # one geometry per evaluated iterate (the start and every line-search
+    # trial), shared by its residual and its Newton blocks
+    joints = paper5.joint_count
+    start, _ = solve_tension(paper5, (3.0, 1.0))
+    joint_geometry_calls[0] = 0
+    _, report = solve_tension(paper5, (3.3, 1.1), init=start)
+    assert report.iterations >= 1
+    assert joint_geometry_calls[0] == joints * (1 + report.iterations + report.backtrack_count)
+
+    # a cold start adds the contact-force fit of initial_forces
+    joint_geometry_calls[0] = 0
+    _, report = solve_tension(paper5, (6.0, 3.0))
+    assert joint_geometry_calls[0] == joints * (2 + report.iterations + report.backtrack_count)
