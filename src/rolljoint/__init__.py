@@ -46,7 +46,6 @@ from .mechanism import (
     forward_poses,
     pose_difference,
     tendon_lengths,
-    tendon_segments,
     validate,
 )
 from .oracle import dense_solve, energy, energy_gradient_fd, energy_minimize
@@ -57,7 +56,7 @@ from .solver_displacement import (
     tendon_jacobian,
 )
 from .solver_tension import NewtonStep, SolveReport, SolverOptions, newton_step, solve_tension
-from .statics import LinkBlocks, assemble_blocks, residual, tendon_direction_derivatives
+from .statics import LinkBlocks, assemble_blocks, residual
 from .surface import CircularArc, ContactSurface, CurvatureProfile
 
 __version__ = "0.1.0"
@@ -70,11 +69,11 @@ __all__ = [
     "ContactSurface", "CircularArc", "CurvatureProfile",
     # mechanism
     "LinkDesign", "MechanismDesign", "Configuration", "forward_poses",
-    "tendon_segments", "tendon_lengths", "validate", "pose_difference",
+    "tendon_lengths", "validate", "pose_difference",
     # loads
     "ExternalLoad", "ConstantBody", "ConstantWorkspace", "LinearSpring",
     # statics
-    "LinkBlocks", "assemble_blocks", "residual", "tendon_direction_derivatives",
+    "LinkBlocks", "assemble_blocks", "residual",
     # solvers
     "SolverOptions", "SolveReport", "NewtonStep", "newton_step", "solve_tension",
     "DisplacementOptions", "DisplacementReport", "solve_displacement", "tendon_jacobian",

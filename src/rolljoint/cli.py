@@ -146,7 +146,7 @@ def _solve_scenario(design: MechanismDesign, scenario: Scenario,
         return config, np.asarray(scenario.tau), extra
     tau, config, rep = solve_displacement(
         design, scenario.lengths, scenario.loads,
-        tau_init=scenario.tau_init, opts=scenario.displacement_options,
+        tau_init=scenario.tau_init, opts=scenario.displacement_options, init=init,
     )
     extra = {
         "converged": rep.converged,
@@ -229,9 +229,11 @@ def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
                     initial_forces(design, prev_config.s, scenario.tau, scenario.loads),
                 )
                 return _solve_scenario(design, scenario, init=init)
+            # the previous configuration balances the previous tensions,
+            # which are also the first tensions of this item's search
             floor = scenario.displacement_options.tension_floor
             warm = replace(scenario, tau_init=np.maximum(prev_tau, floor))
-            return _solve_scenario(design, warm)
+            return _solve_scenario(design, warm, init=prev_config)
         except RolljointError:
             pass
     return _solve_scenario(design, scenario)

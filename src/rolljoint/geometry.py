@@ -10,7 +10,7 @@ with moment m [N mm] and force f [N].  The planar "hat" of a scalar w is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,22 +42,23 @@ def _frozen_vec2(value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose2:
-    """Planar rigid transform; rotation stored as an angle, matrices on demand."""
+    """Planar rigid transform; rotation stored as an angle, with its
+    read-only matrix computed once per pose."""
 
     angle: float
     translation: np.ndarray
+    rotation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "angle", float(self.angle))
         object.__setattr__(self, "translation", _frozen_vec2(self.translation))
+        rotation = rot2(self.angle)
+        rotation.setflags(write=False)
+        object.__setattr__(self, "rotation", rotation)
 
     @staticmethod
     def identity() -> "Pose2":
         return Pose2(0.0, (0.0, 0.0))
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return rot2(self.angle)
 
     @property
     def matrix(self) -> np.ndarray:

@@ -96,16 +96,6 @@ class LinearSpring(ExternalLoad):
         return out
 
 
-def evaluate(load: ExternalLoad, pose: Pose2) -> Wrench2:
-    """Body-frame wrench exerted by the load on a link at `pose`."""
-    return load.body_wrench(pose)
-
-
-def derivative(load: ExternalLoad, pose: Pose2) -> np.ndarray:
-    """3x3 derivative of the body-frame wrench w.r.t. the body twist."""
-    return load.body_wrench_derivative(pose)
-
-
 def check_targets(loads, link_count: int) -> None:
     """Reject loads aimed at links the mechanism does not have, and loads
     with a non-finite force, moment, attach point, stiffness or anchor."""

@@ -3,6 +3,8 @@
 `joint_geometry` is the one place a joint's contact frames, relative pose
 and tendon gap segments (with their s-derivatives) are computed; the tendon
 views and lengths here and the force balance in `statics` all read it.
+`evaluate` builds it once for an iterate (s, f) and chains the link poses
+from its relative poses, so the solvers look up each contact frame once.
 
 Indexing: links are stored 0-based; joint j couples the child surface of
 link j with the parent surface of link j+1 and carries one contact arc
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -128,11 +130,15 @@ def _mean_link_extent(links) -> float:
 @dataclass(frozen=True)
 class Configuration:
     """Value snapshot of the mechanism state: contact arc lengths s (n-1,),
-    contact forces f (n-1, 2) and link poses (n,) consistent with s."""
+    contact forces f (n-1, 2) and link poses (n,) consistent with s, plus
+    the per-joint `JointGeometry` when `evaluate` built it."""
 
     s: np.ndarray
     f: np.ndarray
     poses: tuple[Pose2, ...]
+    geometry: Optional[tuple["JointGeometry", ...]] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self):
         s = np.array(self.s, dtype=float).reshape(-1)
@@ -154,19 +160,29 @@ def joint_relative_pose(design: MechanismDesign, j: int, s_j: float) -> Pose2:
     return compose(child.frame_at(s_j), inverse(parent.frame_at(s_j)))
 
 
-def forward_poses(design: MechanismDesign, s) -> tuple[Pose2, ...]:
-    """Chain the base pose through every rolling contact."""
+def _contact_parameters(design: MechanismDesign, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     if s.shape != (design.joint_count,):
         raise ValueError(f"expected {design.joint_count} contact parameters")
+    return s
+
+
+def _chain_poses(design: MechanismDesign, relatives) -> tuple[Pose2, ...]:
+    """Chain the base pose through each joint's relative pose."""
     poses = [design.base_pose]
-    for j in range(design.joint_count):
-        poses.append(compose(poses[j], joint_relative_pose(design, j, s[j])))
+    for relative in relatives:
+        poses.append(compose(poses[-1], relative))
     return tuple(poses)
 
 
+def forward_poses(design: MechanismDesign, s) -> tuple[Pose2, ...]:
+    """Chain the base pose through every rolling contact."""
+    s = _contact_parameters(design, s)
+    return _chain_poses(design, (joint_relative_pose(design, j, s[j]) for j in range(len(s))))
+
+
 def unit_segment(segment: np.ndarray) -> tuple[np.ndarray, float]:
-    norm = float(np.linalg.norm(segment))
+    norm = math.sqrt(float(segment @ segment))
     if norm < MIN_SEGMENT_LENGTH:
         raise DegenerateTendonError(f"tendon segment length {norm} below minimum")
     return segment / norm, norm
@@ -204,6 +220,7 @@ def joint_geometry(design: MechanismDesign, j: int, s_j: float) -> JointGeometry
     xi_child = child.twist_at(s_j)
     xi_parent = parent.twist_at(s_j)
     relative = compose(t_child, inverse(t_parent))
+    relative_inv = inverse(relative)
     rel_rot = relative.rotation
     curve_gap = skew1(xi_child.w - xi_parent.w)
 
@@ -219,7 +236,7 @@ def joint_geometry(design: MechanismDesign, j: int, s_j: float) -> JointGeometry
         d_unit = (d_vec - unit * float(unit @ d_vec)) / length
         v_segments[side] = SegmentGeometry(vec, unit, length, d_vec, d_unit)
 
-        wvec = inverse(relative).apply(c_here) - p_next
+        wvec = relative_inv.apply(c_here) - p_next
         wunit, wlength = unit_segment(wvec)
         dw_vec = (-curve_gap) @ (rel_rot.T @ (c_here - t_child.translation))
         dw_unit = (dw_vec - wunit * float(wunit @ dw_vec)) / wlength
@@ -234,13 +251,12 @@ def all_joint_geometry(design: MechanismDesign, config: Configuration) -> list[J
     return [joint_geometry(design, j, config.s[j]) for j in range(design.joint_count)]
 
 
-class TendonSegments(NamedTuple):
-    """Gap-segment vectors at one link: v points from the child entry toward
-    the next link's parent entry (absent at the tip); w points from the parent
-    entry toward the previous link's child entry (absent at the base)."""
-
-    v: Optional[np.ndarray]
-    w: Optional[np.ndarray]
+def evaluate(design: MechanismDesign, s, f) -> Configuration:
+    """One evaluation of the unknowns (s, f): the configuration together
+    with its joint geometry, whose relative poses chain the link poses."""
+    s = _contact_parameters(design, s)
+    geometry = tuple(joint_geometry(design, j, s[j]) for j in range(len(s)))
+    return Configuration(s, f, _chain_poses(design, (g.relative for g in geometry)), geometry)
 
 
 def tendon_segment_v(design: MechanismDesign, config: Configuration, k: int, side: str) -> np.ndarray:
@@ -257,15 +273,15 @@ def tendon_segment_w(design: MechanismDesign, config: Configuration, k: int, sid
     return joint_geometry(design, k - 1, config.s[k - 1]).w[side].vec
 
 
-def tendon_segments(design: MechanismDesign, config: Configuration, k: int, side: str) -> TendonSegments:
-    v = tendon_segment_v(design, config, k, side) if k <= design.n - 2 else None
-    w = tendon_segment_w(design, config, k, side) if k >= 1 else None
-    return TendonSegments(v, w)
-
-
-def tendon_lengths(design: MechanismDesign, config: Configuration) -> np.ndarray:
-    """Total left/right tendon lengths: in-link spans plus gap segments [mm]."""
-    geoms = all_joint_geometry(design, config)
+def tendon_lengths(
+    design: MechanismDesign,
+    config: Configuration,
+    geoms: Optional[list[JointGeometry]] = None,
+) -> np.ndarray:
+    """Total left/right tendon lengths: in-link spans plus gap segments [mm];
+    `geoms` is the configuration's joint geometry if already built."""
+    if geoms is None:
+        geoms = all_joint_geometry(design, config)
     lengths = np.zeros(2)
     for idx, side in enumerate(SIDES):
         total = 0.0

@@ -24,18 +24,19 @@ def _polyline(points, stroke: str, width: float = 0.5, dash: str = "") -> str:
     )
 
 
-def _link_outline_points(design: MechanismDesign, config: Configuration, k: int):
-    """World-frame outline: entry-point quadrilateral plus sampled surfaces."""
-    link = design.links[k]
-    pose = config.poses[k]
-    quad = [link.p_l, link.p_r, link.c_r, link.c_l, link.p_l]
-    curves = [[pose.apply(q) for q in quad]]
-    for surf in (link.parent_surface, link.child_surface):
-        if surf is None:
-            continue
-        samples = np.linspace(surf.s_min, surf.s_max, _SURFACE_SAMPLES)
-        curves.append([pose.apply(surf.frame_at(s).translation) for s in samples])
-    return curves
+def _body_outline_points(design: MechanismDesign):
+    """Per link, the body-frame outline curves: entry-point quadrilateral
+    plus sampled surfaces.  They do not depend on the configuration."""
+    outlines = []
+    for link in design.links:
+        curves = [[link.p_l, link.p_r, link.c_r, link.c_l, link.p_l]]
+        for surf in (link.parent_surface, link.child_surface):
+            if surf is None:
+                continue
+            samples = np.linspace(surf.s_min, surf.s_max, _SURFACE_SAMPLES)
+            curves.append([surf.frame_at(s).translation for s in samples])
+        outlines.append(curves)
+    return outlines
 
 
 def _tendon_points(design: MechanismDesign, config: Configuration, side: str):
@@ -71,12 +72,14 @@ def render_svg(design: MechanismDesign, configs, loads=()) -> str:
     """SVG text showing one or more configurations (link outlines, tendon
     polylines, load arrows with length proportional to magnitude)."""
     configs = list(configs)
+    outlines = _body_outline_points(design)
     elements = []
     all_points = []
     for idx, config in enumerate(configs):
         color = _POSE_COLORS[idx % len(_POSE_COLORS)]
-        for k in range(design.n):
-            for curve in _link_outline_points(design, config, k):
+        for pose, body_curves in zip(config.poses, outlines):
+            for body_curve in body_curves:
+                curve = [pose.apply(p) for p in body_curve]
                 elements.append(_polyline(curve, color, 0.4))
                 all_points.extend(curve)
         for side in SIDES:

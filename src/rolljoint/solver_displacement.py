@@ -41,7 +41,7 @@ from .errors import (
 )
 from .mechanism import SIDES, Configuration, MechanismDesign, all_joint_geometry, tendon_lengths
 from .solver_tension import SolverOptions, _clamp_s, block_solve, solve_tension
-from .statics import assemble_blocks, residual, residual_norm
+from .statics import assemble_blocks, block_residual, residual_norm
 
 DAMPING_FLOOR = 1e-10  # lower bound on lambda / ||J||_F^2
 
@@ -90,19 +90,18 @@ def tendon_jacobian(
     The configuration must already be an equilibrium for `tau`; the impulse
     responses are only meaningful around a balanced state.
     """
-    jac, _, _ = _jacobian_with_sensitivity(design, config, tau, loads)
-    return jac
-
-
-def _jacobian_with_sensitivity(design, config, tau, loads):
-    """The length Jacobian plus the joint sensitivities (ds, df per unit
-    tension impulse) it is contracted from, all from one joint geometry."""
-    tau = np.asarray(tau, dtype=float)
     geoms = all_joint_geometry(design, config)
-    rows = residual(design, config, tau, loads, geoms=geoms)
-    if residual_norm(rows, np.inf) > 1e-6:
-        raise ValueError("tendon_jacobian requires an equilibrium configuration")
+    return _jacobian_with_sensitivity(design, config, tau, loads, geoms)[0]
+
+
+def _jacobian_with_sensitivity(design, config, tau, loads, geoms):
+    """The length Jacobian plus the joint sensitivities (ds, df per unit
+    tension impulse) it is contracted from, all from the configuration's
+    joint geometry `geoms`."""
+    tau = np.asarray(tau, dtype=float)
     blocks = assemble_blocks(design, config, tau, loads, geoms=geoms)
+    if residual_norm(block_residual(design, blocks), np.inf) > 1e-6:
+        raise ValueError("tendon_jacobian requires an equilibrium configuration")
     rhs = [np.vstack([np.zeros((3, 2)), -blk.F]) for blk in blocks]
     etas, _, _ = block_solve(blocks, rhs)
     # etas: (joints, 3, 2); row 0 is ds per unit (tau_l, tau_r) impulse
@@ -130,8 +129,10 @@ def solve_displacement(
     loads=(),
     tau_init=(1.0, 1.0),
     opts: Optional[DisplacementOptions] = None,
+    init: Optional[Configuration] = None,
 ) -> tuple[np.ndarray, Configuration, DisplacementReport]:
-    """Find tensions whose equilibrium best matches the desired tendon lengths."""
+    """Find tensions whose equilibrium best matches the desired tendon
+    lengths; `init` warm-starts the first equilibrium solve (at `tau_init`)."""
     opts = opts or DisplacementOptions()
     l_des = np.asarray(l_des, dtype=float)
     tau = np.asarray(tau_init, dtype=float)
@@ -141,9 +142,9 @@ def solve_displacement(
     if np.any(tau < floor):
         raise ValueError("initial tensions must be at or above the tension floor")
 
-    config, inner_rep = solve_tension(design, tau, loads, opts=opts.inner)
+    config, inner_rep = solve_tension(design, tau, loads, init=init, opts=opts.inner)
     inner_iters = inner_rep.iterations
-    lengths = tendon_lengths(design, config)
+    lengths = tendon_lengths(design, config, geoms=config.geometry)
     error = lengths - l_des
     objective = 0.5 * float(error @ error)
     history = [objective]
@@ -151,7 +152,10 @@ def solve_displacement(
     backtracks = 0
 
     for outer in range(opts.max_outer_iters + 1):
-        jac, ds_sens, df_sens = _jacobian_with_sensitivity(design, config, tau, loads)
+        # lengths and Jacobian read the geometry the equilibrium solve carried
+        jac, ds_sens, df_sens = _jacobian_with_sensitivity(
+            design, config, tau, loads, config.geometry
+        )
         grad = error @ jac
         grad_norm = float(np.linalg.norm(grad))
         jac_norm = float(np.linalg.norm(jac))
@@ -191,7 +195,7 @@ def solve_displacement(
                 backtracks += 1
                 continue
             inner_iters += rep_trial.iterations
-            lengths_trial = tendon_lengths(design, config_trial)
+            lengths_trial = tendon_lengths(design, config_trial, geoms=config_trial.geometry)
             error_trial = lengths_trial - l_des
             objective_trial = 0.5 * float(error_trial @ error_trial)
             if objective_trial <= objective * (1.0 + 1e-14) + 1e-300:

@@ -5,18 +5,24 @@ single 6x6 boundary system (base pose fixed, no joint unknowns past the tip),
 solves it, back-substitutes for every joint update and applies a backtracking
 line search on the scaled residual norm.  Interior links cost one 3x3
 inversion each; the boundary solve is the only 6x6 operation.
+
+Each D block and the boundary system is equilibrated (one row/column
+max-abs pass) into B and rejected when its 1-norm condition number
+||B||_1 ||B^-1||_1 exceeds CONDITION_LIMIT / size, read from an explicit
+inverse instead of an SVD.  As kappa_2 <= size * kappa_1, no accepted
+matrix has a 2-norm condition number above CONDITION_LIMIT.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .errors import ContactRolloffError, NoConvergenceError, SingularBlockError
 from .loads import check_targets
-from .mechanism import Configuration, MechanismDesign, all_joint_geometry
+from .mechanism import Configuration, MechanismDesign, evaluate
 from .statics import LinkBlocks, assemble_blocks, residual, residual_norm
 
 CONDITION_LIMIT = 1e12
@@ -56,9 +62,9 @@ class NewtonStep:
 
 
 def _equilibrate(matrix: np.ndarray, what: str):
-    """One row/column max-abs equilibration pass plus a condition check; mixed
-    units (mm, rad, N) otherwise inflate the conditioning estimate for purely
-    notational reasons.  Returns (balanced matrix, row scales, column scales)."""
+    """One row/column max-abs equilibration pass; mixed units (mm, rad, N)
+    otherwise inflate the conditioning estimate for purely notational
+    reasons.  Returns (balanced matrix, row scales, column scales)."""
     row_scale = np.abs(matrix).max(axis=1)
     if not np.all(np.isfinite(row_scale)) or np.any(row_scale == 0.0):
         raise SingularBlockError(f"singular {what}")
@@ -66,26 +72,33 @@ def _equilibrate(matrix: np.ndarray, what: str):
     col_scale = np.abs(balanced).max(axis=0)
     if np.any(col_scale == 0.0):
         raise SingularBlockError(f"singular {what}")
-    balanced = balanced / col_scale[None, :]
-    try:
-        cond = np.linalg.cond(balanced)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"singular {what}") from exc
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT:
-        raise SingularBlockError(f"ill-conditioned {what} (cond {cond:.2e})")
-    return balanced, row_scale, col_scale
+    return balanced / col_scale[None, :], row_scale, col_scale
 
 
-def _checked_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    _equilibrate(matrix, what)
+def _check_condition(balanced: np.ndarray, balanced_inv: np.ndarray, what: str) -> None:
+    cond = np.abs(balanced).sum(axis=0).max() * np.abs(balanced_inv).sum(axis=0).max()
+    if not np.isfinite(cond) or cond > CONDITION_LIMIT / len(balanced):
+        raise SingularBlockError(f"ill-conditioned {what} (cond_1 {cond:.2e})")
+
+
+def _inverse(matrix: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.inv(matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularBlockError(f"singular {what}") from exc
 
 
+def _checked_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
+    balanced, row_scale, col_scale = _equilibrate(matrix, what)
+    inv = _inverse(matrix, what)
+    # balanced = R^-1 M C^-1, so its inverse is C M^-1 R
+    _check_condition(balanced, col_scale[:, None] * inv * row_scale[None, :], what)
+    return inv
+
+
 def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     balanced, row_scale, col_scale = _equilibrate(matrix, what)
+    _check_condition(balanced, _inverse(balanced, what), what)
     solution = np.linalg.solve(balanced, rhs / row_scale[:, None])
     return solution / col_scale[:, None]
 
@@ -177,9 +190,14 @@ def initial_forces(design: MechanismDesign, s: np.ndarray, tau, loads=()) -> np.
     least-squares fit.  Starting Newton from all-zero forces instead puts the
     iterate on a nearly singular manifold where the first step degenerates.
     """
+    return _fit_forces(design, evaluate(design, s, np.zeros((design.joint_count, 2))), tau, loads)
+
+
+def _fit_forces(design: MechanismDesign, unloaded: Configuration, tau, loads) -> np.ndarray:
+    """`initial_forces` at the contact points of `unloaded`, a configuration
+    evaluated with all contact forces zero."""
     joints = design.joint_count
-    config = Configuration.from_unknowns(design, s, np.zeros((joints, 2)))
-    blocks = assemble_blocks(design, config, tau, loads)
+    blocks = assemble_blocks(design, unloaded, tau, loads, geoms=unloaded.geometry)
     scale = np.array([1.0 / design.characteristic_length, 1.0, 1.0])
     coeff = np.zeros((3 * joints, 2 * joints))
     rhs = np.zeros(3 * joints)
@@ -192,12 +210,6 @@ def initial_forces(design: MechanismDesign, s: np.ndarray, tau, loads=()) -> np.
             coeff[row:row + 3, 2 * k:2 * k + 2] += blk.D[:, 1:] * scale[:, None]
     fit, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
     return fit.reshape(joints, 2)
-
-
-def default_initial_state(design: MechanismDesign, tau, loads=()) -> tuple[np.ndarray, np.ndarray]:
-    """Contact points at the mating-domain midpoints, forces from the affine fit."""
-    s = design.joint_midpoints()
-    return s, initial_forces(design, s, tau, loads)
 
 
 def _clamp_s(design: MechanismDesign, s: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -226,11 +238,17 @@ def solve_tension(
         raise ValueError("tendon tensions must be finite and positive")
     check_targets(loads, design.n)
 
+    # each evaluated iterate's joint geometry is built once and shared by
+    # its residual, its Newton blocks once accepted, and the caller
+    # (carried on the returned configuration)
     if init is not None:
-        s, _ = _clamp_s(design, np.array(init.s, dtype=float))
-        f = np.array(init.f, dtype=float)
+        config = evaluate(design, _clamp_s(design, np.array(init.s, dtype=float))[0], init.f)
     else:
-        s, f = default_initial_state(design, tau, loads)
+        # contact points at the mating-domain midpoints; the force fit there
+        # shares the start iterate's geometry
+        config = evaluate(design, design.joint_midpoints(), np.zeros((design.joint_count, 2)))
+        config = replace(config, f=_fit_forces(design, config, tau, loads))
+    s, f = config.s, config.f
 
     history: list[float] = []
     clamped_all: set[int] = set()
@@ -239,27 +257,25 @@ def solve_tension(
     boundary_solves = 0
     iterations = 0
 
-    # each evaluated iterate's joint geometry is built once and shared by
-    # its residual and, once accepted, its Newton blocks
-    config = Configuration.from_unknowns(design, s, f)
-    geoms = all_joint_geometry(design, config)
-    rows = residual(design, config, tau, loads, geoms=geoms)
+    def report(converged: bool) -> SolveReport:
+        return SolveReport(
+            iterations, norm_inf, backtracks, tuple(sorted(clamped_all)), converged,
+            tuple(history), inversions, boundary_solves,
+        )
+
+    rows = residual(design, config, tau, loads, geoms=config.geometry)
     norm_inf = residual_norm(rows, np.inf)
     history.append(norm_inf)
 
     while not norm_inf <= opts.tol_residual:   # a NaN residual keeps iterating
         if iterations >= opts.max_iters:
-            report = _report(
-                iterations, norm_inf, backtracks, clamped_all, False,
-                history, inversions, boundary_solves,
-            )
             raise NoConvergenceError(
                 f"no convergence after {iterations} iterations "
                 f"(residual {norm_inf:.3e})",
-                report=report,
+                report=report(False),
                 configuration=config,
             )
-        blocks = assemble_blocks(design, config, tau, loads, geoms=geoms)
+        blocks = assemble_blocks(design, config, tau, loads, geoms=config.geometry)
         step = newton_step(design, config, tau, loads, blocks=blocks)
         inversions += step.inversions_3x3
         boundary_solves += step.solves_6x6
@@ -271,9 +287,8 @@ def solve_tension(
         for _ in range(opts.max_backtracks + 1):
             s_trial, clamped = _clamp_s(design, s + scale * step.ds)
             f_trial = f + scale * step.df
-            trial = Configuration.from_unknowns(design, s_trial, f_trial)
-            geoms_trial = all_joint_geometry(design, trial)
-            rows_trial = residual(design, trial, tau, loads, geoms=geoms_trial)
+            trial = evaluate(design, s_trial, f_trial)
+            rows_trial = residual(design, trial, tau, loads, geoms=trial.geometry)
             trial_2 = residual_norm(rows_trial, 2)
             if trial_2 < norm_2 or trial_2 <= opts.tol_residual:
                 accepted = True
@@ -281,51 +296,29 @@ def solve_tension(
             scale *= opts.backtrack_factor
             backtracks += 1
         if not accepted:
-            report = _report(
-                iterations, norm_inf, backtracks, clamped_all, False,
-                history, inversions, boundary_solves,
-            )
             pinned = _pinned_joints(design, s)
             if pinned:
                 raise ContactRolloffError(
                     f"stalled with contact pinned at a domain boundary "
                     f"for joints {pinned}",
-                    report=report,
+                    report=report(False),
                     configuration=config,
                 )
             raise NoConvergenceError(
                 "line search stalled without residual decrease",
-                report=report,
+                report=report(False),
                 configuration=config,
             )
-        s, f, config, rows, geoms = s_trial, f_trial, trial, rows_trial, geoms_trial
+        s, f, config, rows = s_trial, f_trial, trial, rows_trial
         clamped_all.update(clamped)
         norm_inf = residual_norm(rows, np.inf)
         history.append(norm_inf)
 
-    report = _report(
-        iterations, norm_inf, backtracks, clamped_all, True,
-        history, inversions, boundary_solves,
-    )
     pinned = _pinned_joints(design, s)
     if pinned:
         raise ContactRolloffError(
             f"converged with contact at domain boundary for joints {pinned}",
-            report=report,
+            report=report(True),
             configuration=config,
         )
-    return config, report
-
-
-def _report(iterations, norm_inf, backtracks, clamped_all, converged, history,
-            inversions, boundary_solves) -> SolveReport:
-    return SolveReport(
-        iterations=iterations,
-        final_residual_norm=norm_inf,
-        backtrack_count=backtracks,
-        clamped_joints=tuple(sorted(clamped_all)),
-        converged=converged,
-        residual_history=tuple(history),
-        inversions_3x3=inversions,
-        solves_6x6=boundary_solves,
-    )
+    return config, report(True)

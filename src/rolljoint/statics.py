@@ -33,21 +33,6 @@ from .mechanism import (  # noqa: F401
 )
 
 
-def tendon_direction_derivatives(
-    design: MechanismDesign, config: Configuration, k: int, side: str
-) -> tuple[Optional[np.ndarray], Optional[np.ndarray]]:
-    """(d v_hat / ds at link k's child side, d w_hat / ds at its parent side).
-
-    Either entry is None where the link has no such segment (tip/base).
-    """
-    d_v = d_w = None
-    if k <= design.n - 2:
-        d_v = joint_geometry(design, k, config.s[k]).v[side].d_unit
-    if k >= 1:
-        d_w = joint_geometry(design, k - 1, config.s[k - 1]).w[side].d_unit
-    return d_v, d_w
-
-
 def _force_wrench(f: np.ndarray) -> np.ndarray:
     return np.array([0.0, f[0], f[1]])
 
@@ -100,8 +85,14 @@ def residual(
         ]
     )
     if scaled:
-        rows = rows.copy()
         rows[:, 0] /= design.characteristic_length
+    return rows
+
+
+def block_residual(design: MechanismDesign, blocks: list["LinkBlocks"]) -> np.ndarray:
+    """Scaled residual rows read from the blocks' balance rows h."""
+    rows = np.array([blk.h for blk in blocks])
+    rows[:, 0] /= design.characteristic_length
     return rows
 
 

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,3 +40,29 @@ def rng():
 def max_pose_error(poses_a, poses_b):
     """Worst translation/angle gap across two pose sequences."""
     return max(max(pose_difference(a, b)) for a, b in zip(poses_a, poses_b))
+
+
+def count_calls(monkeypatch, func):
+    """Replace `func` by a counting wrapper in every rolljoint namespace that
+    binds it; returns the one-element call counter."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "rolljoint" or name.startswith("rolljoint."):
+            for key, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+@pytest.fixture
+def joint_geometry_calls(monkeypatch):
+    """Counts joint_geometry calls through every rolljoint namespace that
+    binds it."""
+    from rolljoint.mechanism import joint_geometry
+
+    return count_calls(monkeypatch, joint_geometry)

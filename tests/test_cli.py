@@ -205,6 +205,26 @@ def test_svg_contains_geometry(tmp_path):
     assert "#ff7f0e" in svg  # the load arrow
 
 
+def test_svg_samples_each_surface_once(monkeypatch):
+    # the sampled surface outlines are body-frame points: one frame lookup
+    # per sample and surface, however many configurations are drawn
+    from rolljoint.render import _SURFACE_SAMPLES, render_svg
+    from rolljoint.solver_tension import solve_tension
+    from rolljoint.surface import CircularArc
+
+    design = demo_five_link()
+    configs = [solve_tension(design, tau)[0] for tau in ((3.0, 1.0), (1.0, 1.0), (1.0, 3.0))]
+    frame_at = CircularArc.frame_at
+    calls = []
+    monkeypatch.setattr(CircularArc, "frame_at", lambda self, s: calls.append(s) or frame_at(self, s))
+    svg = render_svg(design, configs)
+    assert len(calls) == 2 * design.joint_count * _SURFACE_SAMPLES
+    # per configuration: one quadrilateral per link, one curve per surface
+    # and two tendon polylines
+    per_config = design.n + 2 * design.joint_count + 2
+    assert svg.count("<polyline") == len(configs) * per_config
+
+
 def test_gram_force_conversion():
     scenario = scenario_from_dict(
         {"actuation": {"mode": "tension", "tau_gram": [300.0, 900.0]}}
@@ -353,6 +373,41 @@ def test_displacement_sweep_items_warm_start(tmp_path):
     assert [row[2] for row in rows] == ["ok"] * 3
     outer = [int(row[6]) for row in rows]
     assert outer[1] < outer[0] and outer[2] < outer[0]
+
+
+def test_displacement_sweep_item_starts_from_previous_configuration(tmp_path, monkeypatch):
+    # the first inner solve of a warm item starts from the configuration the
+    # previous item returned; the first item starts cold
+    from rolljoint import solver_displacement
+
+    solve_displacement = solver_displacement.solve_displacement
+    solve_tension = solver_displacement.solve_tension
+    first_inits = []
+    returned = []
+
+    def spy_displacement(*args, **kwargs):
+        first_inits.append("pending")
+        out = solve_displacement(*args, **kwargs)
+        returned.append(out[1])
+        return out
+
+    def spy_tension(*args, **kwargs):
+        if first_inits[-1] == "pending":
+            first_inits[-1] = kwargs.get("init")
+        return solve_tension(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_displacement", spy_displacement)
+    monkeypatch.setattr(solver_displacement, "solve_tension", spy_tension)
+    sweep = write_json(tmp_path / "w.json", {
+        "parameter": "actuation.lengths",
+        "values": [[90.52, 100.88], [90.6, 100.8], [90.7, 100.7]],
+    })
+    assert main(["sweep", "--design", str(DESIGN),
+                 "--scenario", str(SCENARIOS / "displacement_pose1.json"),
+                 "--sweep", sweep, "--out", str(tmp_path / "sweep")]) == 0
+    assert len(first_inits) == len(returned) == 3
+    assert first_inits[0] is None
+    assert first_inits[1] is returned[0] and first_inits[2] is returned[1]
 
 
 def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):

@@ -22,6 +22,15 @@ def random_pose(rng):
     return Pose2(rng.uniform(-np.pi, np.pi), rng.uniform(-50, 50, 2))
 
 
+def test_pose_rotation_is_stored_read_only(rng):
+    for _ in range(20):
+        pose = random_pose(rng)
+        c, s = math.cos(pose.angle), math.sin(pose.angle)
+        assert np.array_equal(pose.rotation, [[c, -s], [s, c]])
+        assert pose.rotation is pose.rotation
+        assert not pose.rotation.flags.writeable
+
+
 def test_compose_identity():
     eye = Pose2.identity()
     out = compose(eye, eye)

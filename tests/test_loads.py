@@ -6,8 +6,6 @@ from rolljoint.loads import (
     ConstantBody,
     ConstantWorkspace,
     LinearSpring,
-    derivative,
-    evaluate,
     net_derivative,
     net_wrench,
 )
@@ -24,8 +22,8 @@ def fd_derivative(load, pose, h=1e-6):
     for col in range(3):
         delta = np.zeros(3)
         delta[col] = h
-        plus = evaluate(load, compose(pose, exp_twist(Twist2(delta[0], delta[1:])))).as_array()
-        minus = evaluate(load, compose(pose, exp_twist(Twist2(-delta[0], -delta[1:])))).as_array()
+        plus = load.body_wrench(compose(pose, exp_twist(Twist2(delta[0], delta[1:])))).as_array()
+        minus = load.body_wrench(compose(pose, exp_twist(Twist2(-delta[0], -delta[1:])))).as_array()
         out[:, col] = (plus - minus) / (2 * h)
     return out
 
@@ -33,36 +31,36 @@ def fd_derivative(load, pose, h=1e-6):
 def test_zero_body_load_stays_zero(rng):
     load = ConstantBody(target_link=1)
     for _ in range(10):
-        assert np.all(evaluate(load, random_pose(rng)).as_array() == 0.0)
+        assert np.all(load.body_wrench(random_pose(rng)).as_array() == 0.0)
 
 
 def test_body_load_is_pose_independent(rng):
     load = ConstantBody(target_link=1, wrench=Wrench2(2.0, (-1.0, 0.5)))
     for _ in range(10):
         np.testing.assert_array_equal(
-            evaluate(load, random_pose(rng)).as_array(), [2.0, -1.0, 0.5]
+            load.body_wrench(random_pose(rng)).as_array(), [2.0, -1.0, 0.5]
         )
-        np.testing.assert_array_equal(derivative(load, random_pose(rng)), np.zeros((3, 3)))
+        np.testing.assert_array_equal(load.body_wrench_derivative(random_pose(rng)), np.zeros((3, 3)))
 
 
 def test_workspace_load_unit_lever():
     load = ConstantWorkspace(
         target_link=1, wrench=Wrench2(0.0, (0.0, -1.0)), attach=(1.0, 0.0)
     )
-    out = evaluate(load, Pose2.identity()).as_array()
+    out = load.body_wrench(Pose2.identity()).as_array()
     np.testing.assert_allclose(out, [-1.0, 0.0, -1.0], atol=1e-15)
 
 
 def test_spring_at_anchor_is_slack():
     load = LinearSpring(target_link=1, stiffness=1.0, anchor=(3.0, -2.0))
-    out = evaluate(load, Pose2(0.4, (3.0, -2.0))).as_array()
+    out = load.body_wrench(Pose2(0.4, (3.0, -2.0))).as_array()
     np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
 
 def test_spring_derivative_at_anchor():
     k = 0.7
     load = LinearSpring(target_link=1, stiffness=k, anchor=(3.0, -2.0))
-    out = derivative(load, Pose2(0.0, (3.0, -2.0)))
+    out = load.body_wrench_derivative(Pose2(0.0, (3.0, -2.0)))
     expected = np.zeros((3, 3))
     expected[1:, 1:] = -k * np.eye(2)
     np.testing.assert_allclose(out, expected, atol=1e-14)
@@ -78,7 +76,7 @@ def test_derivatives_match_finite_differences(make, rng):
     for _ in range(100):
         load = make(rng)
         pose = random_pose(rng)
-        closed = derivative(load, pose)
+        closed = load.body_wrench_derivative(pose)
         denom = max(np.abs(closed).max(), 1.0)
         worst = max(worst, np.abs(fd_derivative(load, pose) - closed).max() / denom)
     assert worst < 1e-5
@@ -88,7 +86,7 @@ def test_pure_moment_workspace_load_has_zero_derivative(rng):
     load = ConstantWorkspace(target_link=1, wrench=Wrench2(4.2, (0.0, 0.0)), attach=(2.0, 1.0))
     for _ in range(20):
         pose = random_pose(rng)
-        np.testing.assert_array_equal(derivative(load, pose), np.zeros((3, 3)))
+        np.testing.assert_array_equal(load.body_wrench_derivative(pose), np.zeros((3, 3)))
         assert np.abs(fd_derivative(load, pose)).max() < 1e-8
 
 
@@ -99,11 +97,11 @@ def test_loads_superpose(rng):
     c = ConstantWorkspace(target_link=1, wrench=Wrench2(0.0, (1.0, 0.0)))  # other link
     total = net_wrench([a, b, c], 2, pose)
     np.testing.assert_allclose(
-        total, evaluate(a, pose).as_array() + evaluate(b, pose).as_array(), atol=1e-14
+        total, a.body_wrench(pose).as_array() + b.body_wrench(pose).as_array(), atol=1e-14
     )
     np.testing.assert_allclose(
         net_derivative([a, b, c], 2, pose),
-        derivative(a, pose) + derivative(b, pose),
+        a.body_wrench_derivative(pose) + b.body_wrench_derivative(pose),
         atol=1e-14,
     )
 

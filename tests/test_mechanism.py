@@ -3,18 +3,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from rolljoint.catalog import polynomial_link_chain, standard_link_chain
+from rolljoint.catalog import demo_five_link, polynomial_link_chain, standard_link_chain
 from rolljoint.errors import DegenerateTendonError
 from rolljoint.geometry import Pose2
 from rolljoint.mechanism import (
     Configuration,
     LinkDesign,
     MechanismDesign,
+    evaluate,
     forward_poses,
+    joint_geometry,
     tendon_lengths,
     tendon_segment_v,
     tendon_segment_w,
-    tendon_segments,
     validate,
 )
 from rolljoint.solver_tension import solve_tension
@@ -79,6 +80,38 @@ def test_pose_chain_incremental_consistency(paper5, rng):
     assert max_pose_error(full, partial) < 1e-12
 
 
+@pytest.mark.parametrize("make", [
+    demo_five_link,
+    lambda: polynomial_link_chain(3),
+    lambda: standard_link_chain(20),
+])
+def test_evaluated_poses_equal_forward_poses(make):
+    # chaining the geometry's relative poses is the per-joint pose chain,
+    # bit for bit, and the carried geometry is the per-joint one
+    design = make()
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        s = np.array([rng.uniform(lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+                      for lo, hi in design.domains])
+        f = rng.uniform(-2.0, 2.0, (design.joint_count, 2))
+        config = evaluate(design, s, f)
+        reference = forward_poses(design, s)
+        assert len(config.poses) == len(reference) == design.n
+        for pose, ref in zip(config.poses, reference):
+            assert pose.angle == ref.angle
+            assert np.array_equal(pose.translation, ref.translation)
+        np.testing.assert_array_equal(config.s, s)
+        np.testing.assert_array_equal(config.f, f)
+        for j, geom in enumerate(config.geometry):
+            again = joint_geometry(design, j, s[j])
+            assert geom.relative.angle == again.relative.angle
+            for side in ("l", "r"):
+                assert np.array_equal(geom.v[side].vec, again.v[side].vec)
+                assert np.array_equal(geom.w[side].d_unit, again.w[side].d_unit)
+    with pytest.raises(ValueError):
+        evaluate(design, np.zeros(design.joint_count + 1), np.zeros((design.joint_count + 1, 2)))
+
+
 def test_straight_configuration_segments_are_vertical(paper5):
     config = Configuration.from_unknowns(paper5, np.zeros(4), np.zeros((4, 2)))
     for k in range(4):
@@ -115,14 +148,18 @@ def test_segment_norm_matches_world_distance(paper5, rng):
 
 def test_tendon_segments_index_bounds(paper5):
     config = Configuration.from_unknowns(paper5, np.zeros(4), np.zeros((4, 2)))
-    both = tendon_segments(paper5, config, 2, "l")
-    assert both.v is not None and both.w is not None
-    assert tendon_segments(paper5, config, 0, "l").w is None
-    assert tendon_segments(paper5, config, 4, "l").v is None
-    with pytest.raises(IndexError):
-        tendon_segment_v(paper5, config, 4, "l")
-    with pytest.raises(IndexError):
-        tendon_segment_w(paper5, config, 0, "r")
+    # interior links have both segments; the base has no w, the tip no v
+    assert tendon_segment_v(paper5, config, 2, "l").shape == (2,)
+    assert tendon_segment_w(paper5, config, 2, "l").shape == (2,)
+    assert tendon_segment_v(paper5, config, 0, "l").shape == (2,)
+    assert tendon_segment_w(paper5, config, 4, "l").shape == (2,)
+    for side in ("l", "r"):
+        for k in (-1, 4):
+            with pytest.raises(IndexError):
+                tendon_segment_v(paper5, config, k, side)
+        for k in (0, 5):
+            with pytest.raises(IndexError):
+                tendon_segment_w(paper5, config, k, side)
 
 
 def test_two_link_length_is_direct_sum(chain2):
@@ -227,4 +264,6 @@ def test_degenerate_gap_raises_in_tendon_lengths():
     with pytest.raises(DegenerateTendonError):
         tendon_lengths(design, config)
     with pytest.raises(DegenerateTendonError):
-        tendon_segments(design, config, 0, "l")
+        tendon_segment_v(design, config, 0, "l")
+    with pytest.raises(DegenerateTendonError):
+        tendon_segment_w(design, config, 1, "l")

@@ -4,7 +4,7 @@ import pytest
 from rolljoint.errors import NoConvergenceError, TensionFloorError
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
-from rolljoint.mechanism import tendon_lengths
+from rolljoint.mechanism import joint_geometry, tendon_lengths
 from rolljoint.solver_displacement import (
     DisplacementOptions,
     damped_step,
@@ -14,7 +14,7 @@ from rolljoint.solver_displacement import (
 from rolljoint.solver_tension import SolverOptions, solve_tension
 from rolljoint.statics import residual, residual_norm
 
-from conftest import max_pose_error
+from conftest import count_calls, max_pose_error
 
 TIGHT = SolverOptions(tol_residual=1e-12)
 DISP = DisplacementOptions(grad_tol=1e-8, max_outer_iters=4000, inner=TIGHT)
@@ -239,3 +239,26 @@ def test_length_error_reports_unreached_target(paper5):
     assert report.converged                       # a stationary point ...
     assert report.length_error_mm == gap.max()    # ... that misses the target
     assert report.length_error_mm > 1.0
+
+
+def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
+    # every joint geometry belongs to an iterate some inner solve evaluated
+    # (one residual each); the lengths and the Jacobian of each equilibrium
+    # read the geometry its solve returned
+    generator, _ = solve_tension(paper5, (2.5, 1.0))
+    target = tendon_lengths(paper5, generator)
+    geometry_calls = count_calls(monkeypatch, joint_geometry)
+    residual_calls = count_calls(monkeypatch, residual)
+    tau, config, report = solve_displacement(paper5, target)
+    assert report.converged and report.outer_iterations >= 2
+    assert residual_calls[0] > report.outer_iterations
+    assert geometry_calls[0] == paper5.joint_count * residual_calls[0]
+
+    # started from its own solution, the search evaluates that equilibrium
+    # once (no Newton step) and stops
+    geometry_calls[0] = residual_calls[0] = 0
+    again, _, report = solve_displacement(paper5, target, tau_init=tau, init=config)
+    assert report.converged and report.outer_iterations == report.inner_iterations == 0
+    assert residual_calls[0] == 1
+    assert geometry_calls[0] == paper5.joint_count
+    np.testing.assert_array_equal(again, tau)

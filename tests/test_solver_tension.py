@@ -1,5 +1,3 @@
-import sys
-
 import numpy as np
 import pytest
 
@@ -12,16 +10,19 @@ from rolljoint.errors import (
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
 from rolljoint.mechanism import Configuration, tendon_lengths
+from rolljoint import solver_tension
 from rolljoint.solver_tension import (
+    CONDITION_LIMIT,
     SolverOptions,
     _checked_inverse,
     _clamp_s,
+    _equilibrate,
     _equilibrated_solve,
     _pinned_joints,
     newton_step,
     solve_tension,
 )
-from rolljoint.statics import joint_geometry, residual, residual_norm
+from rolljoint.statics import residual, residual_norm
 
 from conftest import max_pose_error
 from helpers import dense_newton_step
@@ -184,6 +185,47 @@ def test_singular_matrix_guards():
         _equilibrated_solve(singular, np.eye(3), "test system")
 
 
+def nearly_singular(size, delta):
+    """Identity with a leading [[1, 1], [1, 1 + delta]] block, which the
+    row/column equilibration cannot improve (2-norm condition ~ 4 / delta)."""
+    matrix = np.eye(size)
+    matrix[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + delta]]
+    return matrix
+
+
+@pytest.mark.parametrize("size", [3, 6])
+def test_condition_check_rejects_just_above_limit(size):
+    rhs = np.ones((size, 1))
+    above = nearly_singular(size, 3.9e-12)
+    kappa_2 = np.linalg.cond(_equilibrate(above, "test")[0])
+    assert CONDITION_LIMIT < kappa_2 < 1.05 * CONDITION_LIMIT
+    with pytest.raises(SingularBlockError):
+        _checked_inverse(above, "test block")
+    with pytest.raises(SingularBlockError):
+        _equilibrated_solve(above, rhs, "test system")
+    # a well-posed but ill-conditioned matrix still passes
+    fine = nearly_singular(size, 4e-6)
+    np.testing.assert_allclose(_checked_inverse(fine, "test block") @ fine, np.eye(size), atol=1e-9)
+    np.testing.assert_allclose(fine @ _equilibrated_solve(fine, rhs, "test system"), rhs, atol=1e-9)
+
+
+def test_equilibrated_solve_matches_dense_solve_on_paper5(paper5, monkeypatch):
+    systems = []
+
+    def recorded(matrix, rhs, what):
+        solution = _equilibrated_solve(matrix, rhs, what)
+        systems.append((matrix, rhs, solution))
+        return solution
+
+    monkeypatch.setattr(solver_tension, "_equilibrated_solve", recorded)
+    loads = (ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (1.0, 0.0))),)
+    _, report = solve_tension(paper5, (6.0, 3.0), loads)
+    assert len(systems) == report.iterations >= 3
+    for matrix, rhs, solution in systems:
+        dense = np.linalg.solve(matrix, rhs)
+        assert np.abs(solution - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
 def test_clamp_and_pin_match_per_joint_loop(paper5):
     rng = np.random.default_rng(3)
     for _ in range(50):
@@ -234,24 +276,6 @@ def test_nan_initial_forces_never_converge(paper5):
         solve_tension(paper5, (3.0, 1.0), init=nan_init)
 
 
-@pytest.fixture
-def joint_geometry_calls(monkeypatch):
-    """Counts joint_geometry calls through every rolljoint namespace that
-    binds it."""
-    calls = [0]
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return joint_geometry(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "rolljoint" or name.startswith("rolljoint."):
-            for key, value in list(vars(module).items()):
-                if value is joint_geometry:
-                    monkeypatch.setattr(module, key, counted)
-    return calls
-
-
 def test_joint_geometry_built_once_per_evaluated_iterate(paper5, joint_geometry_calls):
     # one geometry per evaluated iterate (the start and every line-search
     # trial), shared by its residual and its Newton blocks
@@ -262,7 +286,7 @@ def test_joint_geometry_built_once_per_evaluated_iterate(paper5, joint_geometry_
     assert report.iterations >= 1
     assert joint_geometry_calls[0] == joints * (1 + report.iterations + report.backtrack_count)
 
-    # a cold start adds the contact-force fit of initial_forces
+    # a cold start's contact-force fit shares the start iterate's geometry
     joint_geometry_calls[0] = 0
     _, report = solve_tension(paper5, (6.0, 3.0))
-    assert joint_geometry_calls[0] == joints * (2 + report.iterations + report.backtrack_count)
+    assert joint_geometry_calls[0] == joints * (1 + report.iterations + report.backtrack_count)

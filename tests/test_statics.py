@@ -12,7 +12,6 @@ from rolljoint.statics import (
     joint_geometry,
     residual,
     residual_norm,
-    tendon_direction_derivatives,
 )
 from rolljoint.surface import CurvatureProfile
 
@@ -78,19 +77,14 @@ def test_direction_derivatives_match_finite_differences(poly3, rng):
         s = rng.uniform(-4, 4, poly3.joint_count)
         config = Configuration.from_unknowns(poly3, s, np.zeros((poly3.joint_count, 2)))
         h = 1e-6
-        for k in range(poly3.n):
+        for j in range(poly3.joint_count):
+            geom = joint_geometry(poly3, j, config.s[j])
+            up = joint_geometry(poly3, j, s[j] + h)
+            dn = joint_geometry(poly3, j, s[j] - h)
             for side in ("l", "r"):
-                d_v, d_w = tendon_direction_derivatives(poly3, config, k, side)
-                if d_v is not None:
-                    up = Configuration.from_unknowns(poly3, s + h * np.eye(poly3.joint_count)[k], config.f)
-                    dn = Configuration.from_unknowns(poly3, s - h * np.eye(poly3.joint_count)[k], config.f)
-                    gu = joint_geometry(poly3, k, up.s[k]).v[side].unit
-                    gd = joint_geometry(poly3, k, dn.s[k]).v[side].unit
-                    worst = max(worst, np.abs((gu - gd) / (2 * h) - d_v).max())
-                if d_w is not None:
-                    gu = joint_geometry(poly3, k - 1, s[k - 1] + h).w[side].unit
-                    gd = joint_geometry(poly3, k - 1, s[k - 1] - h).w[side].unit
-                    worst = max(worst, np.abs((gu - gd) / (2 * h) - d_w).max())
+                for seg, seg_up, seg_dn in ((geom.v, up.v, dn.v), (geom.w, up.w, dn.w)):
+                    fd = (seg_up[side].unit - seg_dn[side].unit) / (2 * h)
+                    worst = max(worst, np.abs(fd - seg[side].d_unit).max())
     assert worst < 1e-5
 
 
