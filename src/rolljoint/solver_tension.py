@@ -15,7 +15,7 @@ matrix has a 2-norm condition number above CONDITION_LIMIT.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -190,14 +190,9 @@ def initial_forces(design: MechanismDesign, s: np.ndarray, tau, loads=()) -> np.
     least-squares fit.  Starting Newton from all-zero forces instead puts the
     iterate on a nearly singular manifold where the first step degenerates.
     """
-    return _fit_forces(design, evaluate(design, s, np.zeros((design.joint_count, 2))), tau, loads)
-
-
-def _fit_forces(design: MechanismDesign, unloaded: Configuration, tau, loads) -> np.ndarray:
-    """`initial_forces` at the contact points of `unloaded`, a configuration
-    evaluated with all contact forces zero."""
     joints = design.joint_count
-    blocks = assemble_blocks(design, unloaded, tau, loads, geoms=unloaded.geometry)
+    config = evaluate(design, s, np.zeros((joints, 2)))
+    blocks = assemble_blocks(design, config, tau, loads, geoms=config.geometry)
     scale = np.array([1.0 / design.characteristic_length, 1.0, 1.0])
     coeff = np.zeros((3 * joints, 2 * joints))
     rhs = np.zeros(3 * joints)
@@ -238,16 +233,16 @@ def solve_tension(
         raise ValueError("tendon tensions must be finite and positive")
     check_targets(loads, design.n)
 
+    if init is not None:
+        s, f = _clamp_s(design, np.array(init.s, dtype=float))[0], init.f
+    else:
+        # contact points at the mating-domain midpoints, forces from the fit
+        s = design.joint_midpoints()
+        f = initial_forces(design, s, tau, loads)
     # each evaluated iterate's joint geometry is built once and shared by
     # its residual, its Newton blocks once accepted, and the caller
     # (carried on the returned configuration)
-    if init is not None:
-        config = evaluate(design, _clamp_s(design, np.array(init.s, dtype=float))[0], init.f)
-    else:
-        # contact points at the mating-domain midpoints; the force fit there
-        # shares the start iterate's geometry
-        config = evaluate(design, design.joint_midpoints(), np.zeros((design.joint_count, 2)))
-        config = replace(config, f=_fit_forces(design, config, tau, loads))
+    config = evaluate(design, s, f)
     s, f = config.s, config.f
 
     history: list[float] = []

@@ -84,7 +84,7 @@ def test_pose_chain_incremental_consistency(paper5, rng):
     demo_five_link,
     lambda: polynomial_link_chain(3),
     lambda: standard_link_chain(20),
-])
+], ids=["paper5", "poly3", "chain20"])
 def test_evaluated_poses_equal_forward_poses(make):
     # chaining the geometry's relative poses is the per-joint pose chain,
     # bit for bit, and the carried geometry is the per-joint one

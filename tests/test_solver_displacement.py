@@ -243,8 +243,8 @@ def test_length_error_reports_unreached_target(paper5):
 
 def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
     # every joint geometry belongs to an iterate some inner solve evaluated
-    # (one residual each); the lengths and the Jacobian of each equilibrium
-    # read the geometry its solve returned
+    # (one residual each) or to the cold start's force fit; the lengths and
+    # the Jacobian of each equilibrium read the geometry its solve returned
     generator, _ = solve_tension(paper5, (2.5, 1.0))
     target = tendon_lengths(paper5, generator)
     geometry_calls = count_calls(monkeypatch, joint_geometry)
@@ -252,10 +252,10 @@ def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
     tau, config, report = solve_displacement(paper5, target)
     assert report.converged and report.outer_iterations >= 2
     assert residual_calls[0] > report.outer_iterations
-    assert geometry_calls[0] == paper5.joint_count * residual_calls[0]
+    assert geometry_calls[0] == paper5.joint_count * (residual_calls[0] + 1)
 
     # started from its own solution, the search evaluates that equilibrium
-    # once (no Newton step) and stops
+    # once (no force fit, no Newton step) and stops
     geometry_calls[0] = residual_calls[0] = 0
     again, _, report = solve_displacement(paper5, target, tau_init=tau, init=config)
     assert report.converged and report.outer_iterations == report.inner_iterations == 0

@@ -286,7 +286,7 @@ def test_joint_geometry_built_once_per_evaluated_iterate(paper5, joint_geometry_
     assert report.iterations >= 1
     assert joint_geometry_calls[0] == joints * (1 + report.iterations + report.backtrack_count)
 
-    # a cold start's contact-force fit shares the start iterate's geometry
+    # a cold start adds the contact-force fit of initial_forces
     joint_geometry_calls[0] = 0
     _, report = solve_tension(paper5, (6.0, 3.0))
-    assert joint_geometry_calls[0] == joints * (1 + report.iterations + report.backtrack_count)
+    assert joint_geometry_calls[0] == joints * (2 + report.iterations + report.backtrack_count)
