@@ -250,6 +250,9 @@ def scenario_from_dict(data: dict) -> Scenario:
         )
     except ValueError as exc:
         raise ParseError(f"bad solver options: {exc}") from exc
+    floor = displacement_options.tension_floor
+    if mode == "displacement" and (tau_init.shape != (2,) or np.any(tau_init < floor)):
+        raise ParseError(f"displacement mode needs two initial tensions of at least {floor} N")
 
     return Scenario(
         mode=mode,

@@ -162,7 +162,3 @@ def transform_wrench(pose: Pose2, wrench: Wrench2) -> Wrench2:
     moment = wrench.m + cross2(pose.translation, force)
     return Wrench2(moment, force)
 
-
-def wrench_at_point(point, force) -> np.ndarray:
-    """Wrench 3-array of a force applied at a point of the same frame."""
-    return np.array([cross2(point, force), force[0], force[1]])

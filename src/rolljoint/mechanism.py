@@ -1,10 +1,14 @@
 """Link and mechanism data model: serial pose chain and tendon geometry.
 
 `joint_geometry` is the one place a joint's contact frames, relative pose
-and tendon gap segments (with their s-derivatives) are computed; the tendon
-views and lengths here and the force balance in `statics` all read it.
-`evaluate` builds it once for an iterate (s, f) and chains the link poses
-from its relative poses, so the solvers look up each contact frame once.
+and tendon gap segments (with their s-derivatives) are computed, for both
+tendons at once: the left/right side is the leading array axis (row i is
+SIDES[i]).  `evaluate` builds it once for an iterate (s, f), chains the link
+poses from its relative poses and returns it with the configuration, so the
+geometry travels with the configuration and belongs to the design that
+evaluated it.  `geometry_of` is the one reader: the tendon views and lengths
+here, the force balance in `statics` and the displacement solver's Jacobian
+all take the geometry from the configuration through it.
 
 Indexing: links are stored 0-based; joint j couples the child surface of
 link j with the parent surface of link j+1 and carries one contact arc
@@ -36,7 +40,8 @@ MIN_SEGMENT_LENGTH = 1e-9
 class LinkDesign:
     """One rigid link: optional parent/child rolling surfaces plus the four
     tendon entry points (parent side p_l/p_r, child side c_l/c_r), all in the
-    link body frame [mm]."""
+    link body frame [mm].  `parent_points` and `child_points` hold the same
+    points as read-only (sides, 2) arrays, row i for SIDES[i]."""
 
     name: str
     parent_surface: Optional[ContactSurface]
@@ -45,16 +50,17 @@ class LinkDesign:
     p_r: np.ndarray
     c_l: np.ndarray
     c_r: np.ndarray
+    parent_points: np.ndarray = field(init=False, repr=False, compare=False)
+    child_points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for attr in ("p_l", "p_r", "c_l", "c_r"):
             object.__setattr__(self, attr, _frozen_vec2(getattr(self, attr)))
-
-    def parent_point(self, side: str) -> np.ndarray:
-        return self.p_l if side == "l" else self.p_r
-
-    def child_point(self, side: str) -> np.ndarray:
-        return self.c_l if side == "l" else self.c_r
+        for attr, left, right in (("parent_points", self.p_l, self.p_r),
+                                  ("child_points", self.c_l, self.c_r)):
+            points = np.array([left, right])
+            points.setflags(write=False)
+            object.__setattr__(self, attr, points)
 
 
 @dataclass(frozen=True)
@@ -116,7 +122,7 @@ class MechanismDesign:
 def _mean_link_extent(links) -> float:
     extents = []
     for link in links:
-        points = [link.p_l, link.p_r, link.c_l, link.c_r]
+        points = [*link.parent_points, *link.child_points]
         for surf in (link.parent_surface, link.child_surface):
             if surf is not None:
                 mid = 0.5 * (surf.s_min + surf.s_max)
@@ -131,7 +137,10 @@ def _mean_link_extent(links) -> float:
 class Configuration:
     """Value snapshot of the mechanism state: contact arc lengths s (n-1,),
     contact forces f (n-1, 2) and link poses (n,) consistent with s, plus
-    the per-joint `JointGeometry` when `evaluate` built it."""
+    the per-joint `JointGeometry` when `evaluate` built it.  That geometry
+    travels with the configuration and belongs to the design that evaluated
+    it; read it through `geometry_of`, which builds it when it is absent
+    (`from_unknowns` chains the poses only)."""
 
     s: np.ndarray
     f: np.ndarray
@@ -181,22 +190,28 @@ def forward_poses(design: MechanismDesign, s) -> tuple[Pose2, ...]:
     return _chain_poses(design, (joint_relative_pose(design, j, s[j]) for j in range(len(s))))
 
 
-def unit_segment(segment: np.ndarray) -> tuple[np.ndarray, float]:
-    norm = math.sqrt(float(segment @ segment))
-    if norm < MIN_SEGMENT_LENGTH:
-        raise DegenerateTendonError(f"tendon segment length {norm} below minimum")
-    return segment / norm, norm
-
-
 @dataclass(frozen=True)
 class SegmentGeometry:
-    """One tendon gap segment of a joint, with unit vector and s-derivatives."""
+    """The left and right tendon gap segments of one joint side, row i for
+    SIDES[i]: vectors, unit vectors and their s-derivatives (2, 2), lengths
+    (2,)."""
 
     vec: np.ndarray
     unit: np.ndarray
-    length: float
+    length: np.ndarray
     d_vec: np.ndarray
     d_unit: np.ndarray
+
+
+def _segments(vec: np.ndarray, d_vec: np.ndarray) -> SegmentGeometry:
+    """Both sides' segments from their vectors and s-derivatives."""
+    length = np.sqrt(np.einsum("si,si->s", vec, vec))
+    if length.min() < MIN_SEGMENT_LENGTH:
+        raise DegenerateTendonError(f"tendon segment length {length.min()} below minimum")
+    unit = vec / length[:, None]
+    along = np.einsum("si,si->s", unit, d_vec)
+    d_unit = (d_vec - unit * along[:, None]) / length[:, None]
+    return SegmentGeometry(vec, unit, length, d_vec, d_unit)
 
 
 @dataclass(frozen=True)
@@ -209,8 +224,8 @@ class JointGeometry:
     child_twist: Twist2
     parent_twist: Twist2
     relative: Pose2           # link j+1 expressed in link j
-    v: dict[str, SegmentGeometry]   # child-side segments of link j
-    w: dict[str, SegmentGeometry]   # parent-side segments of link j+1
+    v: SegmentGeometry        # child-side segments of link j
+    w: SegmentGeometry        # parent-side segments of link j+1
 
 
 def joint_geometry(design: MechanismDesign, j: int, s_j: float) -> JointGeometry:
@@ -223,32 +238,26 @@ def joint_geometry(design: MechanismDesign, j: int, s_j: float) -> JointGeometry
     relative_inv = inverse(relative)
     rel_rot = relative.rotation
     curve_gap = skew1(xi_child.w - xi_parent.w)
+    # entry points are rows, so a map x -> M x reads x @ M.T
+    p_next = design.links[j + 1].parent_points
+    c_here = design.links[j].child_points
 
-    v_segments: dict[str, SegmentGeometry] = {}
-    w_segments: dict[str, SegmentGeometry] = {}
-    for side in SIDES:
-        p_next = design.links[j + 1].parent_point(side)
-        c_here = design.links[j].child_point(side)
-
-        vec = relative.apply(p_next) - c_here
-        unit, length = unit_segment(vec)
-        d_vec = curve_gap @ (rel_rot @ (p_next - t_parent.translation))
-        d_unit = (d_vec - unit * float(unit @ d_vec)) / length
-        v_segments[side] = SegmentGeometry(vec, unit, length, d_vec, d_unit)
-
-        wvec = relative_inv.apply(c_here) - p_next
-        wunit, wlength = unit_segment(wvec)
-        dw_vec = (-curve_gap) @ (rel_rot.T @ (c_here - t_child.translation))
-        dw_unit = (dw_vec - wunit * float(wunit @ dw_vec)) / wlength
-        w_segments[side] = SegmentGeometry(wvec, wunit, wlength, dw_vec, dw_unit)
-
+    v_vec = p_next @ rel_rot.T + relative.translation - c_here
+    v_dvec = ((p_next - t_parent.translation) @ rel_rot.T) @ curve_gap.T
+    w_vec = c_here @ relative_inv.rotation.T + relative_inv.translation - p_next
+    w_dvec = ((c_here - t_child.translation) @ rel_rot) @ curve_gap
     return JointGeometry(
-        t_child, t_parent, xi_child, xi_parent, relative, v_segments, w_segments
+        t_child, t_parent, xi_child, xi_parent, relative,
+        _segments(v_vec, v_dvec), _segments(w_vec, w_dvec),
     )
 
 
-def all_joint_geometry(design: MechanismDesign, config: Configuration) -> list[JointGeometry]:
-    return [joint_geometry(design, j, config.s[j]) for j in range(design.joint_count)]
+def geometry_of(design: MechanismDesign, config: Configuration) -> tuple[JointGeometry, ...]:
+    """The configuration's joint geometry: the one `evaluate` attached, else
+    built from its contact parameters."""
+    if config.geometry is not None:
+        return config.geometry
+    return tuple(joint_geometry(design, j, s_j) for j, s_j in enumerate(config.s))
 
 
 def evaluate(design: MechanismDesign, s, f) -> Configuration:
@@ -263,33 +272,23 @@ def tendon_segment_v(design: MechanismDesign, config: Configuration, k: int, sid
     """Gap segment leaving link k toward link k+1, in link k coordinates."""
     if not 0 <= k <= design.n - 2:
         raise IndexError(f"link {k} has no child-side tendon segment")
-    return joint_geometry(design, k, config.s[k]).v[side].vec
+    return geometry_of(design, config)[k].v.vec[SIDES.index(side)]
 
 
 def tendon_segment_w(design: MechanismDesign, config: Configuration, k: int, side: str) -> np.ndarray:
     """Gap segment leaving link k toward link k-1, in link k coordinates."""
     if not 1 <= k <= design.n - 1:
         raise IndexError(f"link {k} has no parent-side tendon segment")
-    return joint_geometry(design, k - 1, config.s[k - 1]).w[side].vec
+    return geometry_of(design, config)[k - 1].w.vec[SIDES.index(side)]
 
 
-def tendon_lengths(
-    design: MechanismDesign,
-    config: Configuration,
-    geoms: Optional[list[JointGeometry]] = None,
-) -> np.ndarray:
-    """Total left/right tendon lengths: in-link spans plus gap segments [mm];
-    `geoms` is the configuration's joint geometry if already built."""
-    if geoms is None:
-        geoms = all_joint_geometry(design, config)
+def tendon_lengths(design: MechanismDesign, config: Configuration) -> np.ndarray:
+    """Total left/right tendon lengths: in-link spans plus gap segments [mm]."""
     lengths = np.zeros(2)
-    for idx, side in enumerate(SIDES):
-        total = 0.0
-        for link in design.links:
-            total += float(np.linalg.norm(link.child_point(side) - link.parent_point(side)))
-        for geom in geoms:
-            total += geom.v[side].length
-        lengths[idx] = total
+    for link in design.links:
+        lengths += np.linalg.norm(link.child_points - link.parent_points, axis=1)
+    for geom in geometry_of(design, config):
+        lengths += geom.v.length
     return lengths
 
 

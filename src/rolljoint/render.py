@@ -39,12 +39,13 @@ def _body_outline_points(design: MechanismDesign):
     return outlines
 
 
-def _tendon_points(design: MechanismDesign, config: Configuration, side: str):
+def _tendon_points(design: MechanismDesign, config: Configuration, side: int):
+    """Entry points of tendon SIDES[side], base to tip, in world coordinates."""
     points = []
     for k, link in enumerate(design.links):
         pose = config.poses[k]
-        points.append(pose.apply(link.parent_point(side)))
-        points.append(pose.apply(link.child_point(side)))
+        points.append(pose.apply(link.parent_points[side]))
+        points.append(pose.apply(link.child_points[side]))
     return points
 
 
@@ -82,7 +83,7 @@ def render_svg(design: MechanismDesign, configs, loads=()) -> str:
                 curve = [pose.apply(p) for p in body_curve]
                 elements.append(_polyline(curve, color, 0.4))
                 all_points.extend(curve)
-        for side in SIDES:
+        for side in range(len(SIDES)):
             pts = _tendon_points(design, config, side)
             elements.append(_polyline(pts, "#555555", 0.3, dash="1,1"))
             all_points.extend(pts)

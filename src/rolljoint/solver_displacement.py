@@ -29,7 +29,7 @@ step), so the other tension still gets its Gauss-Newton step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     NoConvergenceError,
     TensionFloorError,
 )
-from .mechanism import SIDES, Configuration, MechanismDesign, all_joint_geometry, tendon_lengths
+from .mechanism import Configuration, MechanismDesign, geometry_of, tendon_lengths
 from .solver_tension import SolverOptions, _clamp_s, block_solve, solve_tension
 from .statics import assemble_blocks, block_residual, residual_norm
 
@@ -62,6 +62,8 @@ class DisplacementOptions:
             raise ValueError("step size must be positive")
         if self.tension_floor <= 0.0:
             raise ValueError("tension floor must be positive")
+        if self.max_outer_iters < 0 or self.max_backtracks < 0:
+            raise ValueError("max_outer_iters and max_backtracks must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,28 +92,29 @@ def tendon_jacobian(
     The configuration must already be an equilibrium for `tau`; the impulse
     responses are only meaningful around a balanced state.
     """
-    geoms = all_joint_geometry(design, config)
-    return _jacobian_with_sensitivity(design, config, tau, loads, geoms)[0]
+    # attach the geometry, so that blocks and lengths read one build of it
+    config = replace(config, geometry=geometry_of(design, config))
+    return _jacobian_with_sensitivity(design, config, tau, loads)[0]
 
 
-def _jacobian_with_sensitivity(design, config, tau, loads, geoms):
+def _jacobian_with_sensitivity(design, config, tau, loads):
     """The length Jacobian plus the joint sensitivities (ds, df per unit
     tension impulse) it is contracted from, all from the configuration's
-    joint geometry `geoms`."""
+    joint geometry."""
     tau = np.asarray(tau, dtype=float)
-    blocks = assemble_blocks(design, config, tau, loads, geoms=geoms)
+    blocks = assemble_blocks(design, config, tau, loads)
     if residual_norm(block_residual(design, blocks), np.inf) > 1e-6:
         raise ValueError("tendon_jacobian requires an equilibrium configuration")
     rhs = [np.vstack([np.zeros((3, 2)), -blk.F]) for blk in blocks]
     etas, _, _ = block_solve(blocks, rhs)
     # etas: (joints, 3, 2); row 0 is ds per unit (tau_l, tau_r) impulse
     ds_sens, df_sens = etas[:, 0, :], etas[:, 1:, :]
-    jac = np.zeros((2, 2))
-    for row, side in enumerate(SIDES):
-        for j, geom in enumerate(geoms):
-            seg = geom.v[side]
-            jac[row] += float(seg.unit @ seg.d_vec) * ds_sens[j]
-    return jac, ds_sens, df_sens
+    # dl_ds[j, side]: rate of that tendon's joint-j gap length along s_j
+    dl_ds = np.array([
+        np.einsum("si,si->s", geom.v.unit, geom.v.d_vec)
+        for geom in geometry_of(design, config)
+    ])
+    return dl_ds.T @ ds_sens, ds_sens, df_sens
 
 
 def damped_step(normal: np.ndarray, grad: np.ndarray, alpha: float) -> np.ndarray:
@@ -137,6 +140,8 @@ def solve_displacement(
     l_des = np.asarray(l_des, dtype=float)
     tau = np.asarray(tau_init, dtype=float)
     floor = opts.tension_floor
+    if l_des.shape != (2,) or tau.shape != (2,):
+        raise ValueError("expected two target lengths and two initial tensions")
     if not (np.all(np.isfinite(l_des)) and np.all(np.isfinite(tau))):
         raise ValueError("target lengths and initial tensions must be finite")
     if np.any(tau < floor):
@@ -144,7 +149,7 @@ def solve_displacement(
 
     config, inner_rep = solve_tension(design, tau, loads, init=init, opts=opts.inner)
     inner_iters = inner_rep.iterations
-    lengths = tendon_lengths(design, config, geoms=config.geometry)
+    lengths = tendon_lengths(design, config)
     error = lengths - l_des
     objective = 0.5 * float(error @ error)
     history = [objective]
@@ -153,9 +158,7 @@ def solve_displacement(
 
     for outer in range(opts.max_outer_iters + 1):
         # lengths and Jacobian read the geometry the equilibrium solve carried
-        jac, ds_sens, df_sens = _jacobian_with_sensitivity(
-            design, config, tau, loads, config.geometry
-        )
+        jac, ds_sens, df_sens = _jacobian_with_sensitivity(design, config, tau, loads)
         grad = error @ jac
         grad_norm = float(np.linalg.norm(grad))
         jac_norm = float(np.linalg.norm(jac))
@@ -195,7 +198,7 @@ def solve_displacement(
                 backtracks += 1
                 continue
             inner_iters += rep_trial.iterations
-            lengths_trial = tendon_lengths(design, config_trial, geoms=config_trial.geometry)
+            lengths_trial = tendon_lengths(design, config_trial)
             error_trial = lengths_trial - l_des
             objective_trial = 0.5 * float(error_trial @ error_trial)
             if objective_trial <= objective * (1.0 + 1e-14) + 1e-300:

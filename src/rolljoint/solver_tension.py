@@ -38,6 +38,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.tol_residual <= 0.0 or self.max_iters < 1:
             raise ValueError("tolerance must be positive and max_iters >= 1")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ def initial_forces(design: MechanismDesign, s: np.ndarray, tau, loads=()) -> np.
     """
     joints = design.joint_count
     config = evaluate(design, s, np.zeros((joints, 2)))
-    blocks = assemble_blocks(design, config, tau, loads, geoms=config.geometry)
+    blocks = assemble_blocks(design, config, tau, loads)
     scale = np.array([1.0 / design.characteristic_length, 1.0, 1.0])
     coeff = np.zeros((3 * joints, 2 * joints))
     rhs = np.zeros(3 * joints)
@@ -229,8 +231,8 @@ def solve_tension(
     """Find the equilibrium configuration under the given tendon tensions."""
     opts = opts or SolverOptions()
     tau = np.asarray(tau, dtype=float)
-    if not (np.all(np.isfinite(tau)) and np.all(tau > 0.0)):
-        raise ValueError("tendon tensions must be finite and positive")
+    if tau.shape != (2,) or not (np.all(np.isfinite(tau)) and np.all(tau > 0.0)):
+        raise ValueError("tendon tensions must be two finite positive values")
     check_targets(loads, design.n)
 
     if init is not None:
@@ -258,7 +260,7 @@ def solve_tension(
             tuple(history), inversions, boundary_solves,
         )
 
-    rows = residual(design, config, tau, loads, geoms=config.geometry)
+    rows = residual(design, config, tau, loads)
     norm_inf = residual_norm(rows, np.inf)
     history.append(norm_inf)
 
@@ -270,7 +272,7 @@ def solve_tension(
                 report=report(False),
                 configuration=config,
             )
-        blocks = assemble_blocks(design, config, tau, loads, geoms=config.geometry)
+        blocks = assemble_blocks(design, config, tau, loads)
         step = newton_step(design, config, tau, loads, blocks=blocks)
         inversions += step.inversions_3x3
         boundary_solves += step.solves_6x6
@@ -283,7 +285,7 @@ def solve_tension(
             s_trial, clamped = _clamp_s(design, s + scale * step.ds)
             f_trial = f + scale * step.df
             trial = evaluate(design, s_trial, f_trial)
-            rows_trial = residual(design, trial, tau, loads, geoms=trial.geometry)
+            rows_trial = residual(design, trial, tau, loads)
             trial_2 = residual_norm(rows_trial, 2)
             if trial_2 < norm_2 or trial_2 <= opts.tol_residual:
                 accepted = True

@@ -15,46 +15,47 @@ has no child contact; its row is realized with D = I and d_eta = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import loads as loads_mod
-from .geometry import adjoint, coadjoint, coadjoint_small, inverse, wrench_at_point
-# the joint geometry is owned by mechanism; its names stay importable here
-from .mechanism import (  # noqa: F401
-    SIDES,
-    Configuration,
-    JointGeometry,
-    MechanismDesign,
-    SegmentGeometry,
-    all_joint_geometry,
-    joint_geometry,
-)
+from .geometry import adjoint, coadjoint, coadjoint_small, inverse
+# the joint geometry is owned by mechanism; joint_geometry stays importable here
+from .mechanism import Configuration, MechanismDesign, geometry_of, joint_geometry  # noqa: F401
 
 
 def _force_wrench(f: np.ndarray) -> np.ndarray:
     return np.array([0.0, f[0], f[1]])
 
 
+def _point_wrenches(points: np.ndarray, forces: np.ndarray) -> np.ndarray:
+    """(3, sides) wrenches of the row forces applied at the row points of
+    the same frame; contracted with the tensions it sums the tendon pulls."""
+    moments = points[:, 0] * forces[:, 1] - points[:, 1] * forces[:, 0]
+    return np.vstack([moments, forces.T])
+
+
+def _tendon_wrenches(design: MechanismDesign, geoms, k: int) -> np.ndarray:
+    """(3, sides) pull of unit tensions on link k: along its parent-side
+    segments and, below the tip, its child-side segments."""
+    link = design.links[k]
+    out = _point_wrenches(link.parent_points, geoms[k - 1].w.unit)
+    if k <= design.n - 2:
+        out += _point_wrenches(link.child_points, geoms[k].v.unit)
+    return out
+
+
 def _link_raw_residual(
     design: MechanismDesign,
     config: Configuration,
-    geoms: list[JointGeometry],
-    tau: np.ndarray,
+    geoms,
+    pull: np.ndarray,
     loads,
     k: int,
 ) -> np.ndarray:
-    link = design.links[k]
-    prev = geoms[k - 1]
-    has_child = k <= design.n - 2
-    h = np.zeros(3)
-    for idx, side in enumerate(SIDES):
-        if has_child:
-            h += wrench_at_point(link.child_point(side), tau[idx] * geoms[k].v[side].unit)
-        h += wrench_at_point(link.parent_point(side), tau[idx] * prev.w[side].unit)
-    h += coadjoint(prev.parent_frame) @ _force_wrench(config.f[k - 1])
-    if has_child:
+    """Balance of link k under the tendon wrench `pull`."""
+    h = pull + coadjoint(geoms[k - 1].parent_frame) @ _force_wrench(config.f[k - 1])
+    if k <= design.n - 2:
         h -= coadjoint(geoms[k].child_frame) @ _force_wrench(config.f[k])
     h += loads_mod.net_wrench(loads, k + 1, config.poses[k])
     return h
@@ -66,21 +67,20 @@ def residual(
     tau,
     loads=(),
     scaled: bool = True,
-    geoms: Optional[list[JointGeometry]] = None,
 ) -> np.ndarray:
     """Equilibrium residuals, one row per non-base link (links 1..n-1).
 
     With `scaled` the moment row is divided by the design's characteristic
     length so all rows share force units; that scaled form is what solver
-    tolerances refer to.  `geoms` is the configuration's joint geometry when
-    the caller has already built it.
+    tolerances refer to.
     """
     tau = np.asarray(tau, dtype=float)
-    if geoms is None:
-        geoms = all_joint_geometry(design, config)
+    geoms = geometry_of(design, config)
     rows = np.array(
         [
-            _link_raw_residual(design, config, geoms, tau, loads, k)
+            _link_raw_residual(
+                design, config, geoms, _tendon_wrenches(design, geoms, k) @ tau, loads, k
+            )
             for k in range(1, design.n)
         ]
     )
@@ -121,12 +121,10 @@ def assemble_blocks(
     config: Configuration,
     tau,
     loads=(),
-    geoms: Optional[list[JointGeometry]] = None,
 ) -> list[LinkBlocks]:
     """Blocks for links 1..n-1 (list index 0 is link 1)."""
     tau = np.asarray(tau, dtype=float)
-    if geoms is None:
-        geoms = all_joint_geometry(design, config)
+    geoms = geometry_of(design, config)
     blocks = []
     for k in range(1, design.n):
         link = design.links[k]
@@ -147,15 +145,8 @@ def assemble_blocks(
         e_blk[:, 0] = coad_parent @ (
             coadjoint_small(prev.parent_twist) @ _force_wrench(config.f[k - 1])
         )
-        for idx, side in enumerate(SIDES):
-            e_blk[:, 0] += tau[idx] * wrench_at_point(
-                link.parent_point(side), prev.w[side].d_unit
-            )
+        e_blk[:, 0] += _point_wrenches(link.parent_points, prev.w.d_unit) @ tau
         e_blk[:, 1:] = coad_parent[:, 1:]
-
-        f_blk = np.zeros((3, 2))
-        for idx, side in enumerate(SIDES):
-            f_blk[:, idx] = wrench_at_point(link.parent_point(side), prev.w[side].unit)
 
         if has_child:
             here = geoms[k]
@@ -165,16 +156,13 @@ def assemble_blocks(
                 coad_child
                 @ (coadjoint_small(here.child_twist) @ _force_wrench(config.f[k]))
             )
-            for idx, side in enumerate(SIDES):
-                d_blk[:, 0] += tau[idx] * wrench_at_point(
-                    link.child_point(side), here.v[side].d_unit
-                )
+            d_blk[:, 0] += _point_wrenches(link.child_points, here.v.d_unit) @ tau
             d_blk[:, 1:] = -coad_child[:, 1:]
-            for idx, side in enumerate(SIDES):
-                f_blk[:, idx] += wrench_at_point(link.child_point(side), here.v[side].unit)
         else:
             d_blk = np.eye(3)
 
-        h = _link_raw_residual(design, config, geoms, tau, loads, k)
+        # the balance is linear in the tensions: F is its tension gradient
+        f_blk = _tendon_wrenches(design, geoms, k)
+        h = _link_raw_residual(design, config, geoms, f_blk @ tau, loads, k)
         blocks.append(LinkBlocks(a_blk, b_blk, c_blk, d_blk, e_blk, f_blk, h))
     return blocks

@@ -245,6 +245,30 @@ def test_scenario_parsing_errors():
         with pytest.raises(ParseError, match=next(iter(solver))):
             scenario_from_dict({"actuation": {"mode": "tension", "tau": [1, 1]},
                                 "solver": solver})
+    displacement = {"mode": "displacement", "lengths": [90.0, 100.0]}
+    for solver in ({"max_outer_iters": -1}, {"max_backtracks": -1}):
+        with pytest.raises(ParseError, match=next(iter(solver))):
+            scenario_from_dict({"actuation": displacement, "solver": solver})
+    for key, tau_init in (("tau_init", [1.0]), ("tau_init", [1, 1, 1]),
+                          ("tau_init", [1e-4, 1.0]), ("tau_init_gram", [100.0])):
+        with pytest.raises(ParseError, match="initial tensions"):
+            scenario_from_dict({"actuation": {**displacement, key: tau_init}})
+    with pytest.raises(ParseError, match="initial tensions"):
+        # the default initial tensions (1, 1) N lie below a raised floor
+        scenario_from_dict({"actuation": displacement, "solver": {"tension_floor": 2.0}})
+
+
+@pytest.mark.parametrize("actuation, solver", [
+    ({"mode": "displacement", "lengths": [90.52, 100.88]}, {"max_outer_iters": -1}),
+    ({"mode": "displacement", "lengths": [90.52, 100.88], "tau_init": [1.0]}, {}),
+    ({"mode": "displacement", "lengths": [90.52, 100.88], "tau_init": [1, 1, 1]}, {}),
+    ({"mode": "displacement", "lengths": [90.52, 100.88], "tau_init": [1e-4, 1.0]}, {}),
+], ids=["negative_outer_budget", "one_tension", "three_tensions", "below_floor"])
+def test_bad_displacement_scenario_exits_with_parse_error(tmp_path, capsys, actuation, solver):
+    scenario = write_json(tmp_path / "s.json", {"actuation": actuation, "solver": solver})
+    assert main(["solve", "--design", str(DESIGN), "--scenario", scenario,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_scenario_solver_keys_match_option_fields():
@@ -408,6 +432,24 @@ def test_displacement_sweep_item_starts_from_previous_configuration(tmp_path, mo
     assert len(first_inits) == len(returned) == 3
     assert first_inits[0] is None
     assert first_inits[1] is returned[0] and first_inits[2] is returned[1]
+
+
+def test_sweep_item_lengths_build_no_geometry(tmp_path, monkeypatch, joint_geometry_calls):
+    # each item's lengths read the geometry its solve returned
+    built = []
+
+    def counted(design, config):
+        before = joint_geometry_calls[0]
+        lengths = tendon_lengths(design, config)
+        built.append(joint_geometry_calls[0] - before)
+        return lengths
+
+    monkeypatch.setattr(cli, "tendon_lengths", counted)
+    assert main(["sweep", "--design", str(DESIGN),
+                 "--scenario", str(SCENARIOS / "tension_31.json"),
+                 "--sweep", str(SCENARIOS / "sweep_fig3.json"),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert built == [0, 0, 0]
 
 
 def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):

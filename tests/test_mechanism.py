@@ -12,13 +12,16 @@ from rolljoint.mechanism import (
     MechanismDesign,
     evaluate,
     forward_poses,
+    geometry_of,
     joint_geometry,
     tendon_lengths,
     tendon_segment_v,
     tendon_segment_w,
     validate,
 )
+from rolljoint.solver_displacement import tendon_jacobian
 from rolljoint.solver_tension import solve_tension
+from rolljoint.statics import assemble_blocks, residual
 from rolljoint.surface import CircularArc, CurvatureProfile
 
 from conftest import max_pose_error
@@ -105,9 +108,8 @@ def test_evaluated_poses_equal_forward_poses(make):
         for j, geom in enumerate(config.geometry):
             again = joint_geometry(design, j, s[j])
             assert geom.relative.angle == again.relative.angle
-            for side in ("l", "r"):
-                assert np.array_equal(geom.v[side].vec, again.v[side].vec)
-                assert np.array_equal(geom.w[side].d_unit, again.w[side].d_unit)
+            assert np.array_equal(geom.v.vec, again.v.vec)
+            assert np.array_equal(geom.w.d_unit, again.w.d_unit)
     with pytest.raises(ValueError):
         evaluate(design, np.zeros(design.joint_count + 1), np.zeros((design.joint_count + 1, 2)))
 
@@ -139,10 +141,10 @@ def test_segment_norm_matches_world_distance(paper5, rng):
     s = rng.uniform(-5, 5, 4)
     config = Configuration.from_unknowns(paper5, s, np.zeros((4, 2)))
     for k in range(4):
-        for side in ("l", "r"):
+        for idx, side in enumerate(("l", "r")):
             seg = tendon_segment_v(paper5, config, k, side)
-            start = config.poses[k].apply(paper5.links[k].child_point(side))
-            end = config.poses[k + 1].apply(paper5.links[k + 1].parent_point(side))
+            start = config.poses[k].apply(paper5.links[k].child_points[idx])
+            end = config.poses[k + 1].apply(paper5.links[k + 1].parent_points[idx])
             assert np.linalg.norm(seg) == pytest.approx(np.linalg.norm(end - start), abs=1e-12)
 
 
@@ -267,3 +269,31 @@ def test_degenerate_gap_raises_in_tendon_lengths():
         tendon_segment_v(design, config, 0, "l")
     with pytest.raises(DegenerateTendonError):
         tendon_segment_w(design, config, 1, "l")
+
+
+def test_link_entry_point_arrays(paper5):
+    for link in paper5.links:
+        np.testing.assert_array_equal(link.parent_points, [link.p_l, link.p_r])
+        np.testing.assert_array_equal(link.child_points, [link.c_l, link.c_r])
+        for points in (link.parent_points, link.child_points):
+            with pytest.raises(ValueError):
+                points[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("read", [
+    lambda design, config, tau: residual(design, config, tau),
+    lambda design, config, tau: assemble_blocks(design, config, tau),
+    lambda design, config, tau: tendon_lengths(design, config),
+    lambda design, config, tau: tendon_jacobian(design, config, tau),
+], ids=["residual", "assemble_blocks", "tendon_lengths", "tendon_jacobian"])
+def test_geometry_is_read_from_the_configuration(paper5, joint_geometry_calls, read):
+    # a solved configuration carries its geometry; one with poses only gets
+    # it built once, one joint geometry per joint
+    tau = (3.0, 1.0)
+    solved, _ = solve_tension(paper5, tau)
+    assert geometry_of(paper5, solved) is solved.geometry
+    joint_geometry_calls[0] = 0
+    read(paper5, solved, tau)
+    assert joint_geometry_calls[0] == 0
+    read(paper5, Configuration.from_unknowns(paper5, solved.s, solved.f), tau)
+    assert joint_geometry_calls[0] == paper5.joint_count

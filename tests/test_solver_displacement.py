@@ -190,11 +190,20 @@ def test_option_validation():
         DisplacementOptions(alpha=-1.0)
     with pytest.raises(ValueError):
         DisplacementOptions(tension_floor=0.0)
+    with pytest.raises(ValueError):
+        DisplacementOptions(max_outer_iters=-1)
+    with pytest.raises(ValueError):
+        DisplacementOptions(max_backtracks=-1)
 
 
 def test_initial_tension_below_floor_rejected(paper5):
     with pytest.raises(ValueError):
         solve_displacement(paper5, (90.0, 90.0), tau_init=(1e-5, 1.0))
+    for tau_init in ((1.0,), (1.0, 1.0, 1.0)):
+        with pytest.raises(ValueError, match="two"):
+            solve_displacement(paper5, (90.0, 90.0), tau_init=tau_init)
+    with pytest.raises(ValueError, match="two"):
+        solve_displacement(paper5, (90.0, 90.0, 90.0))
 
 
 def test_non_finite_inputs_rejected(paper5):

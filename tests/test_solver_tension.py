@@ -39,6 +39,9 @@ def test_requires_positive_tensions(paper5):
         solve_tension(paper5, (np.nan, 1.0))
     with pytest.raises(ValueError):
         solve_tension(paper5, (1.0, np.inf))
+    for tau in ((1.0,), (1.0, 1.0, 1.0), [[1.0, 1.0]]):
+        with pytest.raises(ValueError, match="two"):
+            solve_tension(paper5, tau)
 
 
 def test_nan_residual_never_converges(paper5):
@@ -250,6 +253,8 @@ def test_solver_options_validation():
         SolverOptions(tol_residual=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
+    with pytest.raises(ValueError):
+        SolverOptions(max_backtracks=-1)
 
 
 def test_warm_start_tracks_small_load_changes(paper5):

@@ -80,10 +80,9 @@ def test_direction_derivatives_match_finite_differences(poly3, rng):
             geom = joint_geometry(poly3, j, s[j])
             up = joint_geometry(poly3, j, s[j] + h)
             dn = joint_geometry(poly3, j, s[j] - h)
-            for side in ("l", "r"):
-                for seg, seg_up, seg_dn in ((geom.v, up.v, dn.v), (geom.w, up.w, dn.w)):
-                    fd = (seg_up[side].unit - seg_dn[side].unit) / (2 * h)
-                    worst = max(worst, np.abs(fd - seg[side].d_unit).max())
+            for seg, seg_up, seg_dn in ((geom.v, up.v, dn.v), (geom.w, up.w, dn.w)):
+                fd = (seg_up.unit - seg_dn.unit) / (2 * h)
+                worst = max(worst, np.abs(fd - seg.d_unit).max())
     assert worst < 1e-5
 
 
@@ -94,9 +93,8 @@ def test_direction_derivative_is_orthogonal_to_unit_vector(paper5, rng):
         config = Configuration.from_unknowns(paper5, s, np.zeros((4, 2)))
         for k in range(4):
             geom = joint_geometry(paper5, k, config.s[k])
-            for side in ("l", "r"):
-                assert abs(geom.v[side].unit @ geom.v[side].d_unit) < 1e-12
-                assert abs(geom.w[side].unit @ geom.w[side].d_unit) < 1e-12
+            for seg in (geom.v, geom.w):
+                assert np.abs(np.einsum("si,si->s", seg.unit, seg.d_unit)).max() < 1e-12
 
 
 def test_equal_curvature_pair_has_zero_direction_derivative():
@@ -109,9 +107,8 @@ def test_equal_curvature_pair_has_zero_direction_derivative():
     )
     design = MechanismDesign(links, Pose2.identity())
     geom = joint_geometry(design, 0, 1.3)
-    for side in ("l", "r"):
-        np.testing.assert_allclose(geom.v[side].d_unit, 0.0, atol=1e-14)
-        np.testing.assert_allclose(geom.v[side].d_vec, 0.0, atol=1e-14)
+    np.testing.assert_allclose(geom.v.d_unit, 0.0, atol=1e-14)
+    np.testing.assert_allclose(geom.v.d_vec, 0.0, atol=1e-14)
 
 
 def predicted_rows(design, blocks, ds, df):
