@@ -206,9 +206,9 @@ def _write_failure(out_dir: Path, scenario: Scenario, status: str, message: str)
 
 def _scenario_with_flags(scenario: Scenario, args) -> Scenario:
     solver = scenario.solver_options
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         solver = replace(solver, tol_residual=args.tol)
-    if getattr(args, "max_iters", None) is not None:
+    if args.max_iters is not None:
         solver = replace(solver, max_iters=args.max_iters)
     disp = replace(scenario.displacement_options, inner=solver)
     return replace(scenario, solver_options=solver, displacement_options=disp)
@@ -244,6 +244,8 @@ def cmd_sweep(args) -> int:
         design = load_design(args.design)
         template = json.loads(Path(args.scenario).read_text())
         sweep = json.loads(Path(args.sweep).read_text())
+        if not isinstance(sweep, dict) or not isinstance(sweep.get("parameter"), str):
+            raise ParseError('a sweep file is {"parameter": path, "values": [...]}')
         parameter = sweep["parameter"]
         values = sweep["values"]
         if not isinstance(values, list) or not values:

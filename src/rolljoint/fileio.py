@@ -9,7 +9,7 @@ given in gram-force via "tau_gram" and are converted with g = 9.80665 m/s^2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
@@ -31,6 +31,8 @@ class ParseError(RolljointError):
 
 
 def _require(mapping: dict, key: str, where: str):
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{where} must be a JSON object")
     if key not in mapping:
         raise ParseError(f"missing '{key}' in {where}")
     return mapping[key]
@@ -39,14 +41,20 @@ def _require(mapping: dict, key: str, where: str):
 def _finite(value, what: str) -> np.ndarray:
     """Scenario numbers as floats; NaN and infinities are refused here, since
     the solvers cannot tell them from a converged state."""
-    array = np.asarray(value, dtype=float)
+    try:
+        array = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"{what} must be numbers") from exc
     if not np.all(np.isfinite(array)):
         raise ParseError(f"{what} must be finite")
     return array
 
 
 def _pose_from_dict(data: dict) -> Pose2:
-    return Pose2(float(data.get("angle", 0.0)), data.get("translation", (0.0, 0.0)))
+    try:
+        return Pose2(float(data.get("angle", 0.0)), data.get("translation", (0.0, 0.0)))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ParseError(f"bad pose: {exc}") from exc
 
 
 def _pose_to_dict(pose: Pose2) -> dict:
@@ -118,7 +126,7 @@ def design_from_dict(data: dict) -> MechanismDesign:
                     c_r=_require(entry, "c_r", where),
                 )
             )
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
             raise ParseError(f"bad {where}: {exc}") from exc
     design = MechanismDesign(tuple(links), _pose_from_dict(data.get("base_pose", {})))
     problems = validate(design)
@@ -197,13 +205,8 @@ def _load_from_dict(entry: dict, index: int) -> ExternalLoad:
     raise ParseError(f"{where}: unknown variant '{variant}'")
 
 
-_SOLVER_KEYS = frozenset(
-    ("tol_residual", "max_iters", "backtrack_factor", "max_backtracks")
-)
-_DISPLACEMENT_KEYS = frozenset(
-    ("alpha", "grad_tol", "max_outer_iters", "tension_floor",
-     "alpha_growth", "backtrack_factor", "max_backtracks")
-)
+_SOLVER_KEYS = frozenset(("tol_residual", "max_iters"))
+_DISPLACEMENT_KEYS = frozenset(("grad_tol", "max_outer_iters", "tension_floor"))
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -229,26 +232,23 @@ def scenario_from_dict(data: dict) -> Scenario:
     else:
         raise ParseError(f"unknown actuation mode '{mode}'")
 
-    loads = tuple(
-        _load_from_dict(entry, idx) for idx, entry in enumerate(data.get("loads", []))
-    )
-
-    overrides = dict(data.get("solver", {}))
+    entries, overrides = data.get("loads", []), data.get("solver", {})
+    if not isinstance(entries, list) or not isinstance(overrides, dict):
+        raise ParseError("loads must be a JSON list and solver a JSON object")
+    try:
+        loads = tuple(_load_from_dict(entry, idx) for idx, entry in enumerate(entries))
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad load: {exc}") from exc
     unknown = set(overrides) - _SOLVER_KEYS - _DISPLACEMENT_KEYS
     if unknown:
         raise ParseError(f"unknown solver options {sorted(unknown)}")
     try:
-        solver_options = replace(
-            SolverOptions(),
-            **{k: v for k, v in overrides.items() if k in _SOLVER_KEYS},
-        )
-        disp_kwargs: dict[str, Any] = {
-            k: v for k, v in overrides.items() if k in _DISPLACEMENT_KEYS
-        }
-        displacement_options = replace(
-            DisplacementOptions(inner=solver_options), **disp_kwargs
-        )
-    except ValueError as exc:
+        solver_options = SolverOptions(
+            **{k: v for k, v in overrides.items() if k in _SOLVER_KEYS})
+        displacement_options = DisplacementOptions(
+            inner=solver_options,
+            **{k: v for k, v in overrides.items() if k in _DISPLACEMENT_KEYS})
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad solver options: {exc}") from exc
     floor = displacement_options.tension_floor
     if mode == "displacement" and (tau_init.shape != (2,) or np.any(tau_init < floor)):
@@ -278,17 +278,15 @@ def set_by_path(data: Any, path: str, value: Any) -> None:
     parts = path.split(".")
     target = data
     for part in parts[:-1]:
-        target = target[int(part)] if isinstance(target, list) else _step(target, part)
-    last = parts[-1]
-    if isinstance(target, list):
-        target[int(last)] = value
-    else:
-        if last not in target:
-            raise ParseError(f"sweep path '{path}' does not exist in the scenario")
-        target[last] = value
+        target = target[_key(target, part, path)]
+    target[_key(target, parts[-1], path)] = value
 
 
-def _step(mapping: dict, key: str):
-    if key not in mapping:
-        raise ParseError(f"sweep path segment '{key}' not found")
-    return mapping[key]
+def _key(container: Any, part: str, path: str):
+    """The dict key or list index that one segment of a sweep path names."""
+    if isinstance(container, dict) and part in container:
+        return part
+    if isinstance(container, list) and part.lstrip("-").isdigit():
+        if -len(container) <= int(part) < len(container):
+            return int(part)
+    raise ParseError(f"sweep path '{path}' does not exist in the scenario")

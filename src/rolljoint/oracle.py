@@ -9,7 +9,6 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NoConvergenceError, SingularBlockError, UnsupportedLoadError
 from .loads import ConstantBody, ConstantWorkspace, LinearSpring, check_targets
@@ -172,6 +171,8 @@ def energy_minimize(
     xatol: float = 1e-10,
 ) -> np.ndarray:
     """Derivative-free minimization of the potential over s (cross-check only)."""
+    from scipy.optimize import minimize   # here, so `import rolljoint` stays fast
+
     _check_conservative(loads)
     if init_s is None:
         init_s = design.joint_midpoints()

@@ -16,19 +16,22 @@ form alpha = 1/lambda:
 
 As alpha -> 0 this is the gradient step alpha J^T e of plain gradient
 descent, so that method is the heavily damped limit of the same iteration.
-alpha grows by `alpha_growth` after an accepted step (towards Gauss-Newton)
-and shrinks by `backtrack_factor` after a rejected one (towards gradient
-descent).  It is capped so that lambda stays above DAMPING_FLOOR * ||J||_F^2:
-the 2x2 system then stays solvable (condition number at most
-1 + 1/DAMPING_FLOOR) where J is rank 1 (unloaded chains, J tau = 0), while a
-weak load, which leaves J only nearly rank 1, still gets an almost undamped
-step.  Tensions are projected onto the tension floor; a tension held at the
-floor by its gradient is dropped from the normal matrix (a projected Newton
-step), so the other tension still gets its Gauss-Newton step.
+The first step takes alpha = 1/||J||_F^2 of the first Jacobian.  alpha grows
+by ALPHA_GROWTH after an accepted step (towards Gauss-Newton) and shrinks by
+BACKTRACK_FACTOR after a rejected one (towards gradient descent); when
+MAX_BACKTRACKS retries of one step all fail, the descent stops unconverged.
+alpha is capped so that lambda stays above DAMPING_FLOOR * ||J||_F^2: the
+2x2 system then stays solvable (condition number at most 1 + 1/DAMPING_FLOOR)
+where J is rank 1 (unloaded chains, J tau = 0), while a weak load, which
+leaves J only nearly rank 1, still gets an almost undamped step.  Tensions
+are projected onto the tension floor; a tension held at the floor by its
+gradient is dropped from the normal matrix (a projected Newton step), so the
+other tension still gets its Gauss-Newton step.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -43,27 +46,26 @@ from .mechanism import Configuration, MechanismDesign, geometry_of, tendon_lengt
 from .solver_tension import SolverOptions, _clamp_s, block_solve, solve_tension
 from .statics import assemble_blocks, block_residual, residual_norm
 
-DAMPING_FLOOR = 1e-10  # lower bound on lambda / ||J||_F^2
+DAMPING_FLOOR = 1e-10   # lower bound on lambda / ||J||_F^2
+ALPHA_GROWTH = 10.0     # alpha factor after an accepted step
+BACKTRACK_FACTOR = 0.5  # alpha factor after a rejected step
+MAX_BACKTRACKS = 40     # retries of one step before the descent stops
 
 
 @dataclass(frozen=True)
 class DisplacementOptions:
-    alpha: Optional[float] = None   # first 1/lambda; default 1 / ||J||_F^2
     grad_tol: float = 1e-10
     max_outer_iters: int = 500
     tension_floor: float = 1e-3     # tendons cannot push
-    alpha_growth: float = 10.0      # alpha factor after an accepted step
-    backtrack_factor: float = 0.5   # alpha factor after a rejected step
-    max_backtracks: int = 40
     inner: SolverOptions = field(default_factory=SolverOptions)
 
     def __post_init__(self):
-        if self.alpha is not None and self.alpha <= 0.0:
-            raise ValueError("step size must be positive")
-        if self.tension_floor <= 0.0:
+        if not self.tension_floor > 0.0:
             raise ValueError("tension floor must be positive")
-        if self.max_outer_iters < 0 or self.max_backtracks < 0:
-            raise ValueError("max_outer_iters and max_backtracks must be >= 0")
+        if operator.index(self.max_outer_iters) < 0:   # a float is a TypeError
+            raise ValueError("max_outer_iters must be >= 0")
+        if not self.grad_tol >= 0.0:
+            raise ValueError("grad_tol must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,6 @@ def solve_displacement(
     error = lengths - l_des
     objective = 0.5 * float(error @ error)
     history = [objective]
-    alpha = opts.alpha
     backtracks = 0
 
     for outer in range(opts.max_outer_iters + 1):
@@ -167,7 +168,7 @@ def solve_displacement(
         if converged or outer == opts.max_outer_iters:
             break
         jac_sq = max(jac_norm**2, 1e-30)
-        if alpha is None:
+        if outer == 0:
             alpha = 1.0 / jac_sq
         alpha = min(alpha, 1.0 / (DAMPING_FLOOR * jac_sq))
         # a tension the gradient pushes into the floor is left out of the
@@ -176,7 +177,7 @@ def solve_displacement(
         normal = (jac.T @ jac) * np.outer(free, free)
 
         accepted = False
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             tau_trial = np.maximum(tau - damped_step(normal, grad, alpha), floor)
             step = tau_trial - tau
             if not np.any(step):
@@ -194,7 +195,7 @@ def solve_displacement(
                     design, tau_trial, loads, init=warm, opts=opts.inner
                 )
             except (ContactRolloffError, NoConvergenceError):
-                alpha *= opts.backtrack_factor
+                alpha *= BACKTRACK_FACTOR
                 backtracks += 1
                 continue
             inner_iters += rep_trial.iterations
@@ -204,10 +205,10 @@ def solve_displacement(
             if objective_trial <= objective * (1.0 + 1e-14) + 1e-300:
                 tau, config, inner_rep = tau_trial, config_trial, rep_trial
                 lengths, error, objective = lengths_trial, error_trial, objective_trial
-                alpha *= opts.alpha_growth
+                alpha *= ALPHA_GROWTH
                 accepted = True
                 break
-            alpha *= opts.backtrack_factor
+            alpha *= BACKTRACK_FACTOR
             backtracks += 1
         history.append(objective)
         if not accepted:

@@ -26,20 +26,18 @@ from .mechanism import Configuration, MechanismDesign, evaluate
 from .statics import LinkBlocks, assemble_blocks, residual, residual_norm
 
 CONDITION_LIMIT = 1e12
+BACKTRACK_FACTOR = 0.5   # step scale factor after a rejected trial
+MAX_BACKTRACKS = 20      # step halvings before the line search stalls
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     tol_residual: float = 1e-9      # scaled residual infinity norm [N]
     max_iters: int = 100
-    backtrack_factor: float = 0.5
-    max_backtracks: int = 20
 
     def __post_init__(self):
-        if self.tol_residual <= 0.0 or self.max_iters < 1:
+        if not self.tol_residual > 0.0 or self.max_iters < 1:   # NaN too
             raise ValueError("tolerance must be positive and max_iters >= 1")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -169,11 +167,9 @@ def newton_step(
     config: Configuration,
     tau,
     loads=(),
-    blocks: Optional[list[LinkBlocks]] = None,
 ) -> NewtonStep:
     """One full-length update of all joint unknowns at the current state."""
-    if blocks is None:
-        blocks = assemble_blocks(design, config, tau, loads)
+    blocks = assemble_blocks(design, config, tau, loads)
     rhs = [np.concatenate([np.zeros(3), -blk.h]).reshape(6, 1) for blk in blocks]
     etas, d_xi_tip, inversions = block_solve(blocks, rhs)
     return NewtonStep(
@@ -272,8 +268,7 @@ def solve_tension(
                 report=report(False),
                 configuration=config,
             )
-        blocks = assemble_blocks(design, config, tau, loads)
-        step = newton_step(design, config, tau, loads, blocks=blocks)
+        step = newton_step(design, config, tau, loads)
         inversions += step.inversions_3x3
         boundary_solves += step.solves_6x6
         iterations += 1
@@ -281,7 +276,7 @@ def solve_tension(
         norm_2 = residual_norm(rows, 2)
         scale = 1.0
         accepted = False
-        for _ in range(opts.max_backtracks + 1):
+        for _ in range(MAX_BACKTRACKS + 1):
             s_trial, clamped = _clamp_s(design, s + scale * step.ds)
             f_trial = f + scale * step.df
             trial = evaluate(design, s_trial, f_trial)
@@ -290,7 +285,7 @@ def solve_tension(
             if trial_2 < norm_2 or trial_2 <= opts.tol_residual:
                 accepted = True
                 break
-            scale *= opts.backtrack_factor
+            scale *= BACKTRACK_FACTOR
             backtracks += 1
         if not accepted:
             pinned = _pinned_joints(design, s)

@@ -246,9 +246,29 @@ def test_scenario_parsing_errors():
             scenario_from_dict({"actuation": {"mode": "tension", "tau": [1, 1]},
                                 "solver": solver})
     displacement = {"mode": "displacement", "lengths": [90.0, 100.0]}
-    for solver in ({"max_outer_iters": -1}, {"max_backtracks": -1}):
-        with pytest.raises(ParseError, match=next(iter(solver))):
-            scenario_from_dict({"actuation": displacement, "solver": solver})
+    with pytest.raises(ParseError, match="max_outer_iters"):
+        scenario_from_dict({"actuation": displacement, "solver": {"max_outer_iters": -1}})
+    # the step-control values are constants of the solvers, not options,
+    # even when a scenario gives them at their former defaults
+    for actuation in ({"mode": "tension", "tau": [1, 1]}, displacement):
+        for key, value in (("backtrack_factor", 0.5), ("max_backtracks", 20),
+                           ("alpha", 1.0), ("alpha_growth", 10.0)):
+            with pytest.raises(ParseError, match=key):
+                scenario_from_dict({"actuation": actuation, "solver": {key: value}})
+    # malformed structure
+    tension = {"mode": "tension", "tau": [1, 1]}
+    for scenario, message in (
+        ({"actuation": 5}, "actuation must be a JSON object"),
+        ({"actuation": tension, "loads": [3]}, "load 0 must be a JSON object"),
+        ({"actuation": tension, "loads": [{"variant": "constant_body",
+                                           "target_link": [5]}]}, "bad load"),
+        ({"actuation": tension, "solver": [1]}, "solver a JSON object"),
+        ({"actuation": tension, "solver": {"tol_residual": "x"}}, "bad solver options"),
+        ({"actuation": displacement, "solver": {"grad_tol": None}}, "bad solver options"),
+        ({"actuation": displacement, "solver": {"max_outer_iters": 1.5}}, "bad solver options"),
+    ):
+        with pytest.raises(ParseError, match=message):
+            scenario_from_dict(scenario)
     for key, tau_init in (("tau_init", [1.0]), ("tau_init", [1, 1, 1]),
                           ("tau_init", [1e-4, 1.0]), ("tau_init_gram", [100.0])):
         with pytest.raises(ParseError, match="initial tensions"):
@@ -268,6 +288,27 @@ def test_bad_displacement_scenario_exits_with_parse_error(tmp_path, capsys, actu
     scenario = write_json(tmp_path / "s.json", {"actuation": actuation, "solver": solver})
     assert main(["solve", "--design", str(DESIGN), "--scenario", scenario,
                  "--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("design, sweep", [
+    (None, ["actuation.tau", [[3.0, 1.0]]]),
+    (None, {"parameter": "loads.3.force.0", "values": [1.0]}),
+    (None, {"parameter": "actuation.tau.5", "values": [1.0]}),
+    ({"links": [1, 2]}, None),
+    ({**design_to_dict(demo_five_link()), "base_pose": {"angle": "x"}}, None),
+], ids=["sweep_list", "sweep_load_index", "sweep_tau_index", "design_link_not_object",
+        "design_pose_angle"])
+def test_malformed_file_structure_exits_with_parse_error(tmp_path, capsys, design, sweep):
+    # design cases run `verify`, sweep cases `sweep` on the shipped design
+    if design is not None:
+        argv = ["verify", "--design", write_json(tmp_path / "d.json", design)]
+    else:
+        scenario = write_json(tmp_path / "s.json", tension_scenario(
+            [3.0, 1.0], loads=[{"variant": "constant_workspace", "target_link": 5}]))
+        argv = ["sweep", "--design", str(DESIGN), "--scenario", scenario,
+                "--sweep", write_json(tmp_path / "w.json", sweep), "--out", str(tmp_path / "o")]
+    assert main(argv) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 

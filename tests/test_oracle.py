@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rolljoint
 from rolljoint.errors import UnsupportedLoadError
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantBody, ConstantWorkspace, LinearSpring
@@ -61,6 +67,14 @@ def test_energy_grid_scan_two_link(chain2):
     values = [energy(chain2, [s], tau) for s in grid]
     best = grid[int(np.argmin(values))]
     assert abs(best - config.s[0]) <= (hi - lo) / 199 + 1e-12
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy serves only energy_minimize, which imports it when first called
+    src = str(Path(rolljoint.__file__).resolve().parents[1])
+    code = "import sys, rolljoint; sys.exit('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_energy_minimize_cross_check(chain2):

@@ -6,6 +6,7 @@ from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
 from rolljoint.mechanism import joint_geometry, tendon_lengths
 from rolljoint.solver_displacement import (
+    MAX_BACKTRACKS,
     DisplacementOptions,
     damped_step,
     solve_displacement,
@@ -182,18 +183,14 @@ def test_floor_stall_ends_early(paper5):
         solve_displacement(paper5, tendon_lengths(paper5, gen), spring,
                            tau_init=(1.75, 1.21), opts=floor_opts)
     assert info.value.report.outer_iterations <= 30
-    assert info.value.report.backtrack_count <= floor_opts.max_backtracks + 30
+    assert info.value.report.backtrack_count <= MAX_BACKTRACKS + 30
 
 
 def test_option_validation():
     with pytest.raises(ValueError):
-        DisplacementOptions(alpha=-1.0)
-    with pytest.raises(ValueError):
         DisplacementOptions(tension_floor=0.0)
     with pytest.raises(ValueError):
         DisplacementOptions(max_outer_iters=-1)
-    with pytest.raises(ValueError):
-        DisplacementOptions(max_backtracks=-1)
 
 
 def test_initial_tension_below_floor_rejected(paper5):

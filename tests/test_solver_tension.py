@@ -253,8 +253,6 @@ def test_solver_options_validation():
         SolverOptions(tol_residual=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverOptions(max_backtracks=-1)
 
 
 def test_warm_start_tracks_small_load_changes(paper5):
