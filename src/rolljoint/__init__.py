@@ -20,6 +20,7 @@ from .errors import (
     DomainError,
     InvalidLoadError,
     NoConvergenceError,
+    NonFiniteResultError,
     RolljointError,
     SingularBlockError,
     SolveError,
@@ -84,5 +85,5 @@ __all__ = [
     # errors
     "RolljointError", "DomainError", "DegenerateTendonError", "SingularBlockError",
     "UnsupportedLoadError", "InvalidLoadError", "SolveError", "NoConvergenceError",
-    "ContactRolloffError", "TensionFloorError",
+    "ContactRolloffError", "TensionFloorError", "NonFiniteResultError",
 ]

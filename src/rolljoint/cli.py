@@ -1,7 +1,8 @@
 """Command-line front end: solve, sweep and verify.
 
-Exit codes: 0 success, 2 parse/validation error, 3 no convergence or
-another solver error, 4 contact rolled off a surface domain, 5 verification
+Exit codes: 0 success, 2 parse/validation error, 3 no convergence,
+another solver error or a non-finite result (report.json is strict JSON and
+never holds NaN), 4 contact rolled off a surface domain, 5 verification
 failure.
 """
 
@@ -19,7 +20,15 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContactRolloffError, RolljointError, SolveError
-from .fileio import ParseError, Scenario, load_design, load_scenario, scenario_from_dict, set_by_path
+from .fileio import (
+    ParseError,
+    Scenario,
+    load_design,
+    load_scenario,
+    scenario_from_dict,
+    set_by_path,
+    strict_json,
+)
 from .loads import check_targets
 from .mechanism import Configuration, MechanismDesign, tendon_lengths, validate
 from .render import render_svg
@@ -116,16 +125,18 @@ def _report_dict(scenario: Scenario, tau, lengths, extra: dict) -> dict:
 
 
 def _write_report(path: Path, data: dict) -> None:
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+    path.write_text(strict_json(data, indent=2, sort_keys=True) + "\n")
 
 
 def _write_solved(out_dir: Path, design: MechanismDesign, scenario: Scenario,
                   config: Configuration, tau, extra: dict) -> None:
-    """solution.csv and an `ok` report.json of one solved scenario."""
+    """report.json (`ok`) and solution.csv of one solved scenario; a
+    non-finite report value raises NonFiniteResultError before either file
+    is written."""
     lengths = tendon_lengths(design, config)
-    write_solution_csv(out_dir / "solution.csv", config, lengths)
     extra["status"] = "ok"
     _write_report(out_dir / "report.json", _report_dict(scenario, tau, lengths, extra))
+    write_solution_csv(out_dir / "solution.csv", config, lengths)
 
 
 def _solve_scenario(design: MechanismDesign, scenario: Scenario,
@@ -183,13 +194,13 @@ def cmd_solve(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         config, tau, extra = _solve_scenario(design, scenario)
+        _write_solved(out_dir, design, scenario, config, tau, extra)
     except RolljointError as exc:
         status, code = _failure(exc)
         _write_failure(out_dir, scenario, status, str(exc))
         print(f"error: {exc}", file=sys.stderr)
         return code
 
-    _write_solved(out_dir, design, scenario, config, tau, extra)
     if args.svg:
         (out_dir / "config.svg").write_text(
             render_svg(design, [config], scenario.loads)
@@ -272,12 +283,12 @@ def cmd_sweep(args) -> int:
         item_dir.mkdir(exist_ok=True)
         try:
             config, tau, extra = _solve_warm(design, scenario, previous)
+            _write_solved(item_dir, design, scenario, config, tau, extra)
         except RolljointError as exc:
             status, _ = _failure(exc)
             _write_failure(item_dir, scenario, status, str(exc))
             lines.append(f"{idx},{_fmt_value(value)},{status},,,,,")
             continue
-        _write_solved(item_dir, design, scenario, config, tau, extra)
         tip = config.poses[-1]
         lines.append(",".join([
             str(idx), _fmt_value(value), "ok",

@@ -26,6 +26,11 @@ class InvalidLoadError(RolljointError, ValueError):
     a ValueError like every other invalid solver input."""
 
 
+class NonFiniteResultError(RolljointError):
+    """A report or design to be written holds NaN or an infinity, which
+    strict JSON cannot carry."""
+
+
 class SolveError(RolljointError):
     """Solver failure carrying the partial result for diagnosis."""
 

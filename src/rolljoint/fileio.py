@@ -15,7 +15,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .errors import RolljointError
+from .errors import NonFiniteResultError, RolljointError
 from .geometry import Pose2
 from .loads import ConstantBody, ConstantWorkspace, ExternalLoad, LinearSpring, Wrench2
 from .mechanism import LinkDesign, MechanismDesign, validate
@@ -163,8 +163,17 @@ def load_design(path) -> MechanismDesign:
     return design_from_dict(data)
 
 
+def strict_json(data, **kwargs) -> str:
+    """`json.dumps` that refuses NaN and infinities instead of writing the
+    non-standard tokens NaN and Infinity."""
+    try:
+        return json.dumps(data, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NonFiniteResultError(f"cannot write a non-finite value as JSON: {exc}") from exc
+
+
 def save_design(design: MechanismDesign, path) -> None:
-    Path(path).write_text(json.dumps(design_to_dict(design), indent=2) + "\n")
+    Path(path).write_text(strict_json(design_to_dict(design), indent=2) + "\n")
 
 
 @dataclass(frozen=True)

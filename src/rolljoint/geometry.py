@@ -21,6 +21,23 @@ def rot2(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
+def rot2_stack(angles) -> np.ndarray:
+    """(..., 2, 2) rotation matrices of an array of planar angles [rad]."""
+    c, s = np.cos(angles), np.sin(angles)
+    out = np.empty(c.shape + (2, 2))
+    out[..., 0, 0] = c
+    out[..., 0, 1] = -s
+    out[..., 1, 0] = s
+    out[..., 1, 1] = c
+    return out
+
+
+def matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector products (..., m, k) x (..., k) -> (..., m),
+    each evaluated as `matrix @ vector`."""
+    return (matrices @ vectors[..., None])[..., 0]
+
+
 def skew1(w: float) -> np.ndarray:
     return np.array([[0.0, -w], [w, 0.0]])
 

@@ -1,14 +1,18 @@
 """Link and mechanism data model: serial pose chain and tendon geometry.
 
-`joint_geometry` is the one place a joint's contact frames, relative pose
-and tendon gap segments (with their s-derivatives) are computed, for both
-tendons at once: the left/right side is the leading array axis (row i is
-SIDES[i]).  `evaluate` builds it once for an iterate (s, f), chains the link
-poses from its relative poses and returns it with the configuration, so the
+`joint_geometry(design, s)` is the one place the joints' contact frames,
+relative poses and tendon gap segments (with their s-derivatives) are
+computed: one struct-of-arrays evaluation of the whole chain per iterate,
+with a leading joint axis (row j is joint j) and, for the segments, the
+left/right side as the next axis (column i is SIDES[i]).  Each mating
+surface is looked up once per iterate through its `frame_at`.  `evaluate`
+builds it once for an iterate (s, f), chains the link poses from its
+relative poses with a running angle sum and a batched rotation of the
+relative translations, and returns it with the configuration, so the
 geometry travels with the configuration and belongs to the design that
-evaluated it.  `geometry_of` is the one reader: the tendon views and lengths
-here, the force balance in `statics` and the displacement solver's Jacobian
-all take the geometry from the configuration through it.
+evaluated it.  `geometry_of` is the one reader: the tendon views and
+lengths here, the force balance in `statics` and the displacement solver's
+Jacobian all take the geometry from the configuration through it.
 
 Indexing: links are stored 0-based; joint j couples the child surface of
 link j with the parent surface of link j+1 and carries one contact arc
@@ -27,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateTendonError
-from .geometry import Pose2, Twist2, compose, inverse, skew1, _frozen_vec2
+from .geometry import Pose2, compose, inverse, matvec, rot2_stack, _frozen_vec2
 from .surface import ContactSurface
 
 SIDES = ("l", "r")
@@ -118,6 +122,28 @@ class MechanismDesign:
     def joint_midpoints(self) -> np.ndarray:
         return self.domains.mean(axis=1)
 
+    @cached_property
+    def joint_child_points(self) -> np.ndarray:
+        """(joints, sides, 2) child entry points of link j, row j for joint j."""
+        return _frozen([link.child_points for link in self.links[:-1]])
+
+    @cached_property
+    def joint_parent_points(self) -> np.ndarray:
+        """(joints, sides, 2) parent entry points of link j+1."""
+        return _frozen([link.parent_points for link in self.links[1:]])
+
+    @cached_property
+    def link_spans(self) -> np.ndarray:
+        """(links, sides) tendon lengths inside each link."""
+        spans = np.array([link.child_points - link.parent_points for link in self.links])
+        return _frozen(np.linalg.norm(spans, axis=2))
+
+
+def _frozen(arrays) -> np.ndarray:
+    out = np.array(arrays, dtype=float)
+    out.setflags(write=False)
+    return out
+
 
 def _mean_link_extent(links) -> float:
     extents = []
@@ -137,17 +163,15 @@ def _mean_link_extent(links) -> float:
 class Configuration:
     """Value snapshot of the mechanism state: contact arc lengths s (n-1,),
     contact forces f (n-1, 2) and link poses (n,) consistent with s, plus
-    the per-joint `JointGeometry` when `evaluate` built it.  That geometry
-    travels with the configuration and belongs to the design that evaluated
-    it; read it through `geometry_of`, which builds it when it is absent
+    the `JointGeometry` when `evaluate` built it.  That geometry travels
+    with the configuration and belongs to the design that evaluated it; read
+    it through `geometry_of`, which builds it when it is absent
     (`from_unknowns` chains the poses only)."""
 
     s: np.ndarray
     f: np.ndarray
     poses: tuple[Pose2, ...]
-    geometry: Optional[tuple["JointGeometry", ...]] = field(
-        default=None, compare=False, repr=False
-    )
+    geometry: Optional["JointGeometry"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         s = np.array(self.s, dtype=float).reshape(-1)
@@ -164,7 +188,8 @@ class Configuration:
 
 
 def joint_relative_pose(design: MechanismDesign, j: int, s_j: float) -> Pose2:
-    """Pose of link j+1 expressed in link j's frame at contact arc length s_j."""
+    """Pose of link j+1 expressed in link j's frame at contact arc length s_j
+    (the scalar form of `JointGeometry.relative_*`)."""
     child, parent = design.joint_surfaces(j)
     return compose(child.frame_at(s_j), inverse(parent.frame_at(s_j)))
 
@@ -176,25 +201,63 @@ def _contact_parameters(design: MechanismDesign, s) -> np.ndarray:
     return s
 
 
-def _chain_poses(design: MechanismDesign, relatives) -> tuple[Pose2, ...]:
-    """Chain the base pose through each joint's relative pose."""
-    poses = [design.base_pose]
-    for relative in relatives:
-        poses.append(compose(poses[-1], relative))
-    return tuple(poses)
+def _transposed(matrices: np.ndarray) -> np.ndarray:
+    return np.swapaxes(matrices, -1, -2)
+
+
+@dataclass(frozen=True)
+class _Frames:
+    """The contact frames of every joint, column 0 the child frame (on link
+    j, in its coordinates) and column 1 the parent frame (on link j+1):
+    angles (J, 2), rotations (J, 2, 2, 2) and translations (J, 2, 2); plus
+    the relative pose of link j+1 in link j."""
+
+    angle: np.ndarray
+    rotation: np.ndarray
+    translation: np.ndarray
+    relative_angle: np.ndarray
+    relative_rotation: np.ndarray
+    relative_translation: np.ndarray
+
+
+def _frames(design: MechanismDesign, s: list[float]) -> _Frames:
+    """One `frame_at` per mating surface at the checked contact parameters
+    s, stacked, and the relative poses compose(child, inverse(parent))."""
+    frames = [surf.frame_at(s_j) for j, s_j in enumerate(s) for surf in design.joint_surfaces(j)]
+    angle = np.array([frame.angle for frame in frames]).reshape(-1, 2)
+    translation = np.array([frame.translation for frame in frames]).reshape(-1, 2, 2)
+    relative_angle = angle[:, 0] - angle[:, 1]
+    rotation = rot2_stack(np.column_stack([angle, relative_angle]))
+    # inverse(parent) has translation -R_p^T t_p; the child frame maps it
+    # into link j
+    parent_back = -matvec(_transposed(rotation[:, 1]), translation[:, 1])
+    relative_translation = matvec(rotation[:, 0], parent_back) + translation[:, 0]
+    return _Frames(angle, rotation[:, :2], translation, relative_angle, rotation[:, 2],
+                   relative_translation)
+
+
+def _chain_poses(design: MechanismDesign, relative_angle, relative_translation) -> tuple[Pose2, ...]:
+    """Chain the base pose through every joint's relative pose: a running
+    angle sum and a running sum of the relative translations, each rotated
+    into the world by its link's pose."""
+    base = design.base_pose
+    angles = np.cumsum(np.concatenate([[base.angle], relative_angle]))
+    steps = matvec(rot2_stack(angles[:-1]), relative_translation)
+    translations = np.cumsum(np.concatenate([base.translation[None], steps]), axis=0)
+    return tuple(Pose2(angle, t) for angle, t in zip(angles.tolist(), translations))
 
 
 def forward_poses(design: MechanismDesign, s) -> tuple[Pose2, ...]:
     """Chain the base pose through every rolling contact."""
-    s = _contact_parameters(design, s)
-    return _chain_poses(design, (joint_relative_pose(design, j, s[j]) for j in range(len(s))))
+    frames = _frames(design, _contact_parameters(design, s).tolist())
+    return _chain_poses(design, frames.relative_angle, frames.relative_translation)
 
 
 @dataclass(frozen=True)
 class SegmentGeometry:
-    """The left and right tendon gap segments of one joint side, row i for
-    SIDES[i]: vectors, unit vectors and their s-derivatives (2, 2), lengths
-    (2,)."""
+    """Tendon gap segments on one side of every joint, both tendons at once
+    (row j for joint j, then SIDES): vectors, unit vectors and their
+    s-derivatives (J, 2, 2), lengths (J, 2)."""
 
     vec: np.ndarray
     unit: np.ndarray
@@ -204,92 +267,109 @@ class SegmentGeometry:
 
 
 def _segments(vec: np.ndarray, d_vec: np.ndarray) -> SegmentGeometry:
-    """Both sides' segments from their vectors and s-derivatives."""
-    length = np.sqrt(np.einsum("si,si->s", vec, vec))
-    if length.min() < MIN_SEGMENT_LENGTH:
+    """Segments from their vectors and s-derivatives."""
+    length = np.sqrt(np.einsum("jsi,jsi->js", vec, vec))
+    if (length < MIN_SEGMENT_LENGTH).any():
         raise DegenerateTendonError(f"tendon segment length {length.min()} below minimum")
-    unit = vec / length[:, None]
-    along = np.einsum("si,si->s", unit, d_vec)
-    d_unit = (d_vec - unit * along[:, None]) / length[:, None]
+    unit = vec / length[..., None]
+    along = np.einsum("jsi,jsi->js", unit, d_vec)
+    d_unit = (d_vec - unit * along[..., None]) / length[..., None]
     return SegmentGeometry(vec, unit, length, d_vec, d_unit)
+
+
+def _perp(vec: np.ndarray) -> np.ndarray:
+    """Planar vectors on the last axis turned by +90 degrees: skew1(1) @ v."""
+    return vec[..., ::-1] * np.array([-1.0, 1.0])
 
 
 @dataclass(frozen=True)
 class JointGeometry:
-    """Everything the kinematics and the balance need about joint j at
-    contact arc length s_j."""
+    """Everything the kinematics and the balance need about every joint at
+    contact arc lengths s, stacked on a leading joint axis (row j is joint
+    j).  The child contact frame lies on link j (in its coordinates), the
+    parent contact frame on link j+1."""
 
-    child_frame: Pose2        # in link j coordinates
-    parent_frame: Pose2       # in link j+1 coordinates
-    child_twist: Twist2
-    parent_twist: Twist2
-    relative: Pose2           # link j+1 expressed in link j
-    v: SegmentGeometry        # child-side segments of link j
-    w: SegmentGeometry        # parent-side segments of link j+1
+    child_angle: np.ndarray           # (J,)
+    child_rotation: np.ndarray        # (J, 2, 2)
+    child_translation: np.ndarray     # (J, 2)
+    parent_angle: np.ndarray
+    parent_rotation: np.ndarray
+    parent_translation: np.ndarray
+    child_curvature: np.ndarray       # (J,) signed curvature at the contact
+    parent_curvature: np.ndarray
+    curve_gap: np.ndarray             # child minus parent curvature
+    relative_angle: np.ndarray        # link j+1 expressed in link j
+    relative_rotation: np.ndarray
+    relative_translation: np.ndarray
+    v: SegmentGeometry                # child-side segments of link j
+    w: SegmentGeometry                # parent-side segments of link j+1
 
 
-def joint_geometry(design: MechanismDesign, j: int, s_j: float) -> JointGeometry:
-    child, parent = design.joint_surfaces(j)
-    t_child = child.frame_at(s_j)
-    t_parent = parent.frame_at(s_j)
-    xi_child = child.twist_at(s_j)
-    xi_parent = parent.twist_at(s_j)
-    relative = compose(t_child, inverse(t_parent))
-    relative_inv = inverse(relative)
-    rel_rot = relative.rotation
-    curve_gap = skew1(xi_child.w - xi_parent.w)
-    # entry points are rows, so a map x -> M x reads x @ M.T
-    p_next = design.links[j + 1].parent_points
-    c_here = design.links[j].child_points
+def joint_geometry(design: MechanismDesign, s) -> JointGeometry:
+    """The joint geometry of the whole chain at contact arc lengths s."""
+    s = _contact_parameters(design, s).tolist()
+    frames = _frames(design, s)
+    curvature = np.array([
+        surf.curvature_at(s_j) for j, s_j in enumerate(s) for surf in design.joint_surfaces(j)
+    ]).reshape(-1, 2)
+    curve_gap = curvature[:, 0] - curvature[:, 1]
+    rel_rot = frames.relative_rotation
+    rel_t = frames.relative_translation
+    t_child, t_parent = frames.translation[:, 0], frames.translation[:, 1]
+    # entry points are rows: p_next[j] on link j+1, c_here[j] on link j
+    p_next = design.joint_parent_points
+    c_here = design.joint_child_points
+    rel_back = -matvec(_transposed(rel_rot), rel_t)   # inverse(relative)
 
-    v_vec = p_next @ rel_rot.T + relative.translation - c_here
-    v_dvec = ((p_next - t_parent.translation) @ rel_rot.T) @ curve_gap.T
-    w_vec = c_here @ relative_inv.rotation.T + relative_inv.translation - p_next
-    w_dvec = ((c_here - t_child.translation) @ rel_rot) @ curve_gap
+    # rows are points, so a map x -> R x reads x @ R^T
+    v_vec = p_next @ _transposed(rel_rot) + rel_t[:, None] - c_here
+    v_dvec = curve_gap[:, None, None] * _perp(
+        (p_next - t_parent[:, None]) @ _transposed(rel_rot))
+    w_vec = c_here @ rel_rot + rel_back[:, None] - p_next
+    w_dvec = -curve_gap[:, None, None] * _perp((c_here - t_child[:, None]) @ rel_rot)
     return JointGeometry(
-        t_child, t_parent, xi_child, xi_parent, relative,
+        frames.angle[:, 0], frames.rotation[:, 0], t_child,
+        frames.angle[:, 1], frames.rotation[:, 1], t_parent,
+        curvature[:, 0], curvature[:, 1], curve_gap,
+        frames.relative_angle, rel_rot, rel_t,
         _segments(v_vec, v_dvec), _segments(w_vec, w_dvec),
     )
 
 
-def geometry_of(design: MechanismDesign, config: Configuration) -> tuple[JointGeometry, ...]:
+def geometry_of(design: MechanismDesign, config: Configuration) -> JointGeometry:
     """The configuration's joint geometry: the one `evaluate` attached, else
     built from its contact parameters."""
     if config.geometry is not None:
         return config.geometry
-    return tuple(joint_geometry(design, j, s_j) for j, s_j in enumerate(config.s))
+    return joint_geometry(design, config.s)
 
 
 def evaluate(design: MechanismDesign, s, f) -> Configuration:
     """One evaluation of the unknowns (s, f): the configuration together
     with its joint geometry, whose relative poses chain the link poses."""
-    s = _contact_parameters(design, s)
-    geometry = tuple(joint_geometry(design, j, s[j]) for j in range(len(s)))
-    return Configuration(s, f, _chain_poses(design, (g.relative for g in geometry)), geometry)
+    geometry = joint_geometry(design, s)
+    poses = _chain_poses(design, geometry.relative_angle, geometry.relative_translation)
+    return Configuration(s, f, poses, geometry)
 
 
 def tendon_segment_v(design: MechanismDesign, config: Configuration, k: int, side: str) -> np.ndarray:
     """Gap segment leaving link k toward link k+1, in link k coordinates."""
     if not 0 <= k <= design.n - 2:
         raise IndexError(f"link {k} has no child-side tendon segment")
-    return geometry_of(design, config)[k].v.vec[SIDES.index(side)]
+    return geometry_of(design, config).v.vec[k, SIDES.index(side)]
 
 
 def tendon_segment_w(design: MechanismDesign, config: Configuration, k: int, side: str) -> np.ndarray:
     """Gap segment leaving link k toward link k-1, in link k coordinates."""
     if not 1 <= k <= design.n - 1:
         raise IndexError(f"link {k} has no parent-side tendon segment")
-    return geometry_of(design, config)[k - 1].w.vec[SIDES.index(side)]
+    return geometry_of(design, config).w.vec[k - 1, SIDES.index(side)]
 
 
 def tendon_lengths(design: MechanismDesign, config: Configuration) -> np.ndarray:
     """Total left/right tendon lengths: in-link spans plus gap segments [mm]."""
-    lengths = np.zeros(2)
-    for link in design.links:
-        lengths += np.linalg.norm(link.child_points - link.parent_points, axis=1)
-    for geom in geometry_of(design, config):
-        lengths += geom.v.length
-    return lengths
+    segments = geometry_of(design, config).v.length
+    return np.concatenate([design.link_spans, segments]).sum(axis=0)
 
 
 def validate(design: MechanismDesign) -> list[str]:
@@ -299,6 +379,9 @@ def validate(design: MechanismDesign) -> list[str]:
     if n < 2:
         problems.append(f"mechanism needs at least 2 links, got {n}")
         return problems
+    base = design.base_pose
+    if not (math.isfinite(base.angle) and np.all(np.isfinite(base.translation))):
+        problems.append("base pose has a non-finite angle or translation")
     for k, link in enumerate(design.links):
         if k == 0 and link.parent_surface is not None:
             problems.append(f"link 0 ({link.name}) must not have a parent surface")

@@ -107,15 +107,14 @@ def _jacobian_with_sensitivity(design, config, tau, loads):
     blocks = assemble_blocks(design, config, tau, loads)
     if residual_norm(block_residual(design, blocks), np.inf) > 1e-6:
         raise ValueError("tendon_jacobian requires an equilibrium configuration")
-    rhs = [np.vstack([np.zeros((3, 2)), -blk.F]) for blk in blocks]
+    rhs = np.zeros((len(blocks), 6, 2))
+    rhs[:, 3:] = -blocks.F
     etas, _, _ = block_solve(blocks, rhs)
     # etas: (joints, 3, 2); row 0 is ds per unit (tau_l, tau_r) impulse
     ds_sens, df_sens = etas[:, 0, :], etas[:, 1:, :]
     # dl_ds[j, side]: rate of that tendon's joint-j gap length along s_j
-    dl_ds = np.array([
-        np.einsum("si,si->s", geom.v.unit, geom.v.d_vec)
-        for geom in geometry_of(design, config)
-    ])
+    segments = geometry_of(design, config).v
+    dl_ds = np.einsum("jsi,jsi->js", segments.unit, segments.d_vec)
     return dl_ds.T @ ds_sens, ds_sens, df_sens
 
 

@@ -1,16 +1,20 @@
 """Recursive Newton solver for tension-actuated equilibrium.
 
-Each iteration assembles the per-link blocks, eliminates them forward into a
-single 6x6 boundary system (base pose fixed, no joint unknowns past the tip),
-solves it, back-substitutes for every joint update and applies a backtracking
-line search on the scaled residual norm.  Interior links cost one 3x3
-inversion each; the boundary solve is the only 6x6 operation.
+Each iteration assembles the stacked per-link blocks, eliminates them
+forward into a single 6x6 boundary system (base pose fixed, no joint
+unknowns past the tip), solves it, back-substitutes for every joint update
+and applies a backtracking line search on the scaled residual norm.
+Interior links cost one 3x3 inversion each, all taken in one stacked
+`np.linalg.inv`; the boundary solve is the only 6x6 operation, and only the
+6x6 products of the recursion run link by link.
 
 Each D block and the boundary system is equilibrated (one row/column
 max-abs pass) into B and rejected when its 1-norm condition number
 ||B||_1 ||B^-1||_1 exceeds CONDITION_LIMIT / size, read from an explicit
 inverse instead of an SVD.  As kappa_2 <= size * kappa_1, no accepted
-matrix has a 2-norm condition number above CONDITION_LIMIT.
+matrix has a 2-norm condition number above CONDITION_LIMIT.  The D blocks
+are equilibrated and checked as a stack; the first rejected one along the
+chain is named in the SingularBlockError.
 """
 
 from __future__ import annotations
@@ -61,105 +65,123 @@ class NewtonStep:
     solves_6x6: int
 
 
-def _equilibrate(matrix: np.ndarray, what: str):
-    """One row/column max-abs equilibration pass; mixed units (mm, rad, N)
-    otherwise inflate the conditioning estimate for purely notational
-    reasons.  Returns (balanced matrix, row scales, column scales)."""
-    row_scale = np.abs(matrix).max(axis=1)
-    if not np.all(np.isfinite(row_scale)) or np.any(row_scale == 0.0):
-        raise SingularBlockError(f"singular {what}")
-    balanced = matrix / row_scale[:, None]
-    col_scale = np.abs(balanced).max(axis=0)
-    if np.any(col_scale == 0.0):
-        raise SingularBlockError(f"singular {what}")
-    return balanced / col_scale[None, :], row_scale, col_scale
+def _equilibrate(stack: np.ndarray):
+    """One row/column max-abs equilibration pass over a stack of square
+    matrices (..., m, m); mixed units (mm, rad, N) otherwise inflate the
+    conditioning estimate for purely notational reasons.  Returns (balanced
+    stack, row scales, column scales, mask of matrices a zero or non-finite
+    scale marks singular)."""
+    row_scale = np.abs(stack).max(axis=-1)
+    balanced = stack / row_scale[..., :, None]
+    col_scale = np.abs(balanced).max(axis=-2)
+    balanced = balanced / col_scale[..., None, :]
+    # every balanced entry lies in [-1, 1] unless a scale was 0, NaN or inf
+    return balanced, row_scale, col_scale, ~np.isfinite(balanced).all(axis=(-2, -1))
 
 
-def _check_condition(balanced: np.ndarray, balanced_inv: np.ndarray, what: str) -> None:
-    cond = np.abs(balanced).sum(axis=0).max() * np.abs(balanced_inv).sum(axis=0).max()
-    if not np.isfinite(cond) or cond > CONDITION_LIMIT / len(balanced):
-        raise SingularBlockError(f"ill-conditioned {what} (cond_1 {cond:.2e})")
-
-
-def _inverse(matrix: np.ndarray, what: str) -> np.ndarray:
+def _inverses(stack: np.ndarray, singular: np.ndarray):
+    """Inverses of a stack of square matrices, skipping those already marked
+    singular; returns (inverses, singular mask grown by those LU rejects)."""
+    safe = np.where(singular[..., None, None], np.eye(stack.shape[-1]), stack)
     try:
-        return np.linalg.inv(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SingularBlockError(f"singular {what}") from exc
+        return np.linalg.inv(safe), singular
+    except np.linalg.LinAlgError:
+        # only a stack holding an exactly singular block takes this path
+        lu_rejects = []
+        for matrix in safe:
+            try:
+                np.linalg.inv(matrix)
+                lu_rejects.append(False)
+            except np.linalg.LinAlgError:
+                lu_rejects.append(True)
+        return _inverses(stack, singular | np.array(lu_rejects))
 
 
-def _checked_inverse(matrix: np.ndarray, what: str) -> np.ndarray:
-    balanced, row_scale, col_scale = _equilibrate(matrix, what)
-    inv = _inverse(matrix, what)
-    # balanced = R^-1 M C^-1, so its inverse is C M^-1 R
-    _check_condition(balanced, col_scale[:, None] * inv * row_scale[None, :], what)
+def _check_conditions(balanced, balanced_inv, singular, what) -> None:
+    """Reject the first matrix of the stack that is singular or whose 1-norm
+    condition number exceeds CONDITION_LIMIT / size; `what(i)` names it."""
+    cond = (np.abs(balanced).sum(axis=-2).max(axis=-1)
+            * np.abs(balanced_inv).sum(axis=-2).max(axis=-1))
+    rejected = singular | ~(cond <= CONDITION_LIMIT / balanced.shape[-1])
+    if rejected.any():
+        i = int(np.argmax(rejected))
+        if singular[i]:
+            raise SingularBlockError(f"singular {what(i)}")
+        raise SingularBlockError(f"ill-conditioned {what(i)} (cond_1 {cond[i]:.2e})")
+
+
+def _checked_inverses(stack: np.ndarray, what) -> np.ndarray:
+    """Inverses of a stack of blocks, each equilibrated and condition-checked;
+    `what(i)` names block i in an error."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        balanced, row_scale, col_scale, singular = _equilibrate(stack)
+        inv, singular = _inverses(stack, singular)
+        # balanced = R^-1 M C^-1, so its inverse is C M^-1 R
+        _check_conditions(balanced, col_scale[..., :, None] * inv * row_scale[..., None, :],
+                          singular, what)
     return inv
 
 
 def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
-    balanced, row_scale, col_scale = _equilibrate(matrix, what)
-    _check_condition(balanced, _inverse(balanced, what), what)
-    solution = np.linalg.solve(balanced, rhs / row_scale[:, None])
-    return solution / col_scale[:, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        balanced, row_scale, col_scale, singular = _equilibrate(matrix[None])
+        balanced_inv, singular = _inverses(balanced, singular)
+        _check_conditions(balanced, balanced_inv, singular, lambda i: what)
+    solution = np.linalg.solve(balanced[0], rhs / row_scale[0][:, None])
+    return solution / col_scale[0][:, None]
 
 
-def _eliminate(blocks: list[LinkBlocks], rhs: list[np.ndarray]):
-    """Forward pass of the block recursion.
+def _eliminate(blocks: LinkBlocks, rhs: np.ndarray):
+    """Forward pass of the block recursion over per-link right-hand sides
+    rhs (links, 6, width).
 
-    Returns per-link propagators P_k, the propagated per-link inputs Q_k r_k,
-    the accumulated product P = P_tip ... P_1 and accumulated input, plus the
-    interior 3x3 inversion count.
+    The interior D blocks are inverted as one stack.  Link k's propagator
+    P_k = -Q_k [[A, B], [0, E]] with Q_k = [[I, 0], [-D^-1 C, D^-1]] and its
+    propagated input Q_k r_k are stacked products over the link axis; only
+    the running products stay a loop.  Returns the propagators, the
+    propagated inputs, the accumulated input, the accumulated product
+    P = P_tip ... P_1 and the interior 3x3 inversion count.
     """
-    width = rhs[0].shape[1]
+    links = len(blocks)
+    d_inv = np.broadcast_to(np.eye(3), (links, 3, 3)).copy()
+    d_inv[:-1] = _checked_inverses(blocks.D[:-1], lambda i: f"D block at link {i + 1}")
+    q_mat = np.zeros((links, 6, 6))
+    q_mat[:, :3, :3] = np.eye(3)
+    q_mat[:, 3:, :3] = -d_inv @ blocks.C
+    q_mat[:, 3:, 3:] = d_inv
+    left = np.zeros((links, 6, 6))
+    left[:, :3, :3] = blocks.A
+    left[:, :3, 3:] = blocks.B
+    left[:, 3:, 3:] = blocks.E
+    props = -q_mat @ left
+    q_rhs = q_mat @ rhs
     prod = np.eye(6)
-    acc = np.zeros((6, width))
-    p_list: list[np.ndarray] = []
-    q_rhs: list[np.ndarray] = []
-    inversions = 0
-    last = len(blocks) - 1
-    for k, blk in enumerate(blocks):
-        if k == last:
-            d_inv = np.eye(3)
-        else:
-            d_inv = _checked_inverse(blk.D, f"D block at link {k + 1}")
-            inversions += 1
-        q_mat = np.zeros((6, 6))
-        q_mat[:3, :3] = np.eye(3)
-        q_mat[3:, :3] = -d_inv @ blk.C
-        q_mat[3:, 3:] = d_inv
-        left = np.zeros((6, 6))
-        left[:3, :3] = blk.A
-        left[:3, 3:] = blk.B
-        left[3:, 3:] = blk.E
-        p_mat = -q_mat @ left
-        qr = q_mat @ rhs[k]
-        acc = p_mat @ acc + qr
-        prod = p_mat @ prod
-        p_list.append(p_mat)
-        q_rhs.append(qr)
-    return p_list, q_rhs, prod, acc, inversions
+    acc = np.zeros(rhs.shape[1:])
+    for prop, qr in zip(props, q_rhs):
+        acc = prop @ acc + qr
+        prod = prop @ prod
+    return props, q_rhs, acc, prod, links - 1
 
 
-def block_solve(blocks: list[LinkBlocks], rhs: list[np.ndarray]):
-    """Solve the block recursion for per-link right-hand sides (6, width):
-    eliminate forward, solve the 6x6 boundary system for (d_xi_tip,
+def block_solve(blocks: LinkBlocks, rhs: np.ndarray):
+    """Solve the block recursion for per-link right-hand sides (links, 6,
+    width): eliminate forward, solve the 6x6 boundary system for (d_xi_tip,
     d_eta_base), then back-substitute every joint update from the base one.
 
     Returns the stacked joint updates (joints, 3, width), the tip pose
     perturbation (3, width) and the interior 3x3 inversion count.
     """
-    p_list, q_rhs, prod, acc, inversions = _eliminate(blocks, rhs)
+    props, q_rhs, acc, prod, inversions = _eliminate(blocks, rhs)
     boundary = np.zeros((6, 6))
     boundary[:3, :3] = np.eye(3)
     boundary[:, 3:] = -prod[:, 3:]
     state = np.zeros_like(acc)
     state[3:] = _equilibrated_solve(boundary, acc, "boundary system")[3:]
-    etas = [state[3:]]
-    for k in range(len(p_list)):
-        state = p_list[k] @ state + q_rhs[k]
-        if k < len(p_list) - 1:
-            etas.append(state[3:])
-    return np.array(etas), state[:3], inversions
+    etas = np.empty((len(props), 3, acc.shape[1]))
+    for k, (prop, qr) in enumerate(zip(props, q_rhs)):
+        etas[k] = state[3:]
+        state = prop @ state + qr
+    return etas, state[:3], inversions
 
 
 def newton_step(
@@ -170,7 +192,8 @@ def newton_step(
 ) -> NewtonStep:
     """One full-length update of all joint unknowns at the current state."""
     blocks = assemble_blocks(design, config, tau, loads)
-    rhs = [np.concatenate([np.zeros(3), -blk.h]).reshape(6, 1) for blk in blocks]
+    rhs = np.zeros((len(blocks), 6, 1))
+    rhs[:, 3:, 0] = -blocks.h
     etas, d_xi_tip, inversions = block_solve(blocks, rhs)
     return NewtonStep(
         ds=etas[:, 0, 0],
@@ -192,16 +215,13 @@ def initial_forces(design: MechanismDesign, s: np.ndarray, tau, loads=()) -> np.
     config = evaluate(design, s, np.zeros((joints, 2)))
     blocks = assemble_blocks(design, config, tau, loads)
     scale = np.array([1.0 / design.characteristic_length, 1.0, 1.0])
-    coeff = np.zeros((3 * joints, 2 * joints))
-    rhs = np.zeros(3 * joints)
-    for k in range(1, design.n):
-        blk = blocks[k - 1]
-        row = 3 * (k - 1)
-        rhs[row:row + 3] = -blk.h * scale
-        coeff[row:row + 3, 2 * (k - 1):2 * k] += blk.E[:, 1:] * scale[:, None]
-        if k <= design.n - 2:
-            coeff[row:row + 3, 2 * k:2 * k + 2] += blk.D[:, 1:] * scale[:, None]
-    fit, *_ = np.linalg.lstsq(coeff, rhs, rcond=None)
+    # link i's rows hold joint i's force columns (E) and joint i+1's (D)
+    coeff = np.zeros((joints, 3, joints, 2))
+    links = np.arange(joints)
+    coeff[links, :, links] += blocks.E[:, :, 1:] * scale[:, None]
+    coeff[links[:-1], :, links[1:]] += blocks.D[:-1, :, 1:] * scale[:, None]
+    rhs = -blocks.h * scale
+    fit, *_ = np.linalg.lstsq(coeff.reshape(3 * joints, 2 * joints), rhs.ravel(), rcond=None)
     return fit.reshape(joints, 2)
 
 

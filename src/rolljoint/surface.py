@@ -8,12 +8,12 @@ where u is the signed curvature.  Frames obey dT/ds = T [twist].
 
 from __future__ import annotations
 
+import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import DomainError
 from .geometry import Pose2, Twist2
@@ -36,6 +36,11 @@ class ContactSurface(ABC):
     @property
     def width(self) -> float:
         return self.s_max - self.s_min
+
+    def _check_domain(self) -> None:
+        if not (math.isfinite(self.s_min) and math.isfinite(self.s_max)
+                and self.s_max > self.s_min):
+            raise ValueError("surface domain must be finite with positive width")
 
     def _checked(self, s: float) -> float:
         slack = 1e-9 * self.width
@@ -74,12 +79,13 @@ class CircularArc(ContactSurface):
     def __post_init__(self):
         object.__setattr__(self, "center", np.array(self.center, dtype=float).reshape(2))
         self.center.setflags(write=False)
-        if self.radius <= 0.0:
-            raise ValueError("circular arc radius must be positive")
+        if not (np.all(np.isfinite(self.center)) and math.isfinite(self.reference_angle)):
+            raise ValueError("circular arc center and reference angle must be finite")
+        if not 0.0 < self.radius < math.inf:   # NaN too
+            raise ValueError("circular arc radius must be positive and finite")
         if self.orientation_sign not in (-1, 1):
             raise ValueError("orientation_sign must be +1 or -1")
-        if self.s_max <= self.s_min:
-            raise ValueError("surface domain must have positive width")
+        self._check_domain()
 
     def frame_at(self, s: float) -> Pose2:
         s = self._checked(s)
@@ -92,17 +98,33 @@ class CircularArc(ContactSurface):
         return self.orientation_sign / self.radius
 
 
-def _profile_rhs(s: float, state: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def _polyval(s: float, coeffs: tuple) -> float:
+    """Polynomial with ascending coefficients at s, in plain floats: Horner's
+    rule in the order `numpy.polynomial.polynomial.polyval` evaluates it."""
+    u = coeffs[-1] + s * 0.0
+    for c in coeffs[-2::-1]:
+        u = c + u * s
+    return u
+
+
+def _profile_rhs(s: float, state: tuple, coeffs: tuple) -> tuple:
     theta = state[0]
-    return np.array([npoly.polyval(s, coeffs), math.cos(theta), math.sin(theta)])
+    return _polyval(s, coeffs), math.cos(theta), math.sin(theta)
 
 
-def _rk4_step(s: float, state: np.ndarray, h: float, coeffs: np.ndarray) -> np.ndarray:
+def _rk4_step(s: float, state: tuple, h: float, coeffs: tuple) -> tuple:
+    """One classical RK4 step of (theta, x, y), in plain floats with the
+    operation order of the elementwise array form."""
+    half = 0.5 * h
     k1 = _profile_rhs(s, state, coeffs)
-    k2 = _profile_rhs(s + 0.5 * h, state + 0.5 * h * k1, coeffs)
-    k3 = _profile_rhs(s + 0.5 * h, state + 0.5 * h * k2, coeffs)
-    k4 = _profile_rhs(s + h, state + h * k3, coeffs)
-    return state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = _profile_rhs(s + half, tuple(v + half * k for v, k in zip(state, k1)), coeffs)
+    k3 = _profile_rhs(s + half, tuple(v + half * k for v, k in zip(state, k2)), coeffs)
+    k4 = _profile_rhs(s + h, tuple(v + h * k for v, k in zip(state, k3)), coeffs)
+    sixth = h / 6.0
+    return tuple(
+        v + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+        for v, a, b, c, d in zip(state, k1, k2, k3, k4)
+    )
 
 
 @dataclass(frozen=True)
@@ -125,20 +147,22 @@ class CurvatureProfile(ContactSurface):
         coeffs = np.atleast_1d(np.array(self.curvature_coeffs, dtype=float))
         coeffs.setflags(write=False)
         object.__setattr__(self, "curvature_coeffs", coeffs)
-        if self.s_max <= self.s_min:
-            raise ValueError("surface domain must have positive width")
+        frame = self.reference_frame
+        if not (np.all(np.isfinite(coeffs)) and math.isfinite(frame.angle)
+                and np.all(np.isfinite(frame.translation))):
+            raise ValueError("curvature profile needs finite coefficients and reference frame")
+        self._check_domain()
+        object.__setattr__(self, "_coeffs", tuple(coeffs.tolist()))
         object.__setattr__(self, "_grid", self._integrate_grid())
 
-    def _integrate_grid(self) -> tuple[np.ndarray, np.ndarray]:
+    def _integrate_grid(self) -> tuple[list[float], list[tuple]]:
         # the integration hull always contains 0 where the reference frame sits
         lo = min(0.0, self.s_min)
         hi = max(0.0, self.s_max)
         h_max = self.width / PROFILE_STEPS
-        start = np.array(
-            [self.reference_frame.angle, *self.reference_frame.translation]
-        )
+        start = (self.reference_frame.angle, *self.reference_frame.translation.tolist())
         nodes: list[float] = [0.0]
-        states: list[np.ndarray] = [start]
+        states: list[tuple] = [start]
         for bound, direction in ((hi, 1.0), (lo, -1.0)):
             span = abs(bound)
             if span == 0.0:
@@ -148,25 +172,19 @@ class CurvatureProfile(ContactSurface):
             state = start
             s = 0.0
             for _ in range(count):
-                state = _rk4_step(s, state, h, self.curvature_coeffs)
+                state = _rk4_step(s, state, h, self._coeffs)
                 s += h
                 nodes.append(s)
                 states.append(state)
-        order = np.argsort(nodes)
-        grid_s = np.array(nodes)[order]
-        grid_states = np.array(states)[order]
-        grid_s.setflags(write=False)
-        grid_states.setflags(write=False)
-        return grid_s, grid_states
+        grid = sorted(zip(nodes, states))
+        return [node for node, _ in grid], [state for _, state in grid]
 
-    def _state_at(self, s: float) -> np.ndarray:
+    def _state_at(self, s: float) -> tuple:
         grid_s, grid_states = self._grid
-        idx = int(np.searchsorted(grid_s, s, side="right")) - 1
-        idx = min(max(idx, 0), len(grid_s) - 1)
-        s0 = grid_s[idx]
-        state = grid_states[idx]
+        idx = min(max(bisect.bisect_right(grid_s, s) - 1, 0), len(grid_s) - 1)
+        s0, state = grid_s[idx], grid_states[idx]
         if s != s0:
-            state = _rk4_step(s0, state, s - s0, self.curvature_coeffs)
+            state = _rk4_step(s0, state, s - s0, self._coeffs)
         return state
 
     def frame_at(self, s: float) -> Pose2:
@@ -175,5 +193,4 @@ class CurvatureProfile(ContactSurface):
         return Pose2(theta, (x, y))
 
     def curvature_at(self, s: float) -> float:
-        s = self._checked(s)
-        return float(npoly.polyval(s, self.curvature_coeffs))
+        return _polyval(self._checked(s), self._coeffs)

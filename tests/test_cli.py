@@ -512,3 +512,59 @@ def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):
         summary = (out / f"item_{idx:03d}" / "solution.csv").read_text().strip().splitlines()[-1]
         report = json.loads((out / f"item_{idx:03d}" / "report.json").read_text())
         assert summary.split(",")[-2:] == [f"{v:.12g}" for v in report["lengths_mm"]]
+
+
+def _set_design_value(data, path, value):
+    set_by_path(data, path, value)
+    return data
+
+
+@pytest.mark.parametrize("path, value", [
+    ("links.1.parent_surface.radius", math.nan),
+    ("links.0.child_surface.center.1", math.nan),
+    ("base_pose.translation", [math.inf, 0.0]),
+    ("base_pose.angle", math.nan),
+], ids=["nan_arc_radius", "nan_arc_center", "inf_base_translation", "nan_base_angle"])
+def test_non_finite_design_numbers_exit_with_parse_error(tmp_path, capsys, path, value):
+    # json writes and reads the NaN and Infinity tokens; the design must
+    # still be refused before any solve
+    design = write_json(tmp_path / "d.json",
+                        _set_design_value(design_to_dict(demo_five_link()), path, value))
+    out = tmp_path / "out"
+    assert main(["solve", "--design", design, "--scenario", str(SCENARIOS / "tension_31.json"),
+                 "--out", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "solution.csv").exists()
+
+
+def test_non_finite_results_are_never_written_as_json(tmp_path, monkeypatch, capsys):
+    from rolljoint.errors import NonFiniteResultError
+    from rolljoint.geometry import Pose2
+    from rolljoint.mechanism import MechanismDesign
+
+    report = tmp_path / "report.json"
+    with pytest.raises(NonFiniteResultError):
+        cli._write_report(report, {"final_residual_norm": math.nan})
+    assert not report.exists()
+    design_path = tmp_path / "d.json"
+    unbounded = MechanismDesign(demo_five_link().links, Pose2(0.0, (math.inf, 0.0)))
+    with pytest.raises(NonFiniteResultError):
+        save_design(unbounded, design_path)
+    assert not design_path.exists()
+
+    # a solve whose report would hold NaN fails with exit code 3 and a
+    # strict-JSON failure report, and leaves no solution.csv behind
+    solve = cli._solve_scenario
+
+    def nan_report(design, scenario, init=None):
+        config, tau, extra = solve(design, scenario, init)
+        return config, tau, {**extra, "final_residual_norm": math.nan}
+
+    monkeypatch.setattr(cli, "_solve_scenario", nan_report)
+    out = tmp_path / "out"
+    assert main(["solve", "--design", str(DESIGN), "--scenario",
+                 str(SCENARIOS / "tension_31.json"), "--out", str(out)]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    text = (out / "report.json").read_text()
+    assert "NaN" not in text and json.loads(text)["status"] == "solve_error"
+    assert not (out / "solution.csv").exists()

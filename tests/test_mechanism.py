@@ -5,7 +5,7 @@ import pytest
 
 from rolljoint.catalog import demo_five_link, polynomial_link_chain, standard_link_chain
 from rolljoint.errors import DegenerateTendonError
-from rolljoint.geometry import Pose2
+from rolljoint.geometry import Pose2, coadjoint, compose, cross2, inverse, skew1
 from rolljoint.mechanism import (
     Configuration,
     LinkDesign,
@@ -14,6 +14,7 @@ from rolljoint.mechanism import (
     forward_poses,
     geometry_of,
     joint_geometry,
+    pose_difference,
     tendon_lengths,
     tendon_segment_v,
     tendon_segment_w,
@@ -89,8 +90,8 @@ def test_pose_chain_incremental_consistency(paper5, rng):
     lambda: standard_link_chain(20),
 ], ids=["paper5", "poly3", "chain20"])
 def test_evaluated_poses_equal_forward_poses(make):
-    # chaining the geometry's relative poses is the per-joint pose chain,
-    # bit for bit, and the carried geometry is the per-joint one
+    # chaining the geometry's relative poses is the pose chain, bit for
+    # bit, and the carried geometry is the whole-chain kernel's
     design = make()
     rng = np.random.default_rng(11)
     for _ in range(5):
@@ -105,11 +106,10 @@ def test_evaluated_poses_equal_forward_poses(make):
             assert np.array_equal(pose.translation, ref.translation)
         np.testing.assert_array_equal(config.s, s)
         np.testing.assert_array_equal(config.f, f)
-        for j, geom in enumerate(config.geometry):
-            again = joint_geometry(design, j, s[j])
-            assert geom.relative.angle == again.relative.angle
-            assert np.array_equal(geom.v.vec, again.v.vec)
-            assert np.array_equal(geom.w.d_unit, again.w.d_unit)
+        geom, again = config.geometry, joint_geometry(design, s)
+        assert np.array_equal(geom.relative_angle, again.relative_angle)
+        assert np.array_equal(geom.v.vec, again.v.vec)
+        assert np.array_equal(geom.w.d_unit, again.w.d_unit)
     with pytest.raises(ValueError):
         evaluate(design, np.zeros(design.joint_count + 1), np.zeros((design.joint_count + 1, 2)))
 
@@ -288,7 +288,7 @@ def test_link_entry_point_arrays(paper5):
 ], ids=["residual", "assemble_blocks", "tendon_lengths", "tendon_jacobian"])
 def test_geometry_is_read_from_the_configuration(paper5, joint_geometry_calls, read):
     # a solved configuration carries its geometry; one with poses only gets
-    # it built once, one joint geometry per joint
+    # it built once, by one whole-chain joint_geometry call
     tau = (3.0, 1.0)
     solved, _ = solve_tension(paper5, tau)
     assert geometry_of(paper5, solved) is solved.geometry
@@ -296,4 +296,75 @@ def test_geometry_is_read_from_the_configuration(paper5, joint_geometry_calls, r
     read(paper5, solved, tau)
     assert joint_geometry_calls[0] == 0
     read(paper5, Configuration.from_unknowns(paper5, solved.s, solved.f), tau)
-    assert joint_geometry_calls[0] == paper5.joint_count
+    assert joint_geometry_calls[0] == 1
+
+
+@pytest.mark.parametrize("make", [
+    demo_five_link,
+    lambda: polynomial_link_chain(3),
+    lambda: standard_link_chain(50),
+], ids=["paper5", "poly3", "chain50"])
+def test_stacked_kernel_matches_scalar_primitives(make):
+    # every array of the whole-chain kernel against the per-joint formulas
+    # built from frame_at, compose, inverse and coadjoint
+    design = make()
+    rng = np.random.default_rng(29)
+    tau = np.array([2.5, 1.5])
+    for _ in range(3):
+        s = np.array([rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
+                      for lo, hi in design.domains])
+        f = rng.uniform(-2.0, 2.0, (design.joint_count, 2))
+        config = evaluate(design, s, f)
+        geom = config.geometry
+        rows = residual(design, config, tau, scaled=False)
+        pose = design.base_pose
+        for j in range(design.joint_count):
+            child, parent = design.joint_surfaces(j)
+            t_child, t_parent = child.frame_at(s[j]), parent.frame_at(s[j])
+            relative = compose(t_child, inverse(t_parent))
+            for angle, rot, trans, frame in (
+                (geom.child_angle, geom.child_rotation, geom.child_translation, t_child),
+                (geom.parent_angle, geom.parent_rotation, geom.parent_translation, t_parent),
+                (geom.relative_angle, geom.relative_rotation, geom.relative_translation, relative),
+            ):
+                assert angle[j] == pytest.approx(frame.angle, abs=1e-12)
+                np.testing.assert_allclose(rot[j], frame.rotation, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(trans[j], frame.translation, rtol=1e-12, atol=1e-12)
+            gap = child.curvature_at(s[j]) - parent.curvature_at(s[j])
+            assert geom.curve_gap[j] == pytest.approx(gap, abs=1e-12)
+            pose = compose(pose, relative)
+            assert max(pose_difference(config.poses[j + 1], pose)) < 1e-12
+
+            p_next = design.links[j + 1].parent_points
+            c_here = design.links[j].child_points
+            for side in range(2):
+                v_vec = relative.apply(p_next[side]) - c_here[side]
+                w_vec = inverse(relative).apply(c_here[side]) - p_next[side]
+                v_dvec = skew1(gap) @ relative.rotation @ (p_next[side] - t_parent.translation)
+                w_dvec = (skew1(gap).T @ relative.rotation.T
+                          @ (c_here[side] - t_child.translation))
+                for seg, vec, d_vec in ((geom.v, v_vec, v_dvec), (geom.w, w_vec, w_dvec)):
+                    length = np.linalg.norm(vec)
+                    unit = vec / length
+                    d_unit = (d_vec - unit * (unit @ d_vec)) / length
+                    assert seg.length[j, side] == pytest.approx(length, rel=1e-12)
+                    for got, want in ((seg.vec, vec), (seg.unit, unit), (seg.d_vec, d_vec),
+                                      (seg.d_unit, d_unit)):
+                        np.testing.assert_allclose(got[j, side], want, rtol=1e-12, atol=1e-12)
+
+        # each link's balance from the co-adjoints of its contact frames
+        for k in range(1, design.n):
+            link, here = design.links[k], k - 1
+            parent_frame = design.links[k].parent_surface.frame_at(s[here])
+            row = coadjoint(parent_frame) @ np.array([0.0, *f[here]])
+            for idx, side_tau in enumerate(tau):
+                u = geom.w.unit[here, idx]
+                row += side_tau * np.array([cross2(link.parent_points[idx], u), *u])
+            if k <= design.n - 2:
+                child_frame = link.child_surface.frame_at(s[k])
+                row -= coadjoint(child_frame) @ np.array([0.0, *f[k]])
+                for idx, side_tau in enumerate(tau):
+                    u = geom.v.unit[k, idx]
+                    row += side_tau * np.array([cross2(link.child_points[idx], u), *u])
+            scale = max(1.0, np.abs(row).max())
+            np.testing.assert_allclose(rows[here], row, rtol=0, atol=1e-12 * scale)

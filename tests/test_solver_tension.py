@@ -14,7 +14,7 @@ from rolljoint import solver_tension
 from rolljoint.solver_tension import (
     CONDITION_LIMIT,
     SolverOptions,
-    _checked_inverse,
+    _checked_inverses,
     _clamp_s,
     _equilibrate,
     _equilibrated_solve,
@@ -178,12 +178,17 @@ def test_contact_rolloff_detected():
     assert excinfo.value.configuration is not None
 
 
+def checked_inverse(matrix):
+    """The stacked D-block inverse applied to a stack of one block."""
+    return _checked_inverses(matrix[None], lambda i: "test block")[0]
+
+
 def test_singular_matrix_guards():
     with pytest.raises(SingularBlockError):
-        _checked_inverse(np.zeros((3, 3)), "test block")
+        checked_inverse(np.zeros((3, 3)))
     singular = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]])
     with pytest.raises(SingularBlockError):
-        _checked_inverse(singular, "test block")
+        checked_inverse(singular)
     with pytest.raises(SingularBlockError):
         _equilibrated_solve(singular, np.eye(3), "test system")
 
@@ -200,15 +205,15 @@ def nearly_singular(size, delta):
 def test_condition_check_rejects_just_above_limit(size):
     rhs = np.ones((size, 1))
     above = nearly_singular(size, 3.9e-12)
-    kappa_2 = np.linalg.cond(_equilibrate(above, "test")[0])
+    kappa_2 = np.linalg.cond(_equilibrate(above)[0])
     assert CONDITION_LIMIT < kappa_2 < 1.05 * CONDITION_LIMIT
     with pytest.raises(SingularBlockError):
-        _checked_inverse(above, "test block")
+        checked_inverse(above)
     with pytest.raises(SingularBlockError):
         _equilibrated_solve(above, rhs, "test system")
     # a well-posed but ill-conditioned matrix still passes
     fine = nearly_singular(size, 4e-6)
-    np.testing.assert_allclose(_checked_inverse(fine, "test block") @ fine, np.eye(size), atol=1e-9)
+    np.testing.assert_allclose(checked_inverse(fine) @ fine, np.eye(size), atol=1e-9)
     np.testing.assert_allclose(fine @ _equilibrated_solve(fine, rhs, "test system"), rhs, atol=1e-9)
 
 
@@ -280,16 +285,49 @@ def test_nan_initial_forces_never_converge(paper5):
 
 
 def test_joint_geometry_built_once_per_evaluated_iterate(paper5, joint_geometry_calls):
-    # one geometry per evaluated iterate (the start and every line-search
-    # trial), shared by its residual and its Newton blocks
-    joints = paper5.joint_count
+    # one whole-chain geometry per evaluated iterate (the start and every
+    # line-search trial), shared by its residual and its Newton blocks
     start, _ = solve_tension(paper5, (3.0, 1.0))
     joint_geometry_calls[0] = 0
     _, report = solve_tension(paper5, (3.3, 1.1), init=start)
     assert report.iterations >= 1
-    assert joint_geometry_calls[0] == joints * (1 + report.iterations + report.backtrack_count)
+    assert joint_geometry_calls[0] == 1 + report.iterations + report.backtrack_count
 
     # a cold start adds the contact-force fit of initial_forces
     joint_geometry_calls[0] = 0
     _, report = solve_tension(paper5, (6.0, 3.0))
-    assert joint_geometry_calls[0] == joints * (2 + report.iterations + report.backtrack_count)
+    assert joint_geometry_calls[0] == 2 + report.iterations + report.backtrack_count
+
+
+def test_rejected_interior_d_block_names_its_link(paper5):
+    # the interior D blocks are inverted and checked as one stack; the first
+    # rejected block is reported with its link number
+    from dataclasses import replace
+    from rolljoint.solver_tension import block_solve
+    from rolljoint.statics import assemble_blocks
+
+    config, _ = solve_tension(paper5, (3.0, 1.0))
+    blocks = assemble_blocks(paper5, config, (3.0, 1.0))
+    rhs = np.zeros((len(blocks), 6, 1))
+    rhs[:, 3:, 0] = -blocks.h
+
+    def with_d(index, block, d=None):
+        d = blocks.D.copy() if d is None else d
+        d[index] = block
+        return d
+
+    rank_deficient = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    cases = [
+        (with_d(1, np.zeros((3, 3))), r"singular D block at link 2\b"),
+        (with_d(2, rank_deficient), r"singular D block at link 3\b"),
+        (with_d(0, nearly_singular(3, 1e-13)), r"ill-conditioned D block at link 1\b"),
+        # two rejected blocks: the first one along the chain is named
+        (with_d(0, nearly_singular(3, 1e-13), with_d(2, np.zeros((3, 3)))),
+         r"ill-conditioned D block at link 1\b"),
+    ]
+    for d_blocks, message in cases:
+        with pytest.raises(SingularBlockError, match=message):
+            block_solve(replace(blocks, D=d_blocks), rhs)
+    # the tip block is the identity by convention and never inverted
+    etas, _, inversions = block_solve(replace(blocks, D=with_d(3, np.zeros((3, 3)))), rhs)
+    assert inversions == paper5.n - 2 and np.all(np.isfinite(etas))

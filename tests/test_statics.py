@@ -76,13 +76,14 @@ def test_direction_derivatives_match_finite_differences(poly3, rng):
     for _ in range(20):
         s = rng.uniform(-4, 4, poly3.joint_count)
         h = 1e-6
-        for j in range(poly3.joint_count):
-            geom = joint_geometry(poly3, j, s[j])
-            up = joint_geometry(poly3, j, s[j] + h)
-            dn = joint_geometry(poly3, j, s[j] - h)
-            for seg, seg_up, seg_dn in ((geom.v, up.v, dn.v), (geom.w, up.w, dn.w)):
-                fd = (seg_up.unit - seg_dn.unit) / (2 * h)
-                worst = max(worst, np.abs(fd - seg.d_unit).max())
+        # each joint's geometry depends on its own s_j only, so one shift of
+        # every s_j differentiates all joints at once
+        geom = joint_geometry(poly3, s)
+        up = joint_geometry(poly3, s + h)
+        dn = joint_geometry(poly3, s - h)
+        for seg, seg_up, seg_dn in ((geom.v, up.v, dn.v), (geom.w, up.w, dn.w)):
+            fd = (seg_up.unit - seg_dn.unit) / (2 * h)
+            worst = max(worst, np.abs(fd - seg.d_unit).max())
     assert worst < 1e-5
 
 
@@ -91,10 +92,9 @@ def test_direction_derivative_is_orthogonal_to_unit_vector(paper5, rng):
     for _ in range(10):
         s = rng.uniform(-6, 6, 4)
         config = Configuration.from_unknowns(paper5, s, np.zeros((4, 2)))
-        for k in range(4):
-            geom = joint_geometry(paper5, k, config.s[k])
-            for seg in (geom.v, geom.w):
-                assert np.abs(np.einsum("si,si->s", seg.unit, seg.d_unit)).max() < 1e-12
+        geom = joint_geometry(paper5, config.s)
+        for seg in (geom.v, geom.w):
+            assert np.abs(np.einsum("jsi,jsi->js", seg.unit, seg.d_unit)).max() < 1e-12
 
 
 def test_equal_curvature_pair_has_zero_direction_derivative():
@@ -106,7 +106,7 @@ def test_equal_curvature_pair_has_zero_direction_derivative():
         LinkDesign("b", parent, None, (-7, -5), (7, -5), (-7, 5), (7, 5)),
     )
     design = MechanismDesign(links, Pose2.identity())
-    geom = joint_geometry(design, 0, 1.3)
+    geom = joint_geometry(design, [1.3])
     np.testing.assert_allclose(geom.v.d_unit, 0.0, atol=1e-14)
     np.testing.assert_allclose(geom.v.d_vec, 0.0, atol=1e-14)
 

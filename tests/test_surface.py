@@ -139,3 +139,60 @@ def test_bad_surface_parameters_rejected():
                     orientation_sign=2, s_min=0.0, s_max=1.0)
     with pytest.raises(ValueError):
         make_profile(half=-1.0)
+
+
+@pytest.mark.parametrize("params", [
+    dict(radius=math.nan),
+    dict(radius=math.inf),
+    dict(center=(math.nan, 0.0)),
+    dict(center=(0.0, math.inf)),
+    dict(reference_angle=math.nan),
+    dict(s_max=math.inf),
+    dict(s_min=math.nan),
+], ids=["nan_radius", "inf_radius", "nan_center", "inf_center", "nan_angle",
+        "inf_domain", "nan_domain"])
+def test_non_finite_arc_parameters_rejected(params):
+    arc = dict(center=(0.0, 0.0), radius=1.0, reference_angle=0.0,
+               orientation_sign=1, s_min=0.0, s_max=1.0)
+    with pytest.raises(ValueError):
+        CircularArc(**{**arc, **params})
+
+
+@pytest.mark.parametrize("params", [
+    dict(curvature_coeffs=(0.02, math.nan)),
+    dict(reference_frame=Pose2(math.nan, (0.0, 0.0))),
+    dict(reference_frame=Pose2(0.0, (math.inf, 0.0))),
+    dict(s_max=math.inf),
+], ids=["nan_coeff", "nan_angle", "inf_translation", "inf_domain"])
+def test_non_finite_profile_parameters_rejected(params):
+    profile = dict(reference_frame=Pose2(0.0, (0.0, 0.0)), curvature_coeffs=(0.02,),
+                   s_min=-1.0, s_max=1.0)
+    with pytest.raises(ValueError):
+        CurvatureProfile(**{**profile, **params})
+
+
+def test_profile_frames_follow_the_array_rk4_step():
+    # the plain-float integrator keeps the operation order of the array
+    # form it replaced: one RK4 step of the same ODE in numpy arrays
+    coeffs = (0.02, 0.003, -4e-4)
+    surf = make_profile(coeffs)
+
+    def rhs(s, state):
+        return np.array([np.polynomial.polynomial.polyval(s, coeffs),
+                         math.cos(state[0]), math.sin(state[0])])
+
+    grid_s, grid_states = surf._grid
+    rng = np.random.default_rng(4)
+    for s in rng.uniform(-6.0, 6.0, 50):
+        idx = max(i for i, node in enumerate(grid_s) if node <= s)
+        s0, state = grid_s[idx], np.array(grid_states[idx])
+        h = s - s0
+        k1 = rhs(s0, state)
+        k2 = rhs(s0 + 0.5 * h, state + 0.5 * h * k1)
+        k3 = rhs(s0 + 0.5 * h, state + 0.5 * h * k2)
+        k4 = rhs(s0 + h, state + h * k3)
+        expected = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        frame = surf.frame_at(float(s))
+        assert frame.angle == expected[0]
+        assert np.array_equal(frame.translation, expected[1:])
+        assert surf.curvature_at(float(s)) == np.polynomial.polynomial.polyval(s, coeffs)
