@@ -215,7 +215,9 @@ def initial_forces(design: MechanismDesign, s: np.ndarray, tau, loads=()) -> np.
     config = evaluate(design, s, np.zeros((joints, 2)))
     blocks = assemble_blocks(design, config, tau, loads)
     scale = np.array([1.0 / design.characteristic_length, 1.0, 1.0])
-    # link i's rows hold joint i's force columns (E) and joint i+1's (D)
+    # link i's rows hold joint i's force columns (E) and joint i+1's (D);
+    # adding into zeros turns -0.0 entries into +0.0, and lstsq's Householder
+    # steps read the signs of zeros
     coeff = np.zeros((joints, 3, joints, 2))
     links = np.arange(joints)
     coeff[links, :, links] += blocks.E[:, :, 1:] * scale[:, None]

@@ -113,8 +113,9 @@ def _profile_rhs(s: float, state: tuple, coeffs: tuple) -> tuple:
 
 
 def _rk4_step(s: float, state: tuple, h: float, coeffs: tuple) -> tuple:
-    """One classical RK4 step of (theta, x, y), in plain floats with the
-    operation order of the elementwise array form."""
+    """One classical RK4 step of (theta, x, y) in plain floats, each
+    component evaluated as state + h/6 (k1 + 2 k2 + 2 k3 + k4) left to
+    right."""
     half = 0.5 * h
     k1 = _profile_rhs(s, state, coeffs)
     k2 = _profile_rhs(s + half, tuple(v + half * k for v, k in zip(state, k1)), coeffs)
