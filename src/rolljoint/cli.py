@@ -62,39 +62,20 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def _solution_rows(config: Configuration, lengths):
-    rows = []
-    for k, pose in enumerate(config.poses):
-        row = {
-            "link_index": str(k + 1),
-            "x_mm": _fmt(pose.translation[0]),
-            "y_mm": _fmt(pose.translation[1]),
-            "theta_rad": _fmt(pose.angle),
-            "s_mm": _fmt(config.s[k - 1]) if k >= 1 else "",
-            "f_x_N": _fmt(config.f[k - 1][0]) if k >= 1 else "",
-            "f_y_N": _fmt(config.f[k - 1][1]) if k >= 1 else "",
-            "l_left_mm": "",
-            "l_right_mm": "",
-        }
-        rows.append(row)
-    rows.append({
-        "link_index": "summary",
-        "x_mm": "", "y_mm": "", "theta_rad": "", "s_mm": "",
-        "f_x_N": "", "f_y_N": "",
-        "l_left_mm": _fmt(lengths[0]),
-        "l_right_mm": _fmt(lengths[1]),
-    })
-    return rows
-
-
 CSV_COLUMNS = ("link_index", "x_mm", "y_mm", "theta_rad", "s_mm",
                "f_x_N", "f_y_N", "l_left_mm", "l_right_mm")
 
 
 def write_solution_csv(path: Path, config: Configuration, lengths) -> None:
+    """One row per link (its pose, then the contact parameter and force of
+    the joint below it, blank on the base link) and a summary row of the
+    tendon lengths; cells a row has no value for stay blank."""
     lines = [",".join(CSV_COLUMNS)]
-    for row in _solution_rows(config, lengths):
-        lines.append(",".join(row[c] for c in CSV_COLUMNS))
+    for k, pose in enumerate(config.poses):
+        joint = [config.s[k - 1], *config.f[k - 1]] if k else []
+        cells = [str(k + 1), *map(_fmt, [*pose.translation, pose.angle, *joint])]
+        lines.append(",".join(cells + [""] * (len(CSV_COLUMNS) - len(cells))))
+    lines.append(",".join(["summary", *[""] * 6, *map(_fmt, lengths)]))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -144,8 +125,7 @@ def _solve_scenario(design: MechanismDesign, scenario: Scenario,
     """Returns (config, tau, report dict)."""
     if scenario.mode == "tension":
         config, rep = solve_tension(
-            design, scenario.tau, scenario.loads, init=init,
-            opts=scenario.solver_options,
+            design, scenario.tau, scenario.loads, init=init, opts=scenario.solver.inner,
         )
         extra = {
             "converged": rep.converged,
@@ -157,7 +137,7 @@ def _solve_scenario(design: MechanismDesign, scenario: Scenario,
         return config, np.asarray(scenario.tau), extra
     tau, config, rep = solve_displacement(
         design, scenario.lengths, scenario.loads,
-        tau_init=scenario.tau_init, opts=scenario.displacement_options, init=init,
+        tau_init=scenario.tau_init, opts=scenario.solver, init=init,
     )
     extra = {
         "converged": rep.converged,
@@ -216,13 +196,14 @@ def _write_failure(out_dir: Path, scenario: Scenario, status: str, message: str)
 
 
 def _scenario_with_flags(scenario: Scenario, args) -> Scenario:
-    solver = scenario.solver_options
+    """The scenario with `--tol` and `--max-iters` applied to its tension
+    settings."""
+    inner = scenario.solver.inner
     if args.tol is not None:
-        solver = replace(solver, tol_residual=args.tol)
+        inner = replace(inner, tol_residual=args.tol)
     if args.max_iters is not None:
-        solver = replace(solver, max_iters=args.max_iters)
-    disp = replace(scenario.displacement_options, inner=solver)
-    return replace(scenario, solver_options=solver, displacement_options=disp)
+        inner = replace(inner, max_iters=args.max_iters)
+    return replace(scenario, solver=replace(scenario.solver, inner=inner))
 
 
 def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
@@ -232,17 +213,17 @@ def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
         prev_config, prev_tau = previous
         try:
             if scenario.mode == "tension":
-                # keep the previous geometry but refit forces to the new
-                # inputs; the stale forces of a different tension level
-                # mislead Newton
+                # keep the previous contact points but refit forces to the
+                # new inputs on the geometry the previous solve returned;
+                # the stale forces of a different tension level mislead Newton
                 init = Configuration.from_unknowns(
                     design, prev_config.s,
-                    initial_forces(design, prev_config.s, scenario.tau, scenario.loads),
+                    initial_forces(design, prev_config, scenario.tau, scenario.loads),
                 )
                 return _solve_scenario(design, scenario, init=init)
             # the previous configuration balances the previous tensions,
             # which are also the first tensions of this item's search
-            floor = scenario.displacement_options.tension_floor
+            floor = scenario.solver.tension_floor
             warm = replace(scenario, tau_init=np.maximum(prev_tau, floor))
             return _solve_scenario(design, warm, init=prev_config)
         except RolljointError:

@@ -38,6 +38,15 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _whole(mapping: dict, key: str, where: str) -> int:
+    """A required integer field; a bool or a fractional number is refused,
+    not truncated."""
+    value = _require(mapping, key, where)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ParseError(f"bad {where}: {key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _finite(value, what: str) -> np.ndarray:
     """Scenario numbers as floats; NaN and infinities are refused here, since
     the solvers cannot tell them from a converged state."""
@@ -71,7 +80,7 @@ def _surface_from_dict(data: Optional[dict], where: str) -> Optional[ContactSurf
             center=_require(data, "center", where),
             radius=float(_require(data, "radius", where)),
             reference_angle=float(_require(data, "reference_angle", where)),
-            orientation_sign=int(_require(data, "orientation_sign", where)),
+            orientation_sign=_whole(data, "orientation_sign", where),
             s_min=float(lo),
             s_max=float(hi),
         )
@@ -178,21 +187,24 @@ def save_design(design: MechanismDesign, path) -> None:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One actuation case: mode plus its inputs, loads and solver options."""
+    """One actuation case: mode plus its inputs, loads and solver options.
+
+    `solver` holds the file's one `solver` block: the displacement settings,
+    with the tension settings in its `inner`, which tension items and the
+    inner solves of displacement items both solve with."""
 
     mode: str                       # "tension" or "displacement"
     tau: Optional[np.ndarray] = None
     lengths: Optional[np.ndarray] = None
     tau_init: np.ndarray = field(default_factory=lambda: np.array([1.0, 1.0]))
     loads: tuple[ExternalLoad, ...] = ()
-    solver_options: SolverOptions = field(default_factory=SolverOptions)
-    displacement_options: DisplacementOptions = field(default_factory=DisplacementOptions)
+    solver: DisplacementOptions = field(default_factory=DisplacementOptions)
 
 
 def _load_from_dict(entry: dict, index: int) -> ExternalLoad:
     where = f"load {index}"
     variant = _require(entry, "variant", where)
-    target = int(_require(entry, "target_link", where))
+    target = _whole(entry, "target_link", where)
     if target < 1:
         raise ParseError(f"{where}: target_link is 1-based and must be >= 1")
     force = _finite(entry.get("force", (0.0, 0.0)), f"{where} force")
@@ -252,14 +264,12 @@ def scenario_from_dict(data: dict) -> Scenario:
     if unknown:
         raise ParseError(f"unknown solver options {sorted(unknown)}")
     try:
-        solver_options = SolverOptions(
-            **{k: v for k, v in overrides.items() if k in _SOLVER_KEYS})
-        displacement_options = DisplacementOptions(
-            inner=solver_options,
+        solver = DisplacementOptions(
+            inner=SolverOptions(**{k: v for k, v in overrides.items() if k in _SOLVER_KEYS}),
             **{k: v for k, v in overrides.items() if k in _DISPLACEMENT_KEYS})
     except (TypeError, ValueError) as exc:
         raise ParseError(f"bad solver options: {exc}") from exc
-    floor = displacement_options.tension_floor
+    floor = solver.tension_floor
     if mode == "displacement" and (tau_init.shape != (2,) or np.any(tau_init < floor)):
         raise ParseError(f"displacement mode needs two initial tensions of at least {floor} N")
 
@@ -269,8 +279,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         lengths=lengths,
         tau_init=tau_init,
         loads=loads,
-        solver_options=solver_options,
-        displacement_options=displacement_options,
+        solver=solver,
     )
 
 

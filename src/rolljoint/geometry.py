@@ -10,7 +10,8 @@ with moment m [N mm] and force f [N].  The planar "hat" of a scalar w is the
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,19 +60,22 @@ def _frozen_vec2(value) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Pose2:
-    """Planar rigid transform; rotation stored as an angle, with its
-    read-only matrix computed once per pose."""
+    """Planar rigid transform stored as an angle and a translation; the
+    read-only rotation matrix is built on its first read, so a pose read
+    only for its angle and translation never builds one."""
 
     angle: float
     translation: np.ndarray
-    rotation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "angle", float(self.angle))
         object.__setattr__(self, "translation", _frozen_vec2(self.translation))
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
         rotation = rot2(self.angle)
         rotation.setflags(write=False)
-        object.__setattr__(self, "rotation", rotation)
+        return rotation
 
     @staticmethod
     def identity() -> "Pose2":

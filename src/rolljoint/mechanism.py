@@ -174,12 +174,9 @@ class Configuration:
     geometry: Optional["JointGeometry"] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        s = np.array(self.s, dtype=float).reshape(-1)
-        f = np.array(self.f, dtype=float).reshape(len(s), 2)
-        s.setflags(write=False)
-        f.setflags(write=False)
+        s = _frozen(self.s).reshape(-1)
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "f", _frozen(self.f).reshape(len(s), 2))
         object.__setattr__(self, "poses", tuple(self.poses))
 
     @staticmethod

@@ -6,7 +6,9 @@ unknowns past the tip), solves it, back-substitutes for every joint update
 and applies a backtracking line search on the scaled residual norm.
 Interior links cost one 3x3 inversion each, all taken in one stacked
 `np.linalg.inv`; the boundary solve is the only 6x6 operation, and only the
-6x6 products of the recursion run link by link.
+6x6 products of the recursion run link by link.  Every evaluated iterate
+builds its joint geometry once: a cold solve evaluates its start at the
+mating-domain midpoints and fits the contact forces on that evaluation.
 
 Each D block and the boundary system is equilibrated (one row/column
 max-abs pass) into B and rejected when its 1-norm condition number
@@ -19,7 +21,7 @@ chain is named in the SingularBlockError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -204,16 +206,18 @@ def newton_step(
     )
 
 
-def initial_forces(design: MechanismDesign, s: np.ndarray, tau, loads=()) -> np.ndarray:
-    """Least-squares contact forces for fixed contact points.
+def initial_forces(design: MechanismDesign, config: Configuration, tau, loads=()) -> np.ndarray:
+    """Least-squares contact forces at the contact points of `config`.
 
     The balance is affine in the contact forces, so this is one small linear
     least-squares fit.  Starting Newton from all-zero forces instead puts the
     iterate on a nearly singular manifold where the first step degenerates.
+    The fit reads the configuration's geometry and poses, which depend on s
+    alone, with its forces set to zero; an evaluated configuration is
+    therefore fitted without building its geometry again.
     """
     joints = design.joint_count
-    config = evaluate(design, s, np.zeros((joints, 2)))
-    blocks = assemble_blocks(design, config, tau, loads)
+    blocks = assemble_blocks(design, replace(config, f=np.zeros((joints, 2))), tau, loads)
     scale = np.array([1.0 / design.characteristic_length, 1.0, 1.0])
     # link i's rows hold joint i's force columns (E) and joint i+1's (D);
     # adding into zeros turns -0.0 entries into +0.0, and lstsq's Householder
@@ -253,17 +257,16 @@ def solve_tension(
         raise ValueError("tendon tensions must be two finite positive values")
     check_targets(loads, design.n)
 
-    if init is not None:
-        s, f = _clamp_s(design, np.array(init.s, dtype=float))[0], init.f
-    else:
-        # contact points at the mating-domain midpoints, forces from the fit
-        s = design.joint_midpoints()
-        f = initial_forces(design, s, tau, loads)
     # each evaluated iterate's joint geometry is built once and shared by
     # its residual, its Newton blocks once accepted, and the caller
     # (carried on the returned configuration)
-    config = evaluate(design, s, f)
-    s, f = config.s, config.f
+    if init is not None:
+        config = evaluate(design, _clamp_s(design, np.array(init.s, dtype=float))[0], init.f)
+    else:
+        # contact points at the mating-domain midpoints, forces from the
+        # fit on that same evaluation
+        config = evaluate(design, design.joint_midpoints(), np.zeros((design.joint_count, 2)))
+        config = replace(config, f=initial_forces(design, config, tau, loads))
 
     history: list[float] = []
     clamped_all: set[int] = set()
@@ -299,9 +302,8 @@ def solve_tension(
         scale = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
-            s_trial, clamped = _clamp_s(design, s + scale * step.ds)
-            f_trial = f + scale * step.df
-            trial = evaluate(design, s_trial, f_trial)
+            s_trial, clamped = _clamp_s(design, config.s + scale * step.ds)
+            trial = evaluate(design, s_trial, config.f + scale * step.df)
             rows_trial = residual(design, trial, tau, loads)
             trial_2 = residual_norm(rows_trial, 2)
             if trial_2 < norm_2 or trial_2 <= opts.tol_residual:
@@ -310,7 +312,7 @@ def solve_tension(
             scale *= BACKTRACK_FACTOR
             backtracks += 1
         if not accepted:
-            pinned = _pinned_joints(design, s)
+            pinned = _pinned_joints(design, config.s)
             if pinned:
                 raise ContactRolloffError(
                     f"stalled with contact pinned at a domain boundary "
@@ -323,12 +325,12 @@ def solve_tension(
                 report=report(False),
                 configuration=config,
             )
-        s, f, config, rows = s_trial, f_trial, trial, rows_trial
+        config, rows = trial, rows_trial
         clamped_all.update(clamped)
         norm_inf = residual_norm(rows, np.inf)
         history.append(norm_inf)
 
-    pinned = _pinned_joints(design, s)
+    pinned = _pinned_joints(design, config.s)
     if pinned:
         raise ContactRolloffError(
             f"converged with contact at domain boundary for joints {pinned}",

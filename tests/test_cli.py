@@ -291,15 +291,28 @@ def test_bad_displacement_scenario_exits_with_parse_error(tmp_path, capsys, actu
     assert "Traceback" not in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("design, sweep", [
-    (None, ["actuation.tau", [[3.0, 1.0]]]),
-    (None, {"parameter": "loads.3.force.0", "values": [1.0]}),
-    (None, {"parameter": "actuation.tau.5", "values": [1.0]}),
-    ({"links": [1, 2]}, None),
-    ({**design_to_dict(demo_five_link()), "base_pose": {"angle": "x"}}, None),
-], ids=["sweep_list", "sweep_load_index", "sweep_tau_index", "design_link_not_object",
-        "design_pose_angle"])
-def test_malformed_file_structure_exits_with_parse_error(tmp_path, capsys, design, sweep):
+def _set_design_value(data, path, value):
+    set_by_path(data, path, value)
+    return data
+
+
+@pytest.mark.parametrize("design, sweep, field", [
+    (None, ["actuation.tau", [[3.0, 1.0]]], None),
+    (None, {"parameter": "loads.3.force.0", "values": [1.0]}, None),
+    (None, {"parameter": "actuation.tau.5", "values": [1.0]}, None),
+    # integer fields are never truncated: link 4.7 is not link 4, and true
+    # is not link 1 (the fixed base, whose loads are ignored)
+    (None, {"parameter": "loads.0.target_link", "values": [4.7]}, "target_link"),
+    (None, {"parameter": "loads.0.target_link", "values": [True]}, "target_link"),
+    ({"links": [1, 2]}, None, None),
+    ({**design_to_dict(demo_five_link()), "base_pose": {"angle": "x"}}, None, None),
+    # a fractional sign would otherwise be truncated to +1 and pass verify
+    (_set_design_value(design_to_dict(demo_five_link()),
+                       "links.1.parent_surface.orientation_sign", 1.9), None, "orientation_sign"),
+], ids=["sweep_list", "sweep_load_index", "sweep_tau_index", "sweep_fractional_target_link",
+        "sweep_bool_target_link", "design_link_not_object", "design_pose_angle",
+        "design_fractional_orientation_sign"])
+def test_malformed_file_structure_exits_with_parse_error(tmp_path, capsys, design, sweep, field):
     # design cases run `verify`, sweep cases `sweep` on the shipped design
     if design is not None:
         argv = ["verify", "--design", write_json(tmp_path / "d.json", design)]
@@ -309,7 +322,9 @@ def test_malformed_file_structure_exits_with_parse_error(tmp_path, capsys, desig
         argv = ["sweep", "--design", str(DESIGN), "--scenario", scenario,
                 "--sweep", write_json(tmp_path / "w.json", sweep), "--out", str(tmp_path / "o")]
     assert main(argv) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert field is None or field in err
 
 
 def test_scenario_solver_keys_match_option_fields():
@@ -493,6 +508,22 @@ def test_sweep_item_lengths_build_no_geometry(tmp_path, monkeypatch, joint_geome
     assert built == [0, 0, 0]
 
 
+def test_sweep_builds_one_geometry_per_residual(tmp_path, monkeypatch, joint_geometry_calls):
+    # the cold first item fits its forces on its start iterate's geometry and
+    # each warm item on the geometry the previous item's solve returned, so
+    # every geometry the sweep builds is one evaluated iterate's
+    from conftest import count_calls
+    from rolljoint.statics import residual
+
+    residual_calls = count_calls(monkeypatch, residual)
+    assert main(["sweep", "--design", str(DESIGN),
+                 "--scenario", str(SCENARIOS / "tension_31.json"),
+                 "--sweep", str(SCENARIOS / "sweep_fig3.json"),
+                 "--out", str(tmp_path / "sweep")]) == 0
+    assert residual_calls[0] > 3
+    assert joint_geometry_calls[0] == residual_calls[0]
+
+
 def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):
     # solution.csv and report.json of an item share one tendon_lengths call
     calls = []
@@ -512,11 +543,6 @@ def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):
         summary = (out / f"item_{idx:03d}" / "solution.csv").read_text().strip().splitlines()[-1]
         report = json.loads((out / f"item_{idx:03d}" / "report.json").read_text())
         assert summary.split(",")[-2:] == [f"{v:.12g}" for v in report["lengths_mm"]]
-
-
-def _set_design_value(data, path, value):
-    set_by_path(data, path, value)
-    return data
 
 
 @pytest.mark.parametrize("path, value", [

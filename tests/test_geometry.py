@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from rolljoint.geometry import (
     Pose2,
@@ -29,6 +30,26 @@ def test_pose_rotation_is_stored_read_only(rng):
         assert np.array_equal(pose.rotation, [[c, -s], [s, c]])
         assert pose.rotation is pose.rotation
         assert not pose.rotation.flags.writeable
+
+
+def test_pose_rotation_built_on_first_read(rng):
+    import dataclasses
+
+    from rolljoint.geometry import rot2
+
+    for _ in range(20):
+        pose = random_pose(rng)
+        twin = Pose2(pose.angle, pose.translation)
+        assert "rotation" not in vars(pose)
+        rotation = pose.rotation
+        assert "rotation" in vars(pose) and pose.rotation is rotation
+        assert np.array_equal(rotation, rot2(pose.angle))
+        assert not rotation.flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pose.rotation = np.eye(2)
+        # the matrix is no field: equality and repr ignore whether it was read
+        assert [f.name for f in dataclasses.fields(pose)] == ["angle", "translation"]
+        assert repr(pose) == repr(twin) and "rotation" not in vars(twin)
 
 
 def test_compose_identity():

@@ -293,10 +293,11 @@ def test_joint_geometry_built_once_per_evaluated_iterate(paper5, joint_geometry_
     assert report.iterations >= 1
     assert joint_geometry_calls[0] == 1 + report.iterations + report.backtrack_count
 
-    # a cold start adds the contact-force fit of initial_forces
+    # a cold start fits its contact forces on the geometry of its start
+    # iterate, so the fit builds none of its own
     joint_geometry_calls[0] = 0
     _, report = solve_tension(paper5, (6.0, 3.0))
-    assert joint_geometry_calls[0] == 2 + report.iterations + report.backtrack_count
+    assert joint_geometry_calls[0] == 1 + report.iterations + report.backtrack_count
 
 
 def test_rejected_interior_d_block_names_its_link(paper5):
