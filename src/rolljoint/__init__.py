@@ -37,7 +37,6 @@ from .geometry import (
     compose,
     exp_twist,
     inverse,
-    transform_wrench,
 )
 from .loads import ConstantBody, ConstantWorkspace, ExternalLoad, LinearSpring
 from .mechanism import (
@@ -65,7 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     # geometry
     "Pose2", "Twist2", "Wrench2", "compose", "inverse", "exp_twist",
-    "adjoint", "coadjoint", "coadjoint_small", "transform_wrench",
+    "adjoint", "coadjoint", "coadjoint_small",
     # surfaces
     "ContactSurface", "CircularArc", "CurvatureProfile",
     # mechanism

@@ -216,10 +216,8 @@ def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
                 # keep the previous contact points but refit forces to the
                 # new inputs on the geometry the previous solve returned;
                 # the stale forces of a different tension level mislead Newton
-                init = Configuration.from_unknowns(
-                    design, prev_config.s,
-                    initial_forces(design, prev_config, scenario.tau, scenario.loads),
-                )
+                init = replace(prev_config, f=initial_forces(
+                    design, prev_config, scenario.tau, scenario.loads))
                 return _solve_scenario(design, scenario, init=init)
             # the previous configuration balances the previous tensions,
             # which are also the first tensions of this item's search

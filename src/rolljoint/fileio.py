@@ -185,7 +185,7 @@ def save_design(design: MechanismDesign, path) -> None:
     Path(path).write_text(strict_json(design_to_dict(design), indent=2) + "\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One actuation case: mode plus its inputs, loads and solver options.
 

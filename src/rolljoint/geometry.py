@@ -58,7 +58,7 @@ def _frozen_vec2(value) -> np.ndarray:
     return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose2:
     """Planar rigid transform stored as an angle and a translation; the
     read-only rotation matrix is built on its first read, so a pose read
@@ -93,7 +93,7 @@ class Pose2:
         return self.rotation @ np.asarray(point, dtype=float) + self.translation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Twist2:
     """Spatial velocity (w, v); for arc-length surface frames w is the curvature."""
 
@@ -108,7 +108,7 @@ class Twist2:
         return np.array([self.w, self.v[0], self.v[1]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Wrench2:
     """Spatial load (m, f): moment plus planar force, in one chosen frame."""
 
@@ -175,11 +175,3 @@ def coadjoint_small(xi: Twist2) -> np.ndarray:
     out[0, 1:] = -skew2(xi.v)
     out[1:, 1:] = skew1(xi.w)
     return out
-
-
-def transform_wrench(pose: Pose2, wrench: Wrench2) -> Wrench2:
-    """Re-express a wrench given in the child frame of `pose` in its parent frame."""
-    force = pose.rotation @ wrench.f
-    moment = wrench.m + cross2(pose.translation, force)
-    return Wrench2(moment, force)
-

@@ -15,7 +15,7 @@ from .errors import InvalidLoadError
 from .geometry import Pose2, Wrench2, cross2, skew2, _frozen_vec2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExternalLoad:
     target_link: int
 
@@ -26,7 +26,7 @@ class ExternalLoad:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantBody(ExternalLoad):
     """Wrench fixed in the link's own frame (covers the unloaded case)."""
 
@@ -41,7 +41,7 @@ class ConstantBody(ExternalLoad):
         return np.zeros((3, 3))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConstantWorkspace(ExternalLoad):
     """Wrench fixed in the world frame, acting at a body-fixed point `attach`
     (defaults to the body origin); covers gravity-style pulls."""
@@ -70,7 +70,7 @@ class ConstantWorkspace(ExternalLoad):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearSpring(ExternalLoad):
     """Linear spring from the link origin to a fixed world anchor."""
 

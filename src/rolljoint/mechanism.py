@@ -5,14 +5,16 @@ relative poses and tendon gap segments (with their s-derivatives) are
 computed: one struct-of-arrays evaluation of the whole chain per iterate,
 with a leading joint axis (row j is joint j) and, for the segments, the
 left/right side as the next axis (column i is SIDES[i]).  Each mating
-surface is looked up once per iterate through its `frame_at`.  `evaluate`
-builds it once for an iterate (s, f), chains the link poses from its
-relative poses with a running angle sum and a batched rotation of the
-relative translations, and returns it with the configuration, so the
-geometry travels with the configuration and belongs to the design that
-evaluated it.  `geometry_of` is the one reader: the tendon views and
-lengths here, the force balance in `statics` and the displacement solver's
-Jacobian all take the geometry from the configuration through it.
+surface is looked up once per iterate through its `frame_at`.
+`forward_poses` is the one pose chain: a running angle sum of the relative
+poses and a batched rotation of the relative translations.
+
+`evaluate(design, s, f)` is the one constructor of a `Configuration`: it
+builds the geometry once and chains the poses from it, so every
+configuration is an evaluated iterate that carries its geometry (read as
+`config.geometry` by the tendon lengths here, the force balance in
+`statics` and the displacement solver's Jacobian) and belongs to the design
+that evaluated it.  `Configuration.from_unknowns` is the same call.
 
 Indexing: links are stored 0-based; joint j couples the child surface of
 link j with the parent surface of link j+1 and carries one contact arc
@@ -31,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateTendonError
-from .geometry import Pose2, compose, inverse, matvec, rot2_stack, _frozen_vec2
+from .geometry import Pose2, matvec, rot2_stack, _frozen_vec2
 from .surface import ContactSurface
 
 SIDES = ("l", "r")
@@ -40,7 +42,7 @@ SIDES = ("l", "r")
 MIN_SEGMENT_LENGTH = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkDesign:
     """One rigid link: optional parent/child rolling surfaces plus the four
     tendon entry points (parent side p_l/p_r, child side c_l/c_r), all in the
@@ -54,8 +56,8 @@ class LinkDesign:
     p_r: np.ndarray
     c_l: np.ndarray
     c_r: np.ndarray
-    parent_points: np.ndarray = field(init=False, repr=False, compare=False)
-    child_points: np.ndarray = field(init=False, repr=False, compare=False)
+    parent_points: np.ndarray = field(init=False, repr=False)
+    child_points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for attr in ("p_l", "p_r", "c_l", "c_r"):
@@ -67,7 +69,7 @@ class LinkDesign:
             object.__setattr__(self, attr, points)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MechanismDesign:
     """Ordered chain of links with a fixed base pose.
 
@@ -159,19 +161,17 @@ def _mean_link_extent(links) -> float:
     return float(np.mean(extents))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Configuration:
-    """Value snapshot of the mechanism state: contact arc lengths s (n-1,),
-    contact forces f (n-1, 2) and link poses (n,) consistent with s, plus
-    the `JointGeometry` when `evaluate` built it.  That geometry travels
-    with the configuration and belongs to the design that evaluated it; read
-    it through `geometry_of`, which builds it when it is absent
-    (`from_unknowns` chains the poses only)."""
+    """One evaluated iterate: contact arc lengths s (n-1,), contact forces
+    f (n-1, 2), the link poses (n,) chained from s, and the `JointGeometry`
+    at s.  `evaluate` builds it; the geometry travels with the configuration
+    and belongs to the design that evaluated it."""
 
     s: np.ndarray
     f: np.ndarray
     poses: tuple[Pose2, ...]
-    geometry: Optional["JointGeometry"] = field(default=None, compare=False, repr=False)
+    geometry: "JointGeometry" = field(repr=False)
 
     def __post_init__(self):
         s = _frozen(self.s).reshape(-1)
@@ -181,76 +181,15 @@ class Configuration:
 
     @staticmethod
     def from_unknowns(design: MechanismDesign, s, f) -> "Configuration":
-        return Configuration(s, f, forward_poses(design, s))
-
-
-def joint_relative_pose(design: MechanismDesign, j: int, s_j: float) -> Pose2:
-    """Pose of link j+1 expressed in link j's frame at contact arc length s_j
-    (the scalar form of `JointGeometry.relative_*`)."""
-    child, parent = design.joint_surfaces(j)
-    return compose(child.frame_at(s_j), inverse(parent.frame_at(s_j)))
-
-
-def _contact_parameters(design: MechanismDesign, s) -> np.ndarray:
-    s = np.asarray(s, dtype=float)
-    if s.shape != (design.joint_count,):
-        raise ValueError(f"expected {design.joint_count} contact parameters")
-    return s
+        """`evaluate(design, s, f)`."""
+        return evaluate(design, s, f)
 
 
 def _transposed(matrices: np.ndarray) -> np.ndarray:
     return np.swapaxes(matrices, -1, -2)
 
 
-@dataclass(frozen=True)
-class _Frames:
-    """The contact frames of every joint, column 0 the child frame (on link
-    j, in its coordinates) and column 1 the parent frame (on link j+1):
-    angles (J, 2), rotations (J, 2, 2, 2) and translations (J, 2, 2); plus
-    the relative pose of link j+1 in link j."""
-
-    angle: np.ndarray
-    rotation: np.ndarray
-    translation: np.ndarray
-    relative_angle: np.ndarray
-    relative_rotation: np.ndarray
-    relative_translation: np.ndarray
-
-
-def _frames(design: MechanismDesign, s: list[float]) -> _Frames:
-    """One `frame_at` per mating surface at the checked contact parameters
-    s, stacked, and the relative poses compose(child, inverse(parent))."""
-    frames = [surf.frame_at(s_j) for j, s_j in enumerate(s) for surf in design.joint_surfaces(j)]
-    angle = np.array([frame.angle for frame in frames]).reshape(-1, 2)
-    translation = np.array([frame.translation for frame in frames]).reshape(-1, 2, 2)
-    relative_angle = angle[:, 0] - angle[:, 1]
-    rotation = rot2_stack(np.column_stack([angle, relative_angle]))
-    # inverse(parent) has translation -R_p^T t_p; the child frame maps it
-    # into link j
-    parent_back = -matvec(_transposed(rotation[:, 1]), translation[:, 1])
-    relative_translation = matvec(rotation[:, 0], parent_back) + translation[:, 0]
-    return _Frames(angle, rotation[:, :2], translation, relative_angle, rotation[:, 2],
-                   relative_translation)
-
-
-def _chain_poses(design: MechanismDesign, relative_angle, relative_translation) -> tuple[Pose2, ...]:
-    """Chain the base pose through every joint's relative pose: a running
-    angle sum and a running sum of the relative translations, each rotated
-    into the world by its link's pose."""
-    base = design.base_pose
-    angles = np.cumsum(np.concatenate([[base.angle], relative_angle]))
-    steps = matvec(rot2_stack(angles[:-1]), relative_translation)
-    translations = np.cumsum(np.concatenate([base.translation[None], steps]), axis=0)
-    return tuple(Pose2(angle, t) for angle, t in zip(angles.tolist(), translations))
-
-
-def forward_poses(design: MechanismDesign, s) -> tuple[Pose2, ...]:
-    """Chain the base pose through every rolling contact."""
-    frames = _frames(design, _contact_parameters(design, s).tolist())
-    return _chain_poses(design, frames.relative_angle, frames.relative_translation)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SegmentGeometry:
     """Tendon gap segments on one side of every joint, both tendons at once
     (row j for joint j, then SIDES): vectors, unit vectors and their
@@ -279,7 +218,7 @@ def _perp(vec: np.ndarray) -> np.ndarray:
     return vec[..., ::-1] * np.array([-1.0, 1.0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointGeometry:
     """Everything the kinematics and the balance need about every joint at
     contact arc lengths s, stacked on a leading joint axis (row j is joint
@@ -303,16 +242,28 @@ class JointGeometry:
 
 
 def joint_geometry(design: MechanismDesign, s) -> JointGeometry:
-    """The joint geometry of the whole chain at contact arc lengths s."""
-    s = _contact_parameters(design, s).tolist()
-    frames = _frames(design, s)
-    curvature = np.array([
-        surf.curvature_at(s_j) for j, s_j in enumerate(s) for surf in design.joint_surfaces(j)
-    ]).reshape(-1, 2)
+    """The joint geometry of the whole chain at contact arc lengths s: one
+    `frame_at` and one `curvature_at` per mating surface, stacked (column 0
+    the child surface, column 1 the parent surface), and the relative poses
+    compose(child, inverse(parent))."""
+    s = np.asarray(s, dtype=float)
+    if s.shape != (design.joint_count,):
+        raise ValueError(f"expected {design.joint_count} contact parameters")
+    surfaces = [(s_j, surf) for j, s_j in enumerate(s.tolist())
+                for surf in design.joint_surfaces(j)]
+    frames = [surf.frame_at(s_j) for s_j, surf in surfaces]
+    angle = np.array([frame.angle for frame in frames]).reshape(-1, 2)
+    translation = np.array([frame.translation for frame in frames]).reshape(-1, 2, 2)
+    curvature = np.array([surf.curvature_at(s_j) for s_j, surf in surfaces]).reshape(-1, 2)
+    relative_angle = angle[:, 0] - angle[:, 1]
+    rotation = rot2_stack(np.column_stack([angle, relative_angle]))
+    rel_rot = rotation[:, 2]
+    t_child, t_parent = translation[:, 0], translation[:, 1]
+    # inverse(parent) has translation -R_p^T t_p; the child frame maps it
+    # into link j
+    parent_back = -matvec(_transposed(rotation[:, 1]), t_parent)
+    rel_t = matvec(rotation[:, 0], parent_back) + t_child
     curve_gap = curvature[:, 0] - curvature[:, 1]
-    rel_rot = frames.relative_rotation
-    rel_t = frames.relative_translation
-    t_child, t_parent = frames.translation[:, 0], frames.translation[:, 1]
     # entry points are rows: p_next[j] on link j+1, c_here[j] on link j
     p_next = design.joint_parent_points
     c_here = design.joint_child_points
@@ -325,47 +276,40 @@ def joint_geometry(design: MechanismDesign, s) -> JointGeometry:
     w_vec = c_here @ rel_rot + rel_back[:, None] - p_next
     w_dvec = -curve_gap[:, None, None] * _perp((c_here - t_child[:, None]) @ rel_rot)
     return JointGeometry(
-        frames.angle[:, 0], frames.rotation[:, 0], t_child,
-        frames.angle[:, 1], frames.rotation[:, 1], t_parent,
+        angle[:, 0], rotation[:, 0], t_child,
+        angle[:, 1], rotation[:, 1], t_parent,
         curvature[:, 0], curvature[:, 1], curve_gap,
-        frames.relative_angle, rel_rot, rel_t,
+        relative_angle, rel_rot, rel_t,
         _segments(v_vec, v_dvec), _segments(w_vec, w_dvec),
     )
 
 
-def geometry_of(design: MechanismDesign, config: Configuration) -> JointGeometry:
-    """The configuration's joint geometry: the one `evaluate` attached, else
-    built from its contact parameters."""
-    if config.geometry is not None:
-        return config.geometry
-    return joint_geometry(design, config.s)
+def forward_poses(design: MechanismDesign, s,
+                  geometry: Optional[JointGeometry] = None) -> tuple[Pose2, ...]:
+    """Chain the base pose through every rolling contact at contact arc
+    lengths s: a running sum of the joints' relative angles and a running
+    sum of their relative translations, each rotated into the world by its
+    link's pose.  `geometry` is the joint geometry at s; it is built here
+    only when the caller passes none."""
+    if geometry is None:
+        geometry = joint_geometry(design, s)
+    base = design.base_pose
+    angles = np.cumsum(np.concatenate([[base.angle], geometry.relative_angle]))
+    steps = matvec(rot2_stack(angles[:-1]), geometry.relative_translation)
+    translations = np.cumsum(np.concatenate([base.translation[None], steps]), axis=0)
+    return tuple(Pose2(angle, t) for angle, t in zip(angles.tolist(), translations))
 
 
 def evaluate(design: MechanismDesign, s, f) -> Configuration:
-    """One evaluation of the unknowns (s, f): the configuration together
-    with its joint geometry, whose relative poses chain the link poses."""
+    """One evaluation of the unknowns (s, f): the joint geometry at s, built
+    once, and the link poses chained from its relative poses."""
     geometry = joint_geometry(design, s)
-    poses = _chain_poses(design, geometry.relative_angle, geometry.relative_translation)
-    return Configuration(s, f, poses, geometry)
-
-
-def tendon_segment_v(design: MechanismDesign, config: Configuration, k: int, side: str) -> np.ndarray:
-    """Gap segment leaving link k toward link k+1, in link k coordinates."""
-    if not 0 <= k <= design.n - 2:
-        raise IndexError(f"link {k} has no child-side tendon segment")
-    return geometry_of(design, config).v.vec[k, SIDES.index(side)]
-
-
-def tendon_segment_w(design: MechanismDesign, config: Configuration, k: int, side: str) -> np.ndarray:
-    """Gap segment leaving link k toward link k-1, in link k coordinates."""
-    if not 1 <= k <= design.n - 1:
-        raise IndexError(f"link {k} has no parent-side tendon segment")
-    return geometry_of(design, config).w.vec[k - 1, SIDES.index(side)]
+    return Configuration(s, f, forward_poses(design, s, geometry), geometry)
 
 
 def tendon_lengths(design: MechanismDesign, config: Configuration) -> np.ndarray:
     """Total left/right tendon lengths: in-link spans plus gap segments [mm]."""
-    segments = geometry_of(design, config).v.length
+    segments = config.geometry.v.length
     return np.concatenate([design.link_spans, segments]).sum(axis=0)
 
 

@@ -32,7 +32,7 @@ other tension still gets its Gauss-Newton step.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,7 +42,7 @@ from .errors import (
     NoConvergenceError,
     TensionFloorError,
 )
-from .mechanism import Configuration, MechanismDesign, geometry_of, tendon_lengths
+from .mechanism import Configuration, MechanismDesign, evaluate, tendon_lengths
 from .solver_tension import SolverOptions, _clamp_s, block_solve, solve_tension
 from .statics import assemble_blocks, block_residual, residual_norm
 
@@ -94,8 +94,6 @@ def tendon_jacobian(
     The configuration must already be an equilibrium for `tau`; the impulse
     responses are only meaningful around a balanced state.
     """
-    # attach the geometry, so that blocks and lengths read one build of it
-    config = replace(config, geometry=geometry_of(design, config))
     return _jacobian_with_sensitivity(design, config, tau, loads)[0]
 
 
@@ -113,7 +111,7 @@ def _jacobian_with_sensitivity(design, config, tau, loads):
     # etas: (joints, 3, 2); row 0 is ds per unit (tau_l, tau_r) impulse
     ds_sens, df_sens = etas[:, 0, :], etas[:, 1:, :]
     # dl_ds[j, side]: rate of that tendon's joint-j gap length along s_j
-    segments = geometry_of(design, config).v
+    segments = config.geometry.v
     dl_ds = np.einsum("jsi,jsi->js", segments.unit, segments.d_vec)
     return dl_ds.T @ ds_sens, ds_sens, df_sens
 
@@ -188,7 +186,7 @@ def solve_displacement(
                 break
             s_ws = config.s + ds_sens @ step
             f_ws = config.f + df_sens @ step
-            warm = Configuration.from_unknowns(design, _clamp_s(design, s_ws)[0], f_ws)
+            warm = evaluate(design, _clamp_s(design, s_ws)[0], f_ws)
             try:
                 config_trial, rep_trial = solve_tension(
                     design, tau_trial, loads, init=warm, opts=opts.inner

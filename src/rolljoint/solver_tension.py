@@ -8,7 +8,8 @@ Interior links cost one 3x3 inversion each, all taken in one stacked
 `np.linalg.inv`; the boundary solve is the only 6x6 operation, and only the
 6x6 products of the recursion run link by link.  Every evaluated iterate
 builds its joint geometry once: a cold solve evaluates its start at the
-mating-domain midpoints and fits the contact forces on that evaluation.
+mating-domain midpoints and fits the contact forces on that evaluation; a
+warm start `init` is used as it is unless a joint is clamped onto its domain.
 
 Each D block and the boundary system is equilibrated (one row/column
 max-abs pass) into B and rejected when its 1-norm condition number
@@ -58,7 +59,7 @@ class SolveReport:
     solves_6x6: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NewtonStep:
     ds: np.ndarray
     df: np.ndarray
@@ -250,7 +251,11 @@ def solve_tension(
     init: Optional[Configuration] = None,
     opts: Optional[SolverOptions] = None,
 ) -> tuple[Configuration, SolveReport]:
-    """Find the equilibrium configuration under the given tendon tensions."""
+    """Find the equilibrium configuration under the given tendon tensions.
+
+    `init` starts the solve as it is, so it must have been evaluated for
+    this design; start from another design's unknowns with
+    `evaluate(design, other.s, other.f)`."""
     opts = opts or SolverOptions()
     tau = np.asarray(tau, dtype=float)
     if tau.shape != (2,) or not (np.all(np.isfinite(tau)) and np.all(tau > 0.0)):
@@ -261,7 +266,8 @@ def solve_tension(
     # its residual, its Newton blocks once accepted, and the caller
     # (carried on the returned configuration)
     if init is not None:
-        config = evaluate(design, _clamp_s(design, np.array(init.s, dtype=float))[0], init.f)
+        s, clamped = _clamp_s(design, init.s)
+        config = evaluate(design, s, init.f) if clamped else init
     else:
         # contact points at the mating-domain midpoints, forces from the
         # fit on that same evaluation

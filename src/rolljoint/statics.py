@@ -12,11 +12,12 @@ with d_eta = (ds, df) the joint unknowns and eps = (0, -h).  The tip link
 has no child contact; its row is realized with D = I and d_eta = 0.
 
 Both the residual and the blocks are array expressions over the link axis
-of the configuration's joint geometry: link k = i + 1 (row i) reads its
-parent contact from joint i and its child contact from joint i + 1.  Only
-the load entry points `loads.net_wrench` and `net_derivative` are called
-once per link.  `joint_geometry` is re-exported here: the whole-chain
-kernel keeps the name under which the balance has always read it.
+of `config.geometry`, which every configuration carries from its
+evaluation: link k = i + 1 (row i) reads its parent contact from joint i
+and its child contact from joint i + 1.  Only the load entry points
+`loads.net_wrench` and `net_derivative` are called once per link.
+`joint_geometry` is re-exported here: the whole-chain kernel keeps the name
+under which the balance has always read it.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import loads as loads_mod
 from .geometry import matvec
-from .mechanism import Configuration, MechanismDesign, geometry_of, joint_geometry  # noqa: F401
+from .mechanism import Configuration, MechanismDesign, joint_geometry  # noqa: F401
 
 
 def _point_wrenches(points: np.ndarray, forces: np.ndarray) -> np.ndarray:
@@ -118,7 +119,7 @@ def residual(
     tolerances refer to.
     """
     tau = np.asarray(tau, dtype=float)
-    geom = geometry_of(design, config)
+    geom = config.geometry
     rows = _balance(config, _contact_coadjoints(geom), _tendon_wrenches(design, geom),
                     tau, loads)
     if scaled:
@@ -139,7 +140,7 @@ def residual_norm(rows: np.ndarray, ord: float = np.inf) -> float:
     return float(np.linalg.norm(rows.ravel()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkBlocks:
     """First-order blocks of the links' two equation rows (pose chain and
     balance), in the unscaled units of the balance itself.  `assemble_blocks`
@@ -170,7 +171,7 @@ def assemble_blocks(
 ) -> LinkBlocks:
     """Blocks for links 1..n-1, stacked (row 0 is link 1)."""
     tau = np.asarray(tau, dtype=float)
-    geom = geometry_of(design, config)
+    geom = config.geometry
     links = design.joint_count
     f = config.f
 

@@ -62,7 +62,7 @@ class ContactSurface(ABC):
         return Twist2(self.curvature_at(s), (1.0, 0.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircularArc(ContactSurface):
     """Circular surface: position = center + radius * (cos phi, sin phi) with
     phi(s) = reference_angle + orientation_sign * s / radius."""
@@ -128,7 +128,7 @@ def _rk4_step(s: float, state: tuple, h: float, coeffs: tuple) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvatureProfile(ContactSurface):
     """Surface defined by a polynomial curvature u(s) (ascending coefficients).
 

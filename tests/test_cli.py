@@ -509,9 +509,11 @@ def test_sweep_item_lengths_build_no_geometry(tmp_path, monkeypatch, joint_geome
 
 
 def test_sweep_builds_one_geometry_per_residual(tmp_path, monkeypatch, joint_geometry_calls):
-    # the cold first item fits its forces on its start iterate's geometry and
-    # each warm item on the geometry the previous item's solve returned, so
-    # every geometry the sweep builds is one evaluated iterate's
+    # the cold first item fits its forces on its start iterate's geometry;
+    # each of the two warm items starts from the previous item's returned
+    # configuration, refitted forces and its geometry as they are, so every
+    # geometry the sweep builds is one evaluated iterate's, and the two warm
+    # starts' residuals build none
     from conftest import count_calls
     from rolljoint.statics import residual
 
@@ -521,7 +523,7 @@ def test_sweep_builds_one_geometry_per_residual(tmp_path, monkeypatch, joint_geo
                  "--sweep", str(SCENARIOS / "sweep_fig3.json"),
                  "--out", str(tmp_path / "sweep")]) == 0
     assert residual_calls[0] > 3
-    assert joint_geometry_calls[0] == residual_calls[0]
+    assert joint_geometry_calls[0] == residual_calls[0] - 2
 
 
 def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):

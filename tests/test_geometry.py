@@ -11,11 +11,11 @@ from rolljoint.geometry import (
     coadjoint,
     coadjoint_small,
     compose,
+    cross2,
     exp_twist,
     inverse,
     skew1,
     skew2,
-    transform_wrench,
 )
 
 
@@ -122,9 +122,8 @@ def test_coadjoint_duality(rng):
 
 
 def test_coadjoint_unit_lever():
-    moved = transform_wrench(Pose2(0.0, (1.0, 0.0)), Wrench2(0.0, (0.0, 1.0)))
-    assert abs(moved.m - 1.0) < 1e-15
-    np.testing.assert_allclose(moved.f, [0.0, 1.0], atol=1e-15)
+    moved = coadjoint(Pose2(0.0, (1.0, 0.0))) @ Wrench2(0.0, (0.0, 1.0)).as_array()
+    np.testing.assert_allclose(moved, [1.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_coadjoint_small_zero_twist():
@@ -160,12 +159,14 @@ def test_cross_product_anticommutativity(rng):
         np.testing.assert_allclose(skew1(w) @ t, -skew2(t) * w, atol=1e-12)
 
 
-def test_transform_wrench_matches_coadjoint(rng):
+def test_coadjoint_matches_lever_arm_formula(rng):
+    # the force rotates into the parent frame and adds its moment about the
+    # parent origin: m' = m + t x (R f)
     for _ in range(200):
         pose = random_pose(rng)
         wrench = Wrench2(rng.uniform(-5, 5), rng.uniform(-5, 5, 2))
+        force = pose.rotation @ wrench.f
+        moment = wrench.m + cross2(pose.translation, force)
         np.testing.assert_allclose(
-            transform_wrench(pose, wrench).as_array(),
-            coadjoint(pose) @ wrench.as_array(),
-            atol=1e-12,
+            coadjoint(pose) @ wrench.as_array(), [moment, *force], atol=1e-12,
         )

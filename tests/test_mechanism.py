@@ -12,12 +12,9 @@ from rolljoint.mechanism import (
     MechanismDesign,
     evaluate,
     forward_poses,
-    geometry_of,
     joint_geometry,
     pose_difference,
     tendon_lengths,
-    tendon_segment_v,
-    tendon_segment_w,
     validate,
 )
 from rolljoint.solver_displacement import tendon_jacobian
@@ -76,11 +73,11 @@ def test_pose_chain_incremental_consistency(paper5, rng):
     s2[1] += 0.37
     full = forward_poses(paper5, s2)
     # downstream recomputation from the unchanged prefix must agree exactly
-    from rolljoint.mechanism import joint_relative_pose
-    from rolljoint.geometry import compose
     partial = [poses[0], poses[1]]
     for j in range(1, paper5.joint_count):
-        partial.append(compose(partial[j], joint_relative_pose(paper5, j, s2[j])))
+        child, parent = paper5.joint_surfaces(j)
+        relative = compose(child.frame_at(s2[j]), inverse(parent.frame_at(s2[j])))
+        partial.append(compose(partial[j], relative))
     assert max_pose_error(full, partial) < 1e-12
 
 
@@ -117,8 +114,8 @@ def test_evaluated_poses_equal_forward_poses(make):
 def test_straight_configuration_segments_are_vertical(paper5):
     config = Configuration.from_unknowns(paper5, np.zeros(4), np.zeros((4, 2)))
     for k in range(4):
-        for side in ("l", "r"):
-            seg = tendon_segment_v(paper5, config, k, side)
+        for i in range(2):
+            seg = config.geometry.v.vec[k, i]
             assert abs(seg[0]) < 1e-12
             assert seg[1] > 0.0
 
@@ -127,9 +124,9 @@ def test_w_segment_is_reversed_v_segment(paper5, rng):
     s = rng.uniform(-5, 5, 4)
     config = Configuration.from_unknowns(paper5, s, np.zeros((4, 2)))
     for k in range(1, 5):
-        for side in ("l", "r"):
-            v_prev = tendon_segment_v(paper5, config, k - 1, side)
-            w_here = tendon_segment_w(paper5, config, k, side)
+        for i in range(2):
+            v_prev = config.geometry.v.vec[k - 1, i]
+            w_here = config.geometry.w.vec[k - 1, i]
             assert np.linalg.norm(w_here) == pytest.approx(np.linalg.norm(v_prev), abs=1e-12)
             # same physical segment: world expressions are opposite
             world_v = config.poses[k - 1].rotation @ v_prev
@@ -141,8 +138,8 @@ def test_segment_norm_matches_world_distance(paper5, rng):
     s = rng.uniform(-5, 5, 4)
     config = Configuration.from_unknowns(paper5, s, np.zeros((4, 2)))
     for k in range(4):
-        for idx, side in enumerate(("l", "r")):
-            seg = tendon_segment_v(paper5, config, k, side)
+        for idx in range(2):
+            seg = config.geometry.v.vec[k, idx]
             start = config.poses[k].apply(paper5.links[k].child_points[idx])
             end = config.poses[k + 1].apply(paper5.links[k + 1].parent_points[idx])
             assert np.linalg.norm(seg) == pytest.approx(np.linalg.norm(end - start), abs=1e-12)
@@ -150,18 +147,12 @@ def test_segment_norm_matches_world_distance(paper5, rng):
 
 def test_tendon_segments_index_bounds(paper5):
     config = Configuration.from_unknowns(paper5, np.zeros(4), np.zeros((4, 2)))
-    # interior links have both segments; the base has no w, the tip no v
-    assert tendon_segment_v(paper5, config, 2, "l").shape == (2,)
-    assert tendon_segment_w(paper5, config, 2, "l").shape == (2,)
-    assert tendon_segment_v(paper5, config, 0, "l").shape == (2,)
-    assert tendon_segment_w(paper5, config, 4, "l").shape == (2,)
-    for side in ("l", "r"):
-        for k in (-1, 4):
-            with pytest.raises(IndexError):
-                tendon_segment_v(paper5, config, k, side)
-        for k in (0, 5):
-            with pytest.raises(IndexError):
-                tendon_segment_w(paper5, config, k, side)
+    # one row per joint: v row k leaves link k (links 0..3, the tip has no
+    # v), w row k - 1 leaves link k (links 1..4, the base has no w)
+    for segments in (config.geometry.v, config.geometry.w):
+        for array in (segments.vec, segments.unit, segments.d_vec, segments.d_unit):
+            assert array.shape == (paper5.joint_count, 2, 2)
+        assert segments.length.shape == (paper5.joint_count, 2)
 
 
 def test_two_link_length_is_direct_sum(chain2):
@@ -193,9 +184,9 @@ def test_in_link_span_is_configuration_independent(paper5, rng):
         config = Configuration.from_unknowns(paper5, s, np.zeros((4, 2)))
         total = tendon_lengths(paper5, config)
         gaps = np.zeros(2)
-        for idx, side in enumerate(("l", "r")):
+        for idx in range(2):
             for k in range(4):
-                gaps[idx] += np.linalg.norm(tendon_segment_v(paper5, config, k, side))
+                gaps[idx] += np.linalg.norm(config.geometry.v.vec[k, idx])
         spans.append(total - gaps)
     spans = np.array(spans)
     assert np.abs(spans - spans[0]).max() < 1e-12
@@ -260,15 +251,14 @@ def test_domains_array_matches_joint_domain(paper5, chain2):
 
 def test_degenerate_gap_raises_in_tendon_lengths():
     # both tendons run through the contact point, so every gap segment has
-    # zero length at s = 0; the length sum used to report 40 mm there
+    # zero length at s = 0; the length sum used to report 40 mm there.  The
+    # segments are built with the configuration, so its evaluation raises
     design = polynomial_link_chain(2, channel_x=0.0, entry_inset=0.0)
-    config = Configuration.from_unknowns(design, np.zeros(1), np.zeros((1, 2)))
+    for build in (evaluate, Configuration.from_unknowns):
+        with pytest.raises(DegenerateTendonError):
+            build(design, np.zeros(1), np.zeros((1, 2)))
     with pytest.raises(DegenerateTendonError):
-        tendon_lengths(design, config)
-    with pytest.raises(DegenerateTendonError):
-        tendon_segment_v(design, config, 0, "l")
-    with pytest.raises(DegenerateTendonError):
-        tendon_segment_w(design, config, 1, "l")
+        forward_poses(design, np.zeros(1))
 
 
 def test_link_entry_point_arrays(paper5):
@@ -287,15 +277,17 @@ def test_link_entry_point_arrays(paper5):
     lambda design, config, tau: tendon_jacobian(design, config, tau),
 ], ids=["residual", "assemble_blocks", "tendon_lengths", "tendon_jacobian"])
 def test_geometry_is_read_from_the_configuration(paper5, joint_geometry_calls, read):
-    # a solved configuration carries its geometry; one with poses only gets
-    # it built once, by one whole-chain joint_geometry call
+    # a solved configuration carries its geometry, and so does one built
+    # from its unknowns: that one whole-chain joint_geometry call is the only
+    # one, and the reader builds none
     tau = (3.0, 1.0)
     solved, _ = solve_tension(paper5, tau)
-    assert geometry_of(paper5, solved) is solved.geometry
     joint_geometry_calls[0] = 0
     read(paper5, solved, tau)
     assert joint_geometry_calls[0] == 0
-    read(paper5, Configuration.from_unknowns(paper5, solved.s, solved.f), tau)
+    rebuilt = Configuration.from_unknowns(paper5, solved.s, solved.f)
+    assert joint_geometry_calls[0] == 1
+    read(paper5, rebuilt, tau)
     assert joint_geometry_calls[0] == 1
 
 

@@ -250,8 +250,9 @@ def test_length_error_reports_unreached_target(paper5):
 def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
     # every joint geometry belongs to an iterate some inner solve evaluated
     # (one residual each; the cold start's force fit reads its start
-    # iterate's); the lengths and the Jacobian of each equilibrium read the
-    # geometry its solve returned
+    # iterate's, and each warm start is evaluated once, by the descent); the
+    # lengths and the Jacobian of each equilibrium read the geometry its
+    # solve returned
     generator, _ = solve_tension(paper5, (2.5, 1.0))
     target = tendon_lengths(paper5, generator)
     geometry_calls = count_calls(monkeypatch, joint_geometry)
@@ -261,11 +262,11 @@ def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
     assert residual_calls[0] > report.outer_iterations
     assert geometry_calls[0] == residual_calls[0]
 
-    # started from its own solution, the search evaluates that equilibrium
-    # once (no force fit, no Newton step) and stops
+    # started from its own solution, the search reads that equilibrium's
+    # geometry once (no force fit, no Newton step, no new build) and stops
     geometry_calls[0] = residual_calls[0] = 0
     again, _, report = solve_displacement(paper5, target, tau_init=tau, init=config)
     assert report.converged and report.outer_iterations == report.inner_iterations == 0
     assert residual_calls[0] == 1
-    assert geometry_calls[0] == 1
+    assert geometry_calls[0] == 0
     np.testing.assert_array_equal(again, tau)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from rolljoint.solver_tension import (
     _equilibrate,
     _equilibrated_solve,
     _pinned_joints,
+    initial_forces,
     newton_step,
     solve_tension,
 )
@@ -285,13 +288,14 @@ def test_nan_initial_forces_never_converge(paper5):
 
 
 def test_joint_geometry_built_once_per_evaluated_iterate(paper5, joint_geometry_calls):
-    # one whole-chain geometry per evaluated iterate (the start and every
-    # line-search trial), shared by its residual and its Newton blocks
+    # one whole-chain geometry per evaluated iterate (every line-search
+    # trial), shared by its residual and its Newton blocks; an evaluated
+    # in-domain start is used as it is and builds none
     start, _ = solve_tension(paper5, (3.0, 1.0))
     joint_geometry_calls[0] = 0
     _, report = solve_tension(paper5, (3.3, 1.1), init=start)
     assert report.iterations >= 1
-    assert joint_geometry_calls[0] == 1 + report.iterations + report.backtrack_count
+    assert joint_geometry_calls[0] == report.iterations + report.backtrack_count
 
     # a cold start fits its contact forces on the geometry of its start
     # iterate, so the fit builds none of its own
@@ -303,7 +307,6 @@ def test_joint_geometry_built_once_per_evaluated_iterate(paper5, joint_geometry_
 def test_rejected_interior_d_block_names_its_link(paper5):
     # the interior D blocks are inverted and checked as one stack; the first
     # rejected block is reported with its link number
-    from dataclasses import replace
     from rolljoint.solver_tension import block_solve
     from rolljoint.statics import assemble_blocks
 
@@ -332,3 +335,22 @@ def test_rejected_interior_d_block_names_its_link(paper5):
     # the tip block is the identity by convention and never inverted
     etas, _, inversions = block_solve(replace(blocks, D=with_d(3, np.zeros((3, 3)))), rhs)
     assert inversions == paper5.n - 2 and np.all(np.isfinite(etas))
+
+
+def test_start_past_a_domain_bound_is_evaluated_clamped(paper5, joint_geometry_calls):
+    # a surface accepts arc lengths up to 1e-9 of its width past its domain,
+    # so an evaluated start can lie just outside a joint domain; the solve
+    # re-evaluates it once, clamped onto the domain
+    equilibrium, _ = solve_tension(paper5, (3.0, 1.0))
+    lo, hi = paper5.domains[0]
+    s = equilibrium.s.copy()
+    s[0] = lo - 0.5e-9 * (hi - lo)
+    outside = Configuration.from_unknowns(paper5, s, np.zeros((paper5.joint_count, 2)))
+    outside = replace(outside, f=initial_forces(paper5, outside, (3.0, 1.0)))
+    assert outside.s[0] < lo
+    joint_geometry_calls[0] = 0
+    config, report = solve_tension(paper5, (3.0, 1.0), init=outside)
+    assert report.converged and report.iterations >= 1
+    assert joint_geometry_calls[0] == 1 + report.iterations + report.backtrack_count
+    lo_all, hi_all = paper5.domains.T
+    assert np.all((lo_all <= config.s) & (config.s <= hi_all))

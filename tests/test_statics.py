@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -65,7 +67,7 @@ def test_residual_locality_with_loads_at_held_poses(paper5):
     s = config.s.copy()
     s[1] += 0.1
     # keep the stale poses: distal balances must then stay untouched
-    frozen = Configuration(s, config.f, config.poses)
+    frozen = Configuration(s, config.f, config.poses, joint_geometry(paper5, s))
     rows = residual(paper5, frozen, (6.0, 3.0), loads)
     assert np.abs(rows[2]).max() < 1e-10
     assert np.abs(rows[3]).max() < 1e-10
@@ -183,7 +185,7 @@ def test_residual_affine_in_forces_and_tensions(paper5, rng):
 
     def rows_at(f_scale, tau_scale):
         f = f_scale * np.tile([0.3, 1.0], (4, 1))
-        config = Configuration(s, f, poses_cfg.poses)
+        config = replace(poses_cfg, f=f)
         return residual(paper5, config, (2.0 * tau_scale, 1.0 * tau_scale))
 
     second_diff_f = rows_at(2.0, 1.0) - 2 * rows_at(1.0, 1.0) + rows_at(0.0, 1.0)
@@ -193,8 +195,8 @@ def test_residual_affine_in_forces_and_tensions(paper5, rng):
 
 
 def test_degenerate_tendon_guard():
-    # both entry points on the contact apex: the gap segment has zero length
+    # both entry points on the contact apex: the gap segment has zero length,
+    # and the segments are built with the configuration the balance reads
     design = polynomial_link_chain(2, channel_x=0.0, entry_inset=0.0)
-    config = Configuration.from_unknowns(design, np.zeros(1), np.zeros((1, 2)))
     with pytest.raises(DegenerateTendonError):
-        residual(design, config, (1.0, 1.0))
+        Configuration.from_unknowns(design, np.zeros(1), np.zeros((1, 2)))
