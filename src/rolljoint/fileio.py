@@ -191,7 +191,7 @@ class Scenario:
 
     `solver` holds the file's one `solver` block: the displacement settings,
     with the tension settings in its `inner`, which tension items and the
-    inner solves of displacement items both solve with."""
+    start solve and residual tolerance of displacement items both use."""
 
     mode: str                       # "tension" or "displacement"
     tau: Optional[np.ndarray] = None

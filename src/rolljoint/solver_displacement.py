@@ -2,23 +2,37 @@
 
 Desired tendon lengths are generally not exactly reachable (pulling one
 tendon releases the other), so the tensions are found by least squares on
-the length error e = l(tau) - l_des, with the equilibrium re-established
-after every tension update.  The length-vs-tension Jacobian J comes from an
-impulse test: unit tension perturbations are pushed through the same block
-recursion the equilibrium solver uses, and the resulting contact-point
-shifts are contracted with the tendon-segment derivatives.
+the length error e = l(s) - l_des.  The unknowns are the joint unknowns
+(s, f) and the tensions tau together, with the link balances h = 0 beside
+the length equations.  The tensions enter each link's balance only through
+its F block, so the system keeps the block structure of the equilibrium
+solver: each outer step is one elimination with three right-hand-side
+columns at the current iterate, an equilibrium or not,
 
-Each outer step is a damped Gauss-Newton (Levenberg-Marquardt) step on the
-2x2 normal equations, (J^T J + lambda I) dtau = J^T e, written in step-size
-form alpha = 1/lambda:
+    block_solve(blocks, [-h, -F])  ->  (ds0, df0), (S_s, S_f).
 
-    dtau = alpha (I + alpha J^T J)^-1 J^T e.
+(ds0, df0) is the Newton step at fixed tensions and (S_s, S_f) the response
+of the joint unknowns to unit tension impulses.  With L = dl/ds from the
+tendon-segment derivatives, a tension change dtau moves the length error to
+r + J dtau to first order, where r = e + L ds0 and J = L S_s; at an
+equilibrium J is the impulse-test Jacobian of `tendon_jacobian`.
 
-As alpha -> 0 this is the gradient step alpha J^T e of plain gradient
+dtau is a damped Gauss-Newton (Levenberg-Marquardt) step on the 2x2 normal
+equations, (J^T J + lambda I) dtau = -J^T r, written in step-size form
+alpha = 1/lambda:
+
+    dtau = -alpha (I + alpha J^T J)^-1 J^T r.
+
+As alpha -> 0 this is the gradient step -alpha J^T r of plain gradient
 descent, so that method is the heavily damped limit of the same iteration.
-The first step takes alpha = 1/||J||_F^2 of the first Jacobian.  alpha grows
-by ALPHA_GROWTH after an accepted step (towards Gauss-Newton) and shrinks by
-BACKTRACK_FACTOR after a rejected one (towards gradient descent); when
+The trial iterate is (s + ds0 + S_s dtau, f + df0 + S_f dtau, tau + dtau);
+it is accepted when the merit phi = |e|^2/2 + |rows|^2/2 (rows: the scaled
+balance residual, in the units of the solver tolerances) does not grow
+beyond rounding.  A rejected trial only re-solves the 2x2 system.  The first
+step takes alpha = 1/||J||_F^2 of the first Jacobian.  alpha grows by
+ALPHA_GROWTH after an accepted step (towards Gauss-Newton) and shrinks by
+BACKTRACK_FACTOR after a rejected one (towards gradient descent); a trial
+whose tendon collapses or whose merit is not finite is rejected too.  When
 MAX_BACKTRACKS retries of one step all fail, the descent stops unconverged.
 alpha is capped so that lambda stays above DAMPING_FLOOR * ||J||_F^2: the
 2x2 system then stays solvable (condition number at most 1 + 1/DAMPING_FLOOR)
@@ -27,6 +41,11 @@ leaves J only nearly rank 1, still gets an almost undamped step.  Tensions
 are projected onto the tension floor; a tension held at the floor by its
 gradient is dropped from the normal matrix (a projected Newton step), so the
 other tension still gets its Gauss-Newton step.
+
+Only the start is an equilibrium solve: `solve_tension` at `tau_init`.  The
+descent stops at an iterate whose scaled residual is within the inner
+`tol_residual` and whose gradient e^T J is within `grad_tol` (relative to
+max(1, ||e|| ||J||)); both are read from that step's own elimination.
 """
 
 from __future__ import annotations
@@ -39,12 +58,19 @@ import numpy as np
 
 from .errors import (
     ContactRolloffError,
+    DegenerateTendonError,
     NoConvergenceError,
     TensionFloorError,
 )
 from .mechanism import Configuration, MechanismDesign, evaluate, tendon_lengths
-from .solver_tension import SolverOptions, _clamp_s, block_solve, solve_tension
-from .statics import assemble_blocks, block_residual, residual_norm
+from .solver_tension import (
+    SolverOptions,
+    _clamp_s,
+    _pinned_joints,
+    block_solve,
+    solve_tension,
+)
+from .statics import assemble_blocks, block_residual, residual, residual_norm
 
 DAMPING_FLOOR = 1e-10   # lower bound on lambda / ||J||_F^2
 ALPHA_GROWTH = 10.0     # alpha factor after an accepted step
@@ -70,6 +96,16 @@ class DisplacementOptions:
 
 @dataclass(frozen=True)
 class DisplacementReport:
+    """Outcome of a displacement solve.
+
+    `outer_iterations` counts the bordered steps (a last, rejected one
+    included) and `inner_iterations` the Newton iterations of the start's
+    `solve_tension` alone.  `objective` and `objective_history` (the start,
+    then one entry per step) are the merit phi = |e|^2/2 + |rows|^2/2, and
+    `final_residual_norm` is the scaled residual infinity norm of the last
+    iterate.
+    """
+
     outer_iterations: int
     converged: bool
     gradient_norm: float
@@ -94,33 +130,37 @@ def tendon_jacobian(
     The configuration must already be an equilibrium for `tau`; the impulse
     responses are only meaningful around a balanced state.
     """
-    return _jacobian_with_sensitivity(design, config, tau, loads)[0]
-
-
-def _jacobian_with_sensitivity(design, config, tau, loads):
-    """The length Jacobian plus the joint sensitivities (ds, df per unit
-    tension impulse) it is contracted from, all from the configuration's
-    joint geometry."""
-    tau = np.asarray(tau, dtype=float)
     blocks = assemble_blocks(design, config, tau, loads)
     if residual_norm(block_residual(design, blocks), np.inf) > 1e-6:
         raise ValueError("tendon_jacobian requires an equilibrium configuration")
-    rhs = np.zeros((len(blocks), 6, 2))
-    rhs[:, 3:] = -blocks.F
+    _, impulse, dl_ds = _bordered_columns(config, blocks)
+    return dl_ds @ impulse[:, 0]
+
+
+def _bordered_columns(config: Configuration, blocks):
+    """One elimination with the columns [-h, -F]: the Newton step at fixed
+    tensions (joints, 3), the joint responses to unit tension impulses
+    (joints, 3, sides) (row 0 of both is ds, rows 1-2 df), and the length
+    derivatives dl/ds (sides, joints) from the configuration's geometry."""
+    rhs = np.zeros((len(blocks), 6, 3))
+    rhs[:, 3:, 0] = -blocks.h
+    rhs[:, 3:, 1:] = -blocks.F
     etas, _, _ = block_solve(blocks, rhs)
-    # etas: (joints, 3, 2); row 0 is ds per unit (tau_l, tau_r) impulse
-    ds_sens, df_sens = etas[:, 0, :], etas[:, 1:, :]
-    # dl_ds[j, side]: rate of that tendon's joint-j gap length along s_j
     segments = config.geometry.v
-    dl_ds = np.einsum("jsi,jsi->js", segments.unit, segments.d_vec)
-    return dl_ds.T @ ds_sens, ds_sens, df_sens
+    dl_ds = np.einsum("jsi,jsi->sj", segments.unit, segments.d_vec)
+    return etas[:, :, 0], etas[:, :, 1:], dl_ds
+
+
+def _merit(error: np.ndarray, rows: np.ndarray) -> float:
+    return 0.5 * float(error @ error) + 0.5 * float(np.sum(rows * rows))
 
 
 def damped_step(normal: np.ndarray, grad: np.ndarray, alpha: float) -> np.ndarray:
     """Levenberg-Marquardt step (normal + I/alpha)^-1 grad in step-size form.
 
-    `normal` is J^T J and `grad` is J^T e; the step is subtracted from the
-    tensions.  For alpha -> 0 it tends to the gradient step alpha * grad.
+    `normal` is J^T J and `grad` is J^T r for the linearized length error r;
+    the step is subtracted from the tensions.  For alpha -> 0 it tends to
+    the gradient step alpha * grad.
     """
     return alpha * np.linalg.solve(np.eye(len(grad)) + alpha * normal, grad)
 
@@ -134,7 +174,8 @@ def solve_displacement(
     init: Optional[Configuration] = None,
 ) -> tuple[np.ndarray, Configuration, DisplacementReport]:
     """Find tensions whose equilibrium best matches the desired tendon
-    lengths; `init` warm-starts the first equilibrium solve (at `tau_init`)."""
+    lengths; `init` warm-starts the equilibrium solve at `tau_init` that the
+    descent starts from."""
     opts = opts or DisplacementOptions()
     l_des = np.asarray(l_des, dtype=float)
     tau = np.asarray(tau_init, dtype=float)
@@ -146,24 +187,28 @@ def solve_displacement(
     if np.any(tau < floor):
         raise ValueError("initial tensions must be at or above the tension floor")
 
-    config, inner_rep = solve_tension(design, tau, loads, init=init, opts=opts.inner)
-    inner_iters = inner_rep.iterations
+    config, start = solve_tension(design, tau, loads, init=init, opts=opts.inner)
     lengths = tendon_lengths(design, config)
     error = lengths - l_des
-    objective = 0.5 * float(error @ error)
+    blocks = assemble_blocks(design, config, tau, loads)
+    rows = block_residual(design, blocks)
+    objective = _merit(error, rows)
     history = [objective]
     backtracks = 0
 
     for outer in range(opts.max_outer_iters + 1):
-        # lengths and Jacobian read the geometry the equilibrium solve carried
-        jac, ds_sens, df_sens = _jacobian_with_sensitivity(design, config, tau, loads)
-        grad = error @ jac
-        grad_norm = float(np.linalg.norm(grad))
+        # one elimination: the Newton step and the tension impulse responses
+        newton, impulse, dl_ds = _bordered_columns(config, blocks)
+        jac = dl_ds @ impulse[:, 0]
+        grad_norm = float(np.linalg.norm(error @ jac))
         jac_norm = float(np.linalg.norm(jac))
         scale = max(1.0, float(np.linalg.norm(error)) * jac_norm)
-        converged = grad_norm <= opts.grad_tol * scale
+        converged = (residual_norm(rows, np.inf) <= opts.inner.tol_residual
+                     and grad_norm <= opts.grad_tol * scale)
         if converged or outer == opts.max_outer_iters:
             break
+        # the tension step lowers the linearized error r = e + L ds0
+        grad = (error + dl_ds @ newton[:, 0]) @ jac
         jac_sq = max(jac_norm**2, 1e-30)
         if outer == 0:
             alpha = 1.0 / jac_sq
@@ -184,23 +229,20 @@ def solve_displacement(
                         configuration=config,
                     )
                 break
-            s_ws = config.s + ds_sens @ step
-            f_ws = config.f + df_sens @ step
-            warm = evaluate(design, _clamp_s(design, s_ws)[0], f_ws)
+            update = newton + impulse @ step
             try:
-                config_trial, rep_trial = solve_tension(
-                    design, tau_trial, loads, init=warm, opts=opts.inner
-                )
-            except (ContactRolloffError, NoConvergenceError):
+                trial = evaluate(design, _clamp_s(design, config.s + update[:, 0])[0],
+                                 config.f + update[:, 1:])
+            except DegenerateTendonError:
                 alpha *= BACKTRACK_FACTOR
                 backtracks += 1
                 continue
-            inner_iters += rep_trial.iterations
-            lengths_trial = tendon_lengths(design, config_trial)
+            lengths_trial = tendon_lengths(design, trial)
             error_trial = lengths_trial - l_des
-            objective_trial = 0.5 * float(error_trial @ error_trial)
+            objective_trial = _merit(error_trial, residual(design, trial, tau_trial, loads))
+            # a NaN merit fails the test and counts as a backtrack
             if objective_trial <= objective * (1.0 + 1e-14) + 1e-300:
-                tau, config, inner_rep = tau_trial, config_trial, rep_trial
+                tau, config = tau_trial, trial
                 lengths, error, objective = lengths_trial, error_trial, objective_trial
                 alpha *= ALPHA_GROWTH
                 accepted = True
@@ -210,9 +252,11 @@ def solve_displacement(
         history.append(objective)
         if not accepted:
             break
+        blocks = assemble_blocks(design, config, tau, loads)
+        rows = block_residual(design, blocks)
 
-    # a rejected step leaves config unchanged, so grad_norm always belongs
-    # to the last evaluated iterate
+    # a rejected step leaves config unchanged, so the gradient and the
+    # residual always belong to the last evaluated iterate
     report = DisplacementReport(
         outer_iterations=len(history) - 1,
         converged=converged,
@@ -220,16 +264,23 @@ def solve_displacement(
         objective=objective,
         achieved_lengths=tuple(lengths),
         target_lengths=tuple(l_des),
-        final_residual_norm=inner_rep.final_residual_norm,
-        inner_iterations=inner_iters,
+        final_residual_norm=residual_norm(rows, np.inf),
+        inner_iterations=start.iterations,
         backtrack_count=backtracks,
         objective_history=tuple(history),
         length_error_mm=float(np.abs(error).max()),
     )
-    if converged:
-        return tau, config, report
-    raise NoConvergenceError(
-        "displacement descent did not reach the gradient tolerance",
-        report=report,
-        configuration=config,
-    )
+    if not converged:
+        raise NoConvergenceError(
+            "displacement descent did not reach the gradient and residual tolerances",
+            report=report,
+            configuration=config,
+        )
+    pinned = _pinned_joints(design, config.s)
+    if pinned:
+        raise ContactRolloffError(
+            f"converged with contact at domain boundary for joints {pinned}",
+            report=report,
+            configuration=config,
+        )
+    return tau, config, report

@@ -14,7 +14,8 @@ from rolljoint.catalog import demo_five_link, polynomial_link_chain
 from rolljoint.errors import RolljointError
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace
-from rolljoint.mechanism import Configuration, evaluate
+from rolljoint.mechanism import Configuration, evaluate, tendon_lengths
+from rolljoint.solver_displacement import solve_displacement
 from rolljoint.solver_tension import SolverOptions, initial_forces, solve_tension
 from rolljoint.statics import residual, residual_norm
 
@@ -23,6 +24,11 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 tensions = st.tuples(st.floats(1.0, 6.0), st.floats(1.0, 6.0))
 tip_pulls = st.floats(-0.5, 0.5)
+# generator tensions of displacement targets: the smaller in [1, 2] N, the
+# larger up to 3 times it (the largest ratio of the shipped scenarios)
+target_tensions = st.builds(
+    lambda small, ratio, left: (small * ratio, small) if left else (small, small * ratio),
+    st.floats(1.0, 2.0), st.floats(1.0, 3.0), st.booleans())
 
 
 def tip_pull(design, pull: float) -> tuple:
@@ -62,4 +68,26 @@ def test_cold_tension_solve_converges_or_raises_typed_error(key, tau, pull):
         return
     assert report.converged
     rows = residual(design, Configuration.from_unknowns(design, config.s, config.f), tau, loads)
+    assert residual_norm(rows, np.inf) <= SolverOptions().tol_residual
+
+
+@pytest.mark.parametrize("key", DESIGNS)
+@PROPERTY
+@given(tau_gen=target_tensions, loaded=st.booleans(), pull=tip_pulls)
+def test_displacement_target_solves_or_raises_typed_error(key, tau_gen, loaded, pull):
+    # targets are the lengths of an equilibrium, so every one is reachable
+    design = DESIGNS[key]
+    loads = tip_pull(design, pull) if loaded else ()
+    try:
+        generator, _ = solve_tension(design, tau_gen, loads)
+    except RolljointError:
+        return
+    target = tendon_lengths(design, generator)
+    try:
+        tau, config, report = solve_displacement(design, target, loads)
+    except RolljointError:
+        return
+    assert report.converged
+    assert np.abs(tendon_lengths(design, config) - target).max() <= 1e-6
+    rows = residual(design, config, tau, loads)
     assert residual_norm(rows, np.inf) <= SolverOptions().tol_residual

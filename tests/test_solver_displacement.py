@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rolljoint import solver_displacement, solver_tension
 from rolljoint.errors import NoConvergenceError, TensionFloorError
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
@@ -247,19 +248,35 @@ def test_length_error_reports_unreached_target(paper5):
     assert report.length_error_mm > 1.0
 
 
+def _spy_start_solves(monkeypatch):
+    """Record the report of every `solve_tension` the displacement solver
+    calls."""
+    reports = []
+
+    def spy(*args, **kwargs):
+        config, report = solve_tension(*args, **kwargs)
+        reports.append(report)
+        return config, report
+
+    monkeypatch.setattr(solver_displacement, "solve_tension", spy)
+    return reports
+
+
 def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
-    # every joint geometry belongs to an iterate some inner solve evaluated
-    # (one residual each; the cold start's force fit reads its start
-    # iterate's, and each warm start is evaluated once, by the descent); the
-    # lengths and the Jacobian of each equilibrium read the geometry its
-    # solve returned
+    # every joint geometry belongs to an evaluated iterate with one residual
+    # each: the start solve's iterates (the cold start's force fit reads its
+    # start iterate's) and one trial per accepted or rejected step; the
+    # lengths and the blocks of each iterate read the geometry it carries
     generator, _ = solve_tension(paper5, (2.5, 1.0))
     target = tendon_lengths(paper5, generator)
+    starts = _spy_start_solves(monkeypatch)
     geometry_calls = count_calls(monkeypatch, joint_geometry)
     residual_calls = count_calls(monkeypatch, residual)
     tau, config, report = solve_displacement(paper5, target)
     assert report.converged and report.outer_iterations >= 2
-    assert residual_calls[0] > report.outer_iterations
+    [start] = starts
+    start_residuals = 1 + start.iterations + start.backtrack_count
+    assert residual_calls[0] == start_residuals + report.outer_iterations + report.backtrack_count
     assert geometry_calls[0] == residual_calls[0]
 
     # started from its own solution, the search reads that equilibrium's
@@ -270,3 +287,53 @@ def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
     assert residual_calls[0] == 1
     assert geometry_calls[0] == 0
     np.testing.assert_array_equal(again, tau)
+
+
+@pytest.mark.parametrize("pull", [0.0, 0.5], ids=["unloaded", "tip_pull"])
+def test_each_outer_step_is_one_elimination(paper5, monkeypatch, pull):
+    # one solve_tension (the start); one elimination per outer step, one for
+    # the final test and one per Newton step of the start, each with n-2
+    # interior 3x3 inversions and one 6x6 boundary solve
+    loads = (ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (pull, 0.0))),)
+    generator, _ = solve_tension(paper5, (4.0, 2.0), loads)
+    target = tendon_lengths(paper5, generator)
+    starts = _spy_start_solves(monkeypatch)
+    eliminations = count_calls(monkeypatch, solver_tension.block_solve)
+    boundary_sizes = []
+    interior_inversions = [0]
+
+    def boundary_solve(matrix, rhs, what):
+        boundary_sizes.append(matrix.shape)
+        return equilibrated_solve(matrix, rhs, what)
+
+    def inverses(stack, what):
+        interior_inversions[0] += len(stack)
+        return checked_inverses(stack, what)
+
+    equilibrated_solve = solver_tension._equilibrated_solve
+    checked_inverses = solver_tension._checked_inverses
+    monkeypatch.setattr(solver_tension, "_equilibrated_solve", boundary_solve)
+    monkeypatch.setattr(solver_tension, "_checked_inverses", inverses)
+    _, _, report = solve_displacement(paper5, target, loads)
+    assert report.converged
+    assert len(starts) == 1 and report.inner_iterations == starts[0].iterations
+    expected = report.outer_iterations + 1 + report.inner_iterations
+    assert eliminations[0] == expected
+    assert boundary_sizes == [(6, 6)] * expected
+    assert interior_inversions[0] == expected * (paper5.n - 2)
+    if pull:
+        assert report.inner_iterations >= 1
+
+
+def test_rounding_sensitive_loaded_descent_converges(paper5):
+    # loaded paper5 under a 0.239 N tip pull, a case whose descent once
+    # amplified rounding about threefold per step (41 outer steps when each
+    # trial re-solved the equilibrium); one elimination per step converges
+    # in a few
+    tau_gen = np.array([4.153896484486077, 1.9280142466445205])
+    loads = (ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (0.23924418621865262, 0.0))),)
+    generator, _ = solve_tension(paper5, tau_gen, loads)
+    tau, _, report = solve_displacement(paper5, tendon_lengths(paper5, generator), loads)
+    assert report.converged
+    assert report.outer_iterations <= 15
+    assert np.abs(tau - tau_gen).max() < 1e-4
