@@ -2,12 +2,15 @@
 perturbations T -> T (I + [delta_xi]).
 
 `target_link` is 1-based (link 1 is the fixed base link), matching design
-files and solver reports.
+files and solver reports.  `net_wrench` and `net_derivative` stack the loads
+of links 2..n: a load acts on link k exactly when its target_link equals k
+for some 2 <= k <= n, and loads on one link are added in the order given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -97,34 +100,40 @@ class LinearSpring(ExternalLoad):
 
 
 def check_targets(loads, link_count: int) -> None:
-    """Reject loads aimed at links the mechanism does not have, and loads
-    with a non-finite force, moment, attach point, stiffness or anchor."""
+    """Reject loads aimed at links the mechanism does not have (a bool or a
+    fractional number names none), and loads with a non-finite force,
+    moment, attach point, stiffness or anchor."""
     for load in loads:
-        if not 1 <= load.target_link <= link_count:
+        target = load.target_link
+        if isinstance(target, bool) or not isinstance(target, Real) or target % 1:
             raise InvalidLoadError(
-                f"load target_link {load.target_link} outside 1..{link_count}"
-            )
+                f"{type(load).__name__} load target_link {target!r} is not a whole number")
+        if not 1 <= target <= link_count:
+            raise InvalidLoadError(f"load target_link {target} outside 1..{link_count}")
         numbers = [v.as_array() if isinstance(v, Wrench2) else v
                    for v in vars(load).values()
                    if isinstance(v, (Wrench2, float, np.ndarray))]
         if not all(np.all(np.isfinite(v)) for v in numbers):
             raise InvalidLoadError(
-                f"{type(load).__name__} load on link {load.target_link} has a non-finite value"
+                f"{type(load).__name__} load on link {target} has a non-finite value"
             )
 
 
-def net_wrench(loads, link_number: int, pose: Pose2) -> np.ndarray:
-    """Summed body-frame wrench 3-array on 1-based link `link_number`."""
-    total = np.zeros(3)
+def net_wrench(loads, poses) -> np.ndarray:
+    """Summed body-frame wrenches (n-1, 3) on links 2..n at the n poses."""
+    total = np.zeros((len(poses), 3))
     for load in loads:
-        if load.target_link == link_number:
-            total += load.body_wrench(pose).as_array()
-    return total
+        if load.target_link in range(2, len(poses) + 1):
+            k = int(load.target_link) - 1
+            total[k] += load.body_wrench(poses[k]).as_array()
+    return total[1:]
 
 
-def net_derivative(loads, link_number: int, pose: Pose2) -> np.ndarray:
-    total = np.zeros((3, 3))
+def net_derivative(loads, poses) -> np.ndarray:
+    """Summed wrench derivatives (n-1, 3, 3) on links 2..n at the n poses."""
+    total = np.zeros((len(poses), 3, 3))
     for load in loads:
-        if load.target_link == link_number:
-            total += load.body_wrench_derivative(pose)
-    return total
+        if load.target_link in range(2, len(poses) + 1):
+            k = int(load.target_link) - 1
+            total[k] += load.body_wrench_derivative(poses[k])
+    return total[1:]

@@ -141,7 +141,7 @@ def energy(design: MechanismDesign, s, tau, loads=()) -> float:
     config = Configuration.from_unknowns(design, s, np.zeros((design.joint_count, 2)))
     total = float(tau @ tendon_lengths(design, config))
     for load in loads:
-        pose = config.poses[load.target_link - 1]
+        pose = config.poses[int(load.target_link) - 1]
         if isinstance(load, ConstantWorkspace):
             total -= float(load.wrench.f @ pose.apply(load.attach))
         elif isinstance(load, LinearSpring):

@@ -52,7 +52,7 @@ def _tendon_points(design: MechanismDesign, config: Configuration, side: int):
 def _load_arrows(design: MechanismDesign, config: Configuration, loads, scale: float):
     arrows = []
     for load in loads:
-        pose = config.poses[load.target_link - 1]
+        pose = config.poses[int(load.target_link) - 1]
         if isinstance(load, ConstantWorkspace):
             start = pose.apply(load.attach)
             vec = np.asarray(load.wrench.f, dtype=float)

@@ -142,10 +142,7 @@ def _bordered_columns(config: Configuration, blocks):
     tensions (joints, 3), the joint responses to unit tension impulses
     (joints, 3, sides) (row 0 of both is ds, rows 1-2 df), and the length
     derivatives dl/ds (sides, joints) from the configuration's geometry."""
-    rhs = np.zeros((len(blocks), 6, 3))
-    rhs[:, 3:, 0] = -blocks.h
-    rhs[:, 3:, 1:] = -blocks.F
-    etas, _, _ = block_solve(blocks, rhs)
+    etas, _ = block_solve(blocks, -np.concatenate((blocks.h[:, :, None], blocks.F), axis=2))
     segments = config.geometry.v
     dl_ds = np.einsum("jsi,jsi->sj", segments.unit, segments.d_vec)
     return etas[:, :, 0], etas[:, :, 1:], dl_ds
@@ -175,7 +172,11 @@ def solve_displacement(
 ) -> tuple[np.ndarray, Configuration, DisplacementReport]:
     """Find tensions whose equilibrium best matches the desired tendon
     lengths; `init` warm-starts the equilibrium solve at `tau_init` that the
-    descent starts from."""
+    descent starts from.
+
+    An unloaded chain's J has rank 1 (J tau = 0), so an unreachable target
+    stops on the gradient test at a least-squares point: `converged` then
+    means stationary, and `length_error_mm` says how far the target was missed."""
     opts = opts or DisplacementOptions()
     l_des = np.asarray(l_des, dtype=float)
     tau = np.asarray(tau_init, dtype=float)

@@ -63,9 +63,7 @@ class SolveReport:
 class NewtonStep:
     ds: np.ndarray
     df: np.ndarray
-    d_xi_tip: np.ndarray
     inversions_3x3: int
-    solves_6x6: int
 
 
 def _equilibrate(stack: np.ndarray):
@@ -134,17 +132,15 @@ def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.nd
     return solution / col_scale[0][:, None]
 
 
-def _eliminate(blocks: LinkBlocks, rhs: np.ndarray):
-    """Forward pass of the block recursion over per-link right-hand sides
-    rhs (links, 6, width).
-
-    The interior D blocks are inverted as one stack.  Link k's propagator
+def block_solve(blocks: LinkBlocks, columns: np.ndarray):
+    """Solve the block recursion for balance-row right-hand sides `columns`
+    (links, 3, width), those of the pose-chain rows being zero.  The interior
+    D blocks are inverted as one stack; link k's propagator
     P_k = -Q_k [[A, B], [0, E]] with Q_k = [[I, 0], [-D^-1 C, D^-1]] and its
-    propagated input Q_k r_k are stacked products over the link axis; only
-    the running products stay a loop.  Returns the propagators, the
-    propagated inputs, the accumulated input, the accumulated product
-    P = P_tip ... P_1 and the interior 3x3 inversion count.
-    """
+    input Q_k r_k are stacked products, and only the running products stay a
+    loop.  The 6x6 boundary system gives (d_xi_tip, d_eta_base), and every
+    joint update is back-substituted from the base one.  Returns the joint
+    updates (joints, 3, width) and the interior 3x3 inversion count."""
     links = len(blocks)
     d_inv = np.broadcast_to(np.eye(3), (links, 3, 3)).copy()
     d_inv[:-1] = _checked_inverses(blocks.D[:-1], lambda i: f"D block at link {i + 1}")
@@ -157,34 +153,24 @@ def _eliminate(blocks: LinkBlocks, rhs: np.ndarray):
     left[:, :3, 3:] = blocks.B
     left[:, 3:, 3:] = blocks.E
     props = -q_mat @ left
+    rhs = np.zeros((links, 6, columns.shape[-1]))
+    rhs[:, 3:] = columns
     q_rhs = q_mat @ rhs
     prod = np.eye(6)
     acc = np.zeros(rhs.shape[1:])
     for prop, qr in zip(props, q_rhs):
         acc = prop @ acc + qr
         prod = prop @ prod
-    return props, q_rhs, acc, prod, links - 1
-
-
-def block_solve(blocks: LinkBlocks, rhs: np.ndarray):
-    """Solve the block recursion for per-link right-hand sides (links, 6,
-    width): eliminate forward, solve the 6x6 boundary system for (d_xi_tip,
-    d_eta_base), then back-substitute every joint update from the base one.
-
-    Returns the stacked joint updates (joints, 3, width), the tip pose
-    perturbation (3, width) and the interior 3x3 inversion count.
-    """
-    props, q_rhs, acc, prod, inversions = _eliminate(blocks, rhs)
     boundary = np.zeros((6, 6))
     boundary[:3, :3] = np.eye(3)
     boundary[:, 3:] = -prod[:, 3:]
     state = np.zeros_like(acc)
     state[3:] = _equilibrated_solve(boundary, acc, "boundary system")[3:]
-    etas = np.empty((len(props), 3, acc.shape[1]))
+    etas = np.empty((links, 3, acc.shape[1]))
     for k, (prop, qr) in enumerate(zip(props, q_rhs)):
         etas[k] = state[3:]
         state = prop @ state + qr
-    return etas, state[:3], inversions
+    return etas, links - 1
 
 
 def newton_step(
@@ -195,16 +181,8 @@ def newton_step(
 ) -> NewtonStep:
     """One full-length update of all joint unknowns at the current state."""
     blocks = assemble_blocks(design, config, tau, loads)
-    rhs = np.zeros((len(blocks), 6, 1))
-    rhs[:, 3:, 0] = -blocks.h
-    etas, d_xi_tip, inversions = block_solve(blocks, rhs)
-    return NewtonStep(
-        ds=etas[:, 0, 0],
-        df=etas[:, 1:, 0],
-        d_xi_tip=d_xi_tip[:, 0],
-        inversions_3x3=inversions,
-        solves_6x6=1,
-    )
+    etas, inversions = block_solve(blocks, -blocks.h[:, :, None])
+    return NewtonStep(ds=etas[:, 0, 0], df=etas[:, 1:, 0], inversions_3x3=inversions)
 
 
 def initial_forces(design: MechanismDesign, config: Configuration, tau, loads=()) -> np.ndarray:
@@ -278,13 +256,13 @@ def solve_tension(
     clamped_all: set[int] = set()
     backtracks = 0
     inversions = 0
-    boundary_solves = 0
     iterations = 0
 
     def report(converged: bool) -> SolveReport:
+        # each Newton step is one boundary solve
         return SolveReport(
             iterations, norm_inf, backtracks, tuple(sorted(clamped_all)), converged,
-            tuple(history), inversions, boundary_solves,
+            tuple(history), inversions, iterations,
         )
 
     rows = residual(design, config, tau, loads)
@@ -301,7 +279,6 @@ def solve_tension(
             )
         step = newton_step(design, config, tau, loads)
         inversions += step.inversions_3x3
-        boundary_solves += step.solves_6x6
         iterations += 1
 
         norm_2 = residual_norm(rows, 2)

@@ -14,8 +14,8 @@ has no child contact; its row is realized with D = I and d_eta = 0.
 Both the residual and the blocks are array expressions over the link axis
 of `config.geometry`, which every configuration carries from its
 evaluation: link k = i + 1 (row i) reads its parent contact from joint i
-and its child contact from joint i + 1.  Only the load entry points
-`loads.net_wrench` and `net_derivative` are called once per link.
+and its child contact from joint i + 1.  The loads enter as the stacks
+`loads.net_wrench` and `net_derivative` build from the link poses.
 `joint_geometry` is re-exported here: the whole-chain kernel keeps the name
 under which the balance has always read it.
 """
@@ -75,11 +75,6 @@ def _tendon_wrenches(design: MechanismDesign, geom) -> np.ndarray:
     return out
 
 
-def _link_loads(loads, config: Configuration, entry) -> np.ndarray:
-    """`entry(loads, k + 1, pose_k)` stacked over links 1..n-1."""
-    return np.array([entry(loads, k + 1, pose) for k, pose in enumerate(config.poses) if k])
-
-
 def _contact_coadjoints(geom) -> tuple[np.ndarray, np.ndarray]:
     """Co-adjoints of each link's parent contact frame (links 1..n-1) and
     child contact frame (links 1..n-2)."""
@@ -101,7 +96,7 @@ def _balance(
     h = tension_wrenches @ tau
     h += matvec(coad_parent, wrenches)
     h[:-1] -= matvec(coad_child, wrenches[1:])
-    h += _link_loads(loads, config, loads_mod.net_wrench)
+    h += loads_mod.net_wrench(loads, config.poses)
     return h
 
 
@@ -190,7 +185,7 @@ def assemble_blocks(
     b_blk[:, :, 0] = -geom.curve_gap[:, None] * np.column_stack(
         [np.ones(links), tp[:, 1], -tp[:, 0]])
 
-    c_blk = _link_loads(loads, config, loads_mod.net_derivative)
+    c_blk = loads_mod.net_derivative(loads, config.poses)
 
     coad_parent, coad_child = coadjoints = _contact_coadjoints(geom)
     e_blk = coad_parent.copy()

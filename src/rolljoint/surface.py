@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import Pose2, Twist2
+from .geometry import Pose2
 
 # grid refinement for curvature-profile integration: step <= width / PROFILE_STEPS
 PROFILE_STEPS = 1000
@@ -57,9 +57,6 @@ class ContactSurface(ABC):
     @abstractmethod
     def curvature_at(self, s: float) -> float:
         """Signed curvature u(s)."""
-
-    def twist_at(self, s: float) -> Twist2:
-        return Twist2(self.curvature_at(s), (1.0, 0.0))
 
 
 @dataclass(frozen=True, eq=False)

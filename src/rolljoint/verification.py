@@ -95,7 +95,7 @@ def check_surface_ode(design: MechanismDesign, samples: int = 20):
         grid = np.linspace(surf.s_min + margin, surf.s_max - margin, samples)
         for s in grid:
             frame = surf.frame_at(s)
-            twist = surf.twist_at(s)
+            twist = geo.Twist2(surf.curvature_at(s), (1.0, 0.0))
             errs = []
             for h in (1e-3, 1e-4):
                 stepped = surf.frame_at(s + h)

@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
+from rolljoint.catalog import standard_link_chain
+from rolljoint.errors import InvalidLoadError
 from rolljoint.geometry import Pose2, Twist2, Wrench2, compose, exp_twist
 from rolljoint.loads import (
     ConstantBody,
     ConstantWorkspace,
     LinearSpring,
+    check_targets,
     net_derivative,
     net_wrench,
 )
+from rolljoint.mechanism import evaluate
 from rolljoint.oracle import dense_solve, energy
 from rolljoint.solver_tension import solve_tension
+from rolljoint.statics import assemble_blocks, residual
+
+from conftest import count_calls
 
 
 def random_pose(rng):
@@ -91,19 +98,96 @@ def test_pure_moment_workspace_load_has_zero_derivative(rng):
 
 
 def test_loads_superpose(rng):
-    pose = random_pose(rng)
+    poses = [random_pose(rng) for _ in range(3)]
     a = ConstantBody(target_link=2, wrench=Wrench2(1.0, (0.5, 0.0)))
     b = LinearSpring(target_link=2, stiffness=0.3, anchor=(5.0, 5.0))
-    c = ConstantWorkspace(target_link=1, wrench=Wrench2(0.0, (1.0, 0.0)))  # other link
-    total = net_wrench([a, b, c], 2, pose)
+    c = ConstantWorkspace(target_link=1, wrench=Wrench2(0.0, (1.0, 0.0)))  # the base
+    total = net_wrench([a, b, c], poses)
+    assert total.shape == (2, 3)
     np.testing.assert_allclose(
-        total, a.body_wrench(pose).as_array() + b.body_wrench(pose).as_array(), atol=1e-14
-    )
-    np.testing.assert_allclose(
-        net_derivative([a, b, c], 2, pose),
-        a.body_wrench_derivative(pose) + b.body_wrench_derivative(pose),
+        total[0], a.body_wrench(poses[1]).as_array() + b.body_wrench(poses[1]).as_array(),
         atol=1e-14,
     )
+    np.testing.assert_array_equal(total[1], np.zeros(3))
+    derivative = net_derivative([a, b, c], poses)
+    assert derivative.shape == (2, 3, 3)
+    np.testing.assert_allclose(
+        derivative[0],
+        a.body_wrench_derivative(poses[1]) + b.body_wrench_derivative(poses[1]),
+        atol=1e-14,
+    )
+    np.testing.assert_array_equal(derivative[1], np.zeros((3, 3)))
+
+
+def per_link_reference(loads, poses):
+    """Link-by-link sums of `body_wrench` / `body_wrench_derivative` over
+    the loads whose target is that link, for links 2..n."""
+    links = range(2, len(poses) + 1)
+    wrench = np.array([sum((load.body_wrench(poses[k - 1]).as_array()
+                            for load in loads if load.target_link == k), np.zeros(3))
+                       for k in links])
+    derivative = np.array([sum((load.body_wrench_derivative(poses[k - 1])
+                                for load in loads if load.target_link == k), np.zeros((3, 3)))
+                           for k in links])
+    return wrench, derivative
+
+
+def _pull(link, fx=0.3, fy=-0.2):
+    return ConstantWorkspace(target_link=link, wrench=Wrench2(0.1, (fx, fy)), attach=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("make_loads", [
+    lambda n: (_pull(1),),
+    lambda n: (_pull(3), LinearSpring(target_link=3, stiffness=0.2, anchor=(10.0, 60.0))),
+    lambda n: tuple(_pull(k, 0.05 * k) for k in range(1, n + 1)),
+    # a target off the chain or between links acts on no link
+    lambda n: (_pull(n + 1), _pull(0), _pull(4.5), _pull(n)),
+], ids=["base_link", "two_on_one_link", "every_link", "off_chain_and_fractional"])
+def test_stacked_loads_match_per_link_reference(paper5, make_loads):
+    config, _ = solve_tension(paper5, (3.0, 1.0))
+    loads = make_loads(paper5.n)
+    wrench, derivative = per_link_reference(loads, config.poses)
+    assert wrench.shape == (paper5.n - 1, 3)
+    np.testing.assert_array_equal(net_wrench(loads, config.poses), wrench)
+    np.testing.assert_array_equal(net_derivative(loads, config.poses), derivative)
+
+
+def test_loads_evaluated_once_per_residual_and_block_assembly(monkeypatch):
+    # the loads of the whole chain are one call, not one call per link
+    design = standard_link_chain(50)
+    config = evaluate(design, design.joint_midpoints(), np.zeros((design.joint_count, 2)))
+    loads = (_pull(design.n),)
+    wrench_calls = count_calls(monkeypatch, net_wrench)
+    derivative_calls = count_calls(monkeypatch, net_derivative)
+    residual(design, config, (3.0, 2.0), loads)
+    assert (wrench_calls[0], derivative_calls[0]) == (1, 0)
+    assemble_blocks(design, config, (3.0, 2.0), loads)
+    assert (wrench_calls[0], derivative_calls[0]) == (2, 1)
+
+
+@pytest.mark.parametrize("target", [4.5, True, "5"], ids=["fractional", "bool", "string"])
+def test_load_target_that_is_no_link_number_rejected(paper5, target):
+    # none of these names a link: the balance would ignore a fractional
+    # target and read True as link 1, so the load is refused up front
+    load = ConstantWorkspace(target_link=target, wrench=Wrench2(0.0, (1.0, 0.0)))
+    with pytest.raises(InvalidLoadError, match=rf"ConstantWorkspace load target_link {target!r}"):
+        check_targets((load,), paper5.n)
+    with pytest.raises(InvalidLoadError):
+        solve_tension(paper5, (3.0, 1.0), (load,))
+    with pytest.raises(InvalidLoadError):
+        energy(paper5, paper5.joint_midpoints(), (3.0, 1.0), (load,))
+
+
+@pytest.mark.parametrize("target", [5.0, np.int64(5)], ids=["whole_float", "numpy_int"])
+def test_whole_load_target_accepted(paper5, target):
+    pull = Wrench2(0.0, (1.0, 0.0))
+    whole = (ConstantWorkspace(target_link=target, wrench=pull),)
+    integer = (ConstantWorkspace(target_link=5, wrench=pull),)
+    config, _ = solve_tension(paper5, (3.0, 1.0), whole)
+    expected, _ = solve_tension(paper5, (3.0, 1.0), integer)
+    np.testing.assert_array_equal(config.s, expected.s)
+    s = paper5.joint_midpoints()
+    assert energy(paper5, s, (3.0, 1.0), whole) == energy(paper5, s, (3.0, 1.0), integer)
 
 
 def test_negative_stiffness_rejected():

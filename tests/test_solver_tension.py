@@ -312,8 +312,7 @@ def test_rejected_interior_d_block_names_its_link(paper5):
 
     config, _ = solve_tension(paper5, (3.0, 1.0))
     blocks = assemble_blocks(paper5, config, (3.0, 1.0))
-    rhs = np.zeros((len(blocks), 6, 1))
-    rhs[:, 3:, 0] = -blocks.h
+    columns = -blocks.h[:, :, None]
 
     def with_d(index, block, d=None):
         d = blocks.D.copy() if d is None else d
@@ -331,9 +330,9 @@ def test_rejected_interior_d_block_names_its_link(paper5):
     ]
     for d_blocks, message in cases:
         with pytest.raises(SingularBlockError, match=message):
-            block_solve(replace(blocks, D=d_blocks), rhs)
+            block_solve(replace(blocks, D=d_blocks), columns)
     # the tip block is the identity by convention and never inverted
-    etas, _, inversions = block_solve(replace(blocks, D=with_d(3, np.zeros((3, 3)))), rhs)
+    etas, inversions = block_solve(replace(blocks, D=with_d(3, np.zeros((3, 3)))), columns)
     assert inversions == paper5.n - 2 and np.all(np.isfinite(etas))
 
 

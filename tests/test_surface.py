@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rolljoint.errors import DomainError
-from rolljoint.geometry import Pose2, compose, exp_twist
+from rolljoint.geometry import Pose2, Twist2, compose, exp_twist
 from rolljoint.mechanism import pose_difference
 from rolljoint.surface import CircularArc, CurvatureProfile
 
@@ -29,6 +29,11 @@ def make_profile(coeffs=(0.02, 0.003, -4e-4), half=6.0):
     )
 
 
+def arc_length_twist(surf, s):
+    """Body twist of the surface frame per unit arc length at s."""
+    return Twist2(surf.curvature_at(s), (1.0, 0.0))
+
+
 def test_arc_reference_frame():
     arc = make_arc()
     frame = arc.frame_at(0.0)
@@ -47,9 +52,8 @@ def test_arc_angle_advances_with_arc_length():
 
 
 def test_arc_curvature():
-    assert make_arc(radius=10.0, sign=1).twist_at(2.0).w == pytest.approx(0.1)
-    assert make_arc(radius=10.0, sign=-1).twist_at(2.0).w == pytest.approx(-0.1)
-    np.testing.assert_array_equal(make_arc().twist_at(1.0).v, [1.0, 0.0])
+    assert make_arc(radius=10.0, sign=1).curvature_at(2.0) == pytest.approx(0.1)
+    assert make_arc(radius=10.0, sign=-1).curvature_at(2.0) == pytest.approx(-0.1)
 
 
 def test_arc_sixty_degree_domain():
@@ -73,8 +77,7 @@ def test_straight_profile_is_translation():
         frame = prof.frame_at(s)
         assert abs(frame.angle) < 1e-12
         np.testing.assert_allclose(frame.translation, [s, 10.0], atol=1e-10)
-    assert prof.twist_at(1.0).w == 0.0
-    np.testing.assert_array_equal(prof.twist_at(1.0).v, [1.0, 0.0])
+    assert prof.curvature_at(1.0) == 0.0
 
 
 def test_domain_error_and_slack():
@@ -82,7 +85,7 @@ def test_domain_error_and_slack():
     with pytest.raises(DomainError):
         arc.frame_at(5.1)
     with pytest.raises(DomainError):
-        arc.twist_at(-5.0001)
+        arc.curvature_at(-5.0001)
     # boundary noise within the slack is absorbed
     arc.frame_at(5.0 + 1e-10 * arc.width)
 
@@ -111,7 +114,7 @@ def test_arc_length_ode_second_order_on_profile():
         errs = []
         for h in (1e-3, 1e-4):
             stepped = surf.frame_at(s + h)
-            predicted = compose(surf.frame_at(s), exp_twist(surf.twist_at(s), h))
+            predicted = compose(surf.frame_at(s), exp_twist(arc_length_twist(surf, s), h))
             errs.append(max(pose_difference(stepped, predicted)))
         if errs[0] < 1e-11:
             continue  # the leading error term vanishes where u'(s) = 0
@@ -126,7 +129,7 @@ def test_arc_length_ode_exact_on_circles():
     surf = make_arc(radius=7.0, sign=-1)
     for s in (-3.0, 0.5, 4.0):
         stepped = surf.frame_at(s + 1e-3)
-        predicted = compose(surf.frame_at(s), exp_twist(surf.twist_at(s), 1e-3))
+        predicted = compose(surf.frame_at(s), exp_twist(arc_length_twist(surf, s), 1e-3))
         assert max(pose_difference(stepped, predicted)) < 1e-12
 
 
