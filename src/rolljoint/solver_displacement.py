@@ -28,8 +28,12 @@ descent, so that method is the heavily damped limit of the same iteration.
 The trial iterate is (s + ds0 + S_s dtau, f + df0 + S_f dtau, tau + dtau);
 it is accepted when the merit phi = |e|^2/2 + |rows|^2/2 (rows: the scaled
 balance residual, in the units of the solver tolerances) does not grow
-beyond rounding.  A rejected trial only re-solves the 2x2 system.  The first
-step takes alpha = 1/||J||_F^2 of the first Jacobian.  alpha grows by
+beyond rounding.  Each trial assembles its blocks once: their balance rows
+give its merit and, once it is accepted, the next step's elimination.  A
+rejected trial only re-solves the 2x2 system.  The first step takes
+alpha = ALPHA_GROWTH^2 / ||J||_F^2 of the first Jacobian (lambda = 1e-2
+||J||_F^2), near the Gauss-Newton step along J's strong direction but still
+damped along the weak direction of a loaded J.  alpha grows by
 ALPHA_GROWTH after an accepted step (towards Gauss-Newton) and shrinks by
 BACKTRACK_FACTOR after a rejected one (towards gradient descent); a trial
 whose tendon collapses or whose merit is not finite is rejected too.  When
@@ -70,7 +74,7 @@ from .solver_tension import (
     block_solve,
     solve_tension,
 )
-from .statics import assemble_blocks, block_residual, residual, residual_norm
+from .statics import assemble_blocks, block_residual, residual_norm
 
 DAMPING_FLOOR = 1e-10   # lower bound on lambda / ||J||_F^2
 ALPHA_GROWTH = 10.0     # alpha factor after an accepted step
@@ -212,7 +216,7 @@ def solve_displacement(
         grad = (error + dl_ds @ newton[:, 0]) @ jac
         jac_sq = max(jac_norm**2, 1e-30)
         if outer == 0:
-            alpha = 1.0 / jac_sq
+            alpha = ALPHA_GROWTH**2 / jac_sq
         alpha = min(alpha, 1.0 / (DAMPING_FLOOR * jac_sq))
         # a tension the gradient pushes into the floor is left out of the
         # normal matrix, so the projection cannot undo the other's step
@@ -240,10 +244,14 @@ def solve_displacement(
                 continue
             lengths_trial = tendon_lengths(design, trial)
             error_trial = lengths_trial - l_des
-            objective_trial = _merit(error_trial, residual(design, trial, tau_trial, loads))
+            # the trial's blocks give its merit and, once accepted, the
+            # next step's elimination
+            blocks_trial = assemble_blocks(design, trial, tau_trial, loads)
+            rows_trial = block_residual(design, blocks_trial)
+            objective_trial = _merit(error_trial, rows_trial)
             # a NaN merit fails the test and counts as a backtrack
             if objective_trial <= objective * (1.0 + 1e-14) + 1e-300:
-                tau, config = tau_trial, trial
+                tau, config, blocks, rows = tau_trial, trial, blocks_trial, rows_trial
                 lengths, error, objective = lengths_trial, error_trial, objective_trial
                 alpha *= ALPHA_GROWTH
                 accepted = True
@@ -253,8 +261,6 @@ def solve_displacement(
         history.append(objective)
         if not accepted:
             break
-        blocks = assemble_blocks(design, config, tau, loads)
-        rows = block_residual(design, blocks)
 
     # a rejected step leaves config unchanged, so the gradient and the
     # residual always belong to the last evaluated iterate

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rolljoint import solver_displacement, solver_tension
+from rolljoint.catalog import standard_link_chain
 from rolljoint.errors import NoConvergenceError, TensionFloorError
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
@@ -14,7 +15,7 @@ from rolljoint.solver_displacement import (
     tendon_jacobian,
 )
 from rolljoint.solver_tension import SolverOptions, solve_tension
-from rolljoint.statics import residual, residual_norm
+from rolljoint.statics import assemble_blocks, residual, residual_norm
 
 from conftest import count_calls, max_pose_error
 
@@ -263,28 +264,34 @@ def _spy_start_solves(monkeypatch):
 
 
 def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
-    # every joint geometry belongs to an evaluated iterate with one residual
-    # each: the start solve's iterates (the cold start's force fit reads its
-    # start iterate's) and one trial per accepted or rejected step; the
-    # lengths and the blocks of each iterate read the geometry it carries
+    # every joint geometry belongs to an evaluated iterate: the start solve's
+    # iterates with one residual each (the cold start's force fit reads its
+    # start iterate's), and one trial per accepted or rejected step, whose
+    # blocks give its merit and, once accepted, the next step's elimination;
+    # the lengths and the blocks of each iterate read the geometry it carries
     generator, _ = solve_tension(paper5, (2.5, 1.0))
     target = tendon_lengths(paper5, generator)
     starts = _spy_start_solves(monkeypatch)
     geometry_calls = count_calls(monkeypatch, joint_geometry)
     residual_calls = count_calls(monkeypatch, residual)
+    block_calls = count_calls(monkeypatch, assemble_blocks)
     tau, config, report = solve_displacement(paper5, target)
     assert report.converged and report.outer_iterations >= 2
     [start] = starts
     start_residuals = 1 + start.iterations + start.backtrack_count
-    assert residual_calls[0] == start_residuals + report.outer_iterations + report.backtrack_count
-    assert geometry_calls[0] == residual_calls[0]
+    trials = report.outer_iterations + report.backtrack_count
+    assert residual_calls[0] == start_residuals
+    assert geometry_calls[0] == start_residuals + trials
+    # the force fit, one per start Newton step, the descent's start iterate
+    # and one per trial
+    assert block_calls[0] == 1 + start.iterations + 1 + trials
 
     # started from its own solution, the search reads that equilibrium's
     # geometry once (no force fit, no Newton step, no new build) and stops
-    geometry_calls[0] = residual_calls[0] = 0
+    geometry_calls[0] = residual_calls[0] = block_calls[0] = 0
     again, _, report = solve_displacement(paper5, target, tau_init=tau, init=config)
     assert report.converged and report.outer_iterations == report.inner_iterations == 0
-    assert residual_calls[0] == 1
+    assert residual_calls[0] == block_calls[0] == 1
     assert geometry_calls[0] == 0
     np.testing.assert_array_equal(again, tau)
 
@@ -337,3 +344,38 @@ def test_rounding_sensitive_loaded_descent_converges(paper5):
     assert report.converged
     assert report.outer_iterations <= 15
     assert np.abs(tau - tau_gen).max() < 1e-4
+
+
+@pytest.mark.parametrize("key", ["paper5", "poly3"])
+def test_unloaded_round_trips_take_few_outer_steps(request, key):
+    # generator tensions in the displacement benchmark's range; a first
+    # step near Gauss-Newton (alpha = 100 / ||J||_F^2) leaves no step to
+    # climbing the damping ramp
+    design = request.getfixturevalue(key)
+    rng = np.random.default_rng(15)
+    for _ in range(4):
+        small = rng.uniform(1.0, 2.0)
+        tau_gen = np.array([small, small * rng.uniform(1.0, 3.0)])
+        if rng.random() < 0.5:
+            tau_gen = tau_gen[::-1]
+        generator, _ = solve_tension(design, tau_gen)
+        _, _, report = solve_displacement(design, tendon_lengths(design, generator))
+        assert report.converged
+        assert report.outer_iterations <= 5
+
+
+def test_warm_loaded_long_chain_converges():
+    # a 20-link chain under a weak tip pull, warm-started at the equilibrium
+    # of (3, 2) N for the lengths of (2.4, 2.4) N; a first step of half the
+    # Gauss-Newton step along J's strong direction led to an iterate whose
+    # Newton part alone raised the length error, so that every retry of
+    # the next step was rejected
+    design = standard_link_chain(20)
+    loads = (ConstantWorkspace(target_link=20, wrench=Wrench2(0.0, (0.0125, 0.0))),)
+    generator, _ = solve_tension(design, (2.4, 2.4), loads)
+    start, _ = solve_tension(design, (3.0, 2.0), loads)
+    tau, _, report = solve_displacement(design, tendon_lengths(design, generator), loads,
+                                        tau_init=(3.0, 2.0), init=start)
+    assert report.converged
+    assert report.backtrack_count == 0
+    assert np.abs(tau - 2.4).max() < 1e-4
