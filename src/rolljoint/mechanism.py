@@ -4,17 +4,20 @@
 relative poses and tendon gap segments (with their s-derivatives) are
 computed: one struct-of-arrays evaluation of the whole chain per iterate,
 with a leading joint axis (row j is joint j) and, for the segments, the
-left/right side as the next axis (column i is SIDES[i]).  Each mating
-surface is looked up once per iterate through its `frame_at`.
-`forward_poses` is the one pose chain: a running angle sum of the relative
-poses and a batched rotation of the relative translations.
+left/right side as the next axis (column i is SIDES[i]).  All 2(n-1)
+mating surfaces are looked up in one pass of the design's
+`surface_stack`, and the child-side (v) and parent-side (w) segments are
+built as one stack.  The pose chain is a running angle sum of the relative
+poses and a batched rotation of the relative translations, kept as arrays;
+`forward_poses` returns it as `Pose2` values.
 
 `evaluate(design, s, f)` is the one constructor of a `Configuration`: it
-builds the geometry once and chains the poses from it, so every
-configuration is an evaluated iterate that carries its geometry (read as
-`config.geometry` by the tendon lengths here, the force balance in
-`statics` and the displacement solver's Jacobian) and belongs to the design
-that evaluated it.  `Configuration.from_unknowns` is the same call.
+builds the geometry once and chains the link angles and translations from
+it, so every configuration is an evaluated iterate that carries its
+geometry (read as `config.geometry` by the tendon lengths here, the force
+balance in `statics` and the displacement solver's Jacobian) and belongs to
+the design that evaluated it.  Its `poses` tuple is built on first read.
+`Configuration.from_unknowns` is the same call.
 
 Indexing: links are stored 0-based; joint j couples the child surface of
 link j with the parent surface of link j+1 and carries one contact arc
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateTendonError
 from .geometry import Pose2, matvec, rot2_stack, _frozen_vec2
-from .surface import ContactSurface
+from .surface import ContactSurface, SurfaceStack
 
 SIDES = ("l", "r")
 
@@ -135,6 +138,20 @@ class MechanismDesign:
         return _frozen([link.parent_points for link in self.links[1:]])
 
     @cached_property
+    def surface_stack(self) -> SurfaceStack:
+        """Every joint's mating surfaces as one `SurfaceStack`: entry 2j is
+        the child surface of joint j, entry 2j + 1 its parent surface."""
+        return SurfaceStack([surf for j in range(self.joint_count)
+                             for surf in self.joint_surfaces(j)])
+
+    @cached_property
+    def joint_gap_points(self) -> np.ndarray:
+        """(joints, 2, sides, 2) far-end entry points of each joint's gap
+        segments: column 0 `joint_parent_points`, column 1
+        `joint_child_points`."""
+        return _frozen(np.stack((self.joint_parent_points, self.joint_child_points), axis=1))
+
+    @cached_property
     def link_spans(self) -> np.ndarray:
         """(links, sides) tendon lengths inside each link."""
         spans = np.array([link.child_points - link.parent_points for link in self.links])
@@ -164,20 +181,29 @@ def _mean_link_extent(links) -> float:
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """One evaluated iterate: contact arc lengths s (n-1,), contact forces
-    f (n-1, 2), the link poses (n,) chained from s, and the `JointGeometry`
-    at s.  `evaluate` builds it; the geometry travels with the configuration
-    and belongs to the design that evaluated it."""
+    f (n-1, 2), the link angles (n,) and translations (n, 2) chained from s,
+    and the `JointGeometry` at s.  `evaluate` builds it; the geometry travels
+    with the configuration and belongs to the design that evaluated it.
+    `poses` holds the same link poses as `Pose2` values, built on first
+    read."""
 
     s: np.ndarray
     f: np.ndarray
-    poses: tuple[Pose2, ...]
+    link_angles: np.ndarray
+    link_translations: np.ndarray
     geometry: "JointGeometry" = field(repr=False)
 
     def __post_init__(self):
         s = _frozen(self.s).reshape(-1)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "f", _frozen(self.f).reshape(len(s), 2))
-        object.__setattr__(self, "poses", tuple(self.poses))
+        object.__setattr__(self, "link_angles", _frozen(self.link_angles).reshape(-1))
+        object.__setattr__(self, "link_translations",
+                           _frozen(self.link_translations).reshape(-1, 2))
+
+    @cached_property
+    def poses(self) -> tuple[Pose2, ...]:
+        return _link_poses(self.link_angles, self.link_translations)
 
     @staticmethod
     def from_unknowns(design: MechanismDesign, s, f) -> "Configuration":
@@ -191,125 +217,158 @@ def _transposed(matrices: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SegmentGeometry:
-    """Tendon gap segments on one side of every joint, both tendons at once
-    (row j for joint j, then SIDES): vectors, unit vectors and their
-    s-derivatives (J, 2, 2), lengths (J, 2)."""
+    """Tendon gap segments of every joint, both tendons at once (row j for
+    joint j, then SIDES): vectors and their s-derivatives (J, 2, 2), lengths
+    (J, 2), and the unit vectors and their s-derivatives stacked as
+    `directions` (J, 2, 2, 2), read as `unit` and `d_unit`.
+    `JointGeometry.segments` stacks the child-side and the parent-side
+    segments on an axis after the joint axis."""
 
     vec: np.ndarray
-    unit: np.ndarray
     length: np.ndarray
     d_vec: np.ndarray
-    d_unit: np.ndarray
+    directions: np.ndarray
+
+    unit = property(lambda self: self.directions[..., 0, :, :])
+    d_unit = property(lambda self: self.directions[..., 1, :, :])
+
+    def __getitem__(self, index) -> "SegmentGeometry":
+        return SegmentGeometry(*(value[index] for value in vars(self).values()))
 
 
 def _segments(vec: np.ndarray, d_vec: np.ndarray) -> SegmentGeometry:
     """Segments from their vectors and s-derivatives."""
-    length = np.sqrt(np.einsum("jsi,jsi->js", vec, vec))
-    if (length < MIN_SEGMENT_LENGTH).any():
+    length = np.sqrt(np.einsum("...i,...i->...", vec, vec))
+    if length.min() < MIN_SEGMENT_LENGTH:
         raise DegenerateTendonError(f"tendon segment length {length.min()} below minimum")
-    unit = vec / length[..., None]
-    along = np.einsum("jsi,jsi->js", unit, d_vec)
-    d_unit = (d_vec - unit * along[..., None]) / length[..., None]
-    return SegmentGeometry(vec, unit, length, d_vec, d_unit)
+    directions = np.empty(vec.shape[:-2] + (2,) + vec.shape[-2:])
+    length_col = length[..., None]
+    unit = np.divide(vec, length_col, out=directions[..., 0, :, :])
+    along = np.einsum("...i,...i->...", unit, d_vec)
+    np.divide(d_vec - unit * along[..., None], length_col, out=directions[..., 1, :, :])
+    return SegmentGeometry(vec, length, d_vec, directions)
+
+
+_PERP_SIGNS = np.array([-1.0, 1.0])
 
 
 def _perp(vec: np.ndarray) -> np.ndarray:
     """Planar vectors on the last axis turned by +90 degrees: skew1(1) @ v."""
-    return vec[..., ::-1] * np.array([-1.0, 1.0])
+    return vec[..., ::-1] * _PERP_SIGNS
 
 
 @dataclass(frozen=True, eq=False)
 class JointGeometry:
     """Everything the kinematics and the balance need about every joint at
     contact arc lengths s, stacked on a leading joint axis (row j is joint
-    j).  The child contact frame lies on link j (in its coordinates), the
-    parent contact frame on link j+1."""
+    j) and, for the two contact frames and the two segment kinds, on a
+    second axis: column 0 the child contact frame, which lies on link j (in
+    its coordinates), and the child-side segments v of link j; column 1 the
+    parent contact frame on link j+1 and its parent-side segments w.  The
+    `child_*` and `parent_*` properties and `v` and `w` are those columns."""
 
-    child_angle: np.ndarray           # (J,)
-    child_rotation: np.ndarray        # (J, 2, 2)
-    child_translation: np.ndarray     # (J, 2)
-    parent_angle: np.ndarray
-    parent_rotation: np.ndarray
-    parent_translation: np.ndarray
-    child_curvature: np.ndarray       # (J,) signed curvature at the contact
-    parent_curvature: np.ndarray
-    curve_gap: np.ndarray             # child minus parent curvature
+    contact_angle: np.ndarray         # (J, 2)
+    contact_rotation: np.ndarray      # (J, 2, 2, 2)
+    contact_translation: np.ndarray   # (J, 2, 2)
+    curvature: np.ndarray             # (J, 2) signed curvature at the contact
+    curve_gap: np.ndarray             # (J,) child minus parent curvature
     relative_angle: np.ndarray        # link j+1 expressed in link j
     relative_rotation: np.ndarray
     relative_translation: np.ndarray
-    v: SegmentGeometry                # child-side segments of link j
-    w: SegmentGeometry                # parent-side segments of link j+1
+    inverse_translation: np.ndarray   # translation of link j expressed in link j+1
+    segments: SegmentGeometry         # (J, 2, ...): v, then w
+
+    child_angle = property(lambda self: self.contact_angle[:, 0])
+    child_rotation = property(lambda self: self.contact_rotation[:, 0])
+    child_translation = property(lambda self: self.contact_translation[:, 0])
+    child_curvature = property(lambda self: self.curvature[:, 0])
+    parent_angle = property(lambda self: self.contact_angle[:, 1])
+    parent_rotation = property(lambda self: self.contact_rotation[:, 1])
+    parent_translation = property(lambda self: self.contact_translation[:, 1])
+    parent_curvature = property(lambda self: self.curvature[:, 1])
+    v = property(lambda self: self.segments[:, 0])
+    w = property(lambda self: self.segments[:, 1])
 
 
 def joint_geometry(design: MechanismDesign, s) -> JointGeometry:
-    """The joint geometry of the whole chain at contact arc lengths s: one
-    `frame_at` and one `curvature_at` per mating surface, stacked (column 0
-    the child surface, column 1 the parent surface), and the relative poses
-    compose(child, inverse(parent))."""
+    """The joint geometry of the whole chain at contact arc lengths s: every
+    mating surface's frame and curvature from one lookup of the design's
+    `surface_stack`, and the relative poses compose(child, inverse(parent))."""
     s = np.asarray(s, dtype=float)
-    if s.shape != (design.joint_count,):
-        raise ValueError(f"expected {design.joint_count} contact parameters")
-    surfaces = [(s_j, surf) for j, s_j in enumerate(s.tolist())
-                for surf in design.joint_surfaces(j)]
-    frames = [surf.frame_at(s_j) for s_j, surf in surfaces]
-    angle = np.array([frame.angle for frame in frames]).reshape(-1, 2)
-    translation = np.array([frame.translation for frame in frames]).reshape(-1, 2, 2)
-    curvature = np.array([surf.curvature_at(s_j) for s_j, surf in surfaces]).reshape(-1, 2)
-    relative_angle = angle[:, 0] - angle[:, 1]
-    rotation = rot2_stack(np.column_stack([angle, relative_angle]))
-    rel_rot = rotation[:, 2]
+    joints = design.joint_count
+    if s.shape != (joints,):
+        raise ValueError(f"expected {joints} contact parameters")
+    angle, translation, curvature = design.surface_stack.frames_at(np.repeat(s, 2))
+    translation = translation.reshape(-1, 2, 2)
+    curvature = curvature.reshape(-1, 2)
+    # rotations of the child and parent frames, then of inverse(relative)
+    # and relative: R(-a) is R(a)^T exactly
+    angles = np.empty((joints, 4))
+    angles[:, :2] = angle.reshape(-1, 2)
+    relative_angle = np.subtract(angles[:, 0], angles[:, 1], out=angles[:, 3])
+    np.negative(relative_angle, out=angles[:, 2])
+    rotation = rot2_stack(angles)
     t_child, t_parent = translation[:, 0], translation[:, 1]
-    # inverse(parent) has translation -R_p^T t_p; the child frame maps it
-    # into link j
-    parent_back = -matvec(_transposed(rotation[:, 1]), t_parent)
-    rel_t = matvec(rotation[:, 0], parent_back) + t_child
-    curve_gap = curvature[:, 0] - curvature[:, 1]
-    # entry points are rows: p_next[j] on link j+1, c_here[j] on link j
-    p_next = design.joint_parent_points
-    c_here = design.joint_child_points
-    rel_back = -matvec(_transposed(rel_rot), rel_t)   # inverse(relative)
+    # inverse(parent) has translation -R_p^T t_p, which the child frame maps
+    # into link j; column 1 is the translation of inverse(relative)
+    rel_t = np.empty((joints, 2, 2))
+    parent_back = matvec(_transposed(rotation[:, 1]), t_parent)
+    np.subtract(t_child, matvec(rotation[:, 0], parent_back), out=rel_t[:, 0])
+    np.negative(matvec(_transposed(rotation[:, 3]), rel_t[:, 0]), out=rel_t[:, 1])
+    gap = np.empty((joints, 2))
+    curve_gap = np.subtract(curvature[:, 0], curvature[:, 1], out=gap[:, 0])
+    np.negative(curve_gap, out=gap[:, 1])
 
-    # rows are points, so a map x -> R x reads x @ R^T
-    v_vec = p_next @ _transposed(rel_rot) + rel_t[:, None] - c_here
-    v_dvec = curve_gap[:, None, None] * _perp(
-        (p_next - t_parent[:, None]) @ _transposed(rel_rot))
-    w_vec = c_here @ rel_rot + rel_back[:, None] - p_next
-    w_dvec = -curve_gap[:, None, None] * _perp((c_here - t_child[:, None]) @ rel_rot)
+    # segment column 0 is v (link j's child entry points to link j+1's parent
+    # entry points, in link j), column 1 is w (back, in link j+1); rows are
+    # points, so a map x -> R x reads x @ R^T
+    far = design.joint_gap_points
+    mapped = rotation[:, 2:]
+    vec = far @ mapped
+    vec += rel_t[:, :, None]
+    vec -= far[:, ::-1]
+    d_vec = gap[:, :, None, None] * _perp((far - translation[:, ::-1, None]) @ mapped)
     return JointGeometry(
-        angle[:, 0], rotation[:, 0], t_child,
-        angle[:, 1], rotation[:, 1], t_parent,
-        curvature[:, 0], curvature[:, 1], curve_gap,
-        relative_angle, rel_rot, rel_t,
-        _segments(v_vec, v_dvec), _segments(w_vec, w_dvec),
+        angles[:, :2], rotation[:, :2], translation, curvature, curve_gap,
+        relative_angle, rotation[:, 3], rel_t[:, 0], rel_t[:, 1], _segments(vec, d_vec),
     )
+
+
+def _pose_chain(base: Pose2, geometry: JointGeometry) -> tuple[np.ndarray, np.ndarray]:
+    """Link angles (n,) and translations (n, 2): a running sum of the joints'
+    relative angles and a running sum of their relative translations, each
+    rotated into the world by its link's pose."""
+    angles = np.concatenate(([base.angle], geometry.relative_angle)).cumsum()
+    steps = matvec(rot2_stack(angles[:-1]), geometry.relative_translation)
+    return angles, np.concatenate((base.translation[None], steps)).cumsum(axis=0)
+
+
+def _link_poses(angles: np.ndarray, translations: np.ndarray) -> tuple[Pose2, ...]:
+    return tuple(Pose2(angle, t) for angle, t in zip(angles.tolist(), translations))
 
 
 def forward_poses(design: MechanismDesign, s,
                   geometry: Optional[JointGeometry] = None) -> tuple[Pose2, ...]:
     """Chain the base pose through every rolling contact at contact arc
-    lengths s: a running sum of the joints' relative angles and a running
-    sum of their relative translations, each rotated into the world by its
-    link's pose.  `geometry` is the joint geometry at s; it is built here
-    only when the caller passes none."""
+    lengths s: the link poses of `evaluate`, as `Pose2` values.  `geometry`
+    is the joint geometry at s; it is built here only when the caller passes
+    none."""
     if geometry is None:
         geometry = joint_geometry(design, s)
-    base = design.base_pose
-    angles = np.cumsum(np.concatenate([[base.angle], geometry.relative_angle]))
-    steps = matvec(rot2_stack(angles[:-1]), geometry.relative_translation)
-    translations = np.cumsum(np.concatenate([base.translation[None], steps]), axis=0)
-    return tuple(Pose2(angle, t) for angle, t in zip(angles.tolist(), translations))
+    return _link_poses(*_pose_chain(design.base_pose, geometry))
 
 
 def evaluate(design: MechanismDesign, s, f) -> Configuration:
     """One evaluation of the unknowns (s, f): the joint geometry at s, built
-    once, and the link poses chained from its relative poses."""
+    once, and the link angles and translations chained from its relative
+    poses."""
     geometry = joint_geometry(design, s)
-    return Configuration(s, f, forward_poses(design, s, geometry), geometry)
+    return Configuration(s, f, *_pose_chain(design.base_pose, geometry), geometry)
 
 
 def tendon_lengths(design: MechanismDesign, config: Configuration) -> np.ndarray:
     """Total left/right tendon lengths: in-link spans plus gap segments [mm]."""
-    segments = config.geometry.v.length
+    segments = config.geometry.segments.length[:, 0]
     return np.concatenate([design.link_spans, segments]).sum(axis=0)
 
 

@@ -54,7 +54,7 @@ max(1, ||e|| ||J||)); both are read from that step's own elimination.
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -69,6 +69,7 @@ from .errors import (
 from .mechanism import Configuration, MechanismDesign, evaluate, tendon_lengths
 from .solver_tension import (
     SolverOptions,
+    _check_iteration_limit,
     _clamp_s,
     _pinned_joints,
     block_solve,
@@ -80,6 +81,7 @@ DAMPING_FLOOR = 1e-10   # lower bound on lambda / ||J||_F^2
 ALPHA_GROWTH = 10.0     # alpha factor after an accepted step
 BACKTRACK_FACTOR = 0.5  # alpha factor after a rejected step
 MAX_BACKTRACKS = 40     # retries of one step before the descent stops
+_EYE2 = np.eye(2)
 
 
 @dataclass(frozen=True)
@@ -92,8 +94,7 @@ class DisplacementOptions:
     def __post_init__(self):
         if not self.tension_floor > 0.0:
             raise ValueError("tension floor must be positive")
-        if operator.index(self.max_outer_iters) < 0:   # a float is a TypeError
-            raise ValueError("max_outer_iters must be >= 0")
+        _check_iteration_limit(self.max_outer_iters, "max_outer_iters", 0)
         if not self.grad_tol >= 0.0:
             raise ValueError("grad_tol must be >= 0")
 
@@ -147,13 +148,20 @@ def _bordered_columns(config: Configuration, blocks):
     (joints, 3, sides) (row 0 of both is ds, rows 1-2 df), and the length
     derivatives dl/ds (sides, joints) from the configuration's geometry."""
     etas, _ = block_solve(blocks, -np.concatenate((blocks.h[:, :, None], blocks.F), axis=2))
-    segments = config.geometry.v
-    dl_ds = np.einsum("jsi,jsi->sj", segments.unit, segments.d_vec)
+    segments = config.geometry.segments
+    dl_ds = np.einsum("jsi,jsi->sj", segments.unit[:, 0], segments.d_vec[:, 0])
     return etas[:, :, 0], etas[:, :, 1:], dl_ds
 
 
+def _norm(x: np.ndarray) -> float:
+    """The 2-norm of np.linalg.norm (the same dot product and square root)
+    without its argument handling."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x))
+
+
 def _merit(error: np.ndarray, rows: np.ndarray) -> float:
-    return 0.5 * float(error @ error) + 0.5 * float(np.sum(rows * rows))
+    return 0.5 * float(error @ error) + 0.5 * float((rows * rows).sum())
 
 
 def damped_step(normal: np.ndarray, grad: np.ndarray, alpha: float) -> np.ndarray:
@@ -163,7 +171,7 @@ def damped_step(normal: np.ndarray, grad: np.ndarray, alpha: float) -> np.ndarra
     the step is subtracted from the tensions.  For alpha -> 0 it tends to
     the gradient step alpha * grad.
     """
-    return alpha * np.linalg.solve(np.eye(len(grad)) + alpha * normal, grad)
+    return alpha * np.linalg.solve(_EYE2 + alpha * normal, grad)
 
 
 def solve_displacement(
@@ -205,9 +213,9 @@ def solve_displacement(
         # one elimination: the Newton step and the tension impulse responses
         newton, impulse, dl_ds = _bordered_columns(config, blocks)
         jac = dl_ds @ impulse[:, 0]
-        grad_norm = float(np.linalg.norm(error @ jac))
-        jac_norm = float(np.linalg.norm(jac))
-        scale = max(1.0, float(np.linalg.norm(error)) * jac_norm)
+        grad_norm = _norm(error @ jac)
+        jac_norm = _norm(jac)
+        scale = max(1.0, _norm(error) * jac_norm)
         converged = (residual_norm(rows, np.inf) <= opts.inner.tol_residual
                      and grad_norm <= opts.grad_tol * scale)
         if converged or outer == opts.max_outer_iters:
@@ -221,13 +229,13 @@ def solve_displacement(
         # a tension the gradient pushes into the floor is left out of the
         # normal matrix, so the projection cannot undo the other's step
         free = (tau > floor) | (grad <= 0.0)
-        normal = (jac.T @ jac) * np.outer(free, free)
+        normal = (jac.T @ jac) * (free[:, None] & free)
 
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
             tau_trial = np.maximum(tau - damped_step(normal, grad, alpha), floor)
             step = tau_trial - tau
-            if not np.any(step):
+            if not step.any():
                 if np.all(tau <= floor):
                     raise TensionFloorError(
                         "descent pinned both tensions at the floor",

@@ -22,6 +22,7 @@ chain is named in the SingularBlockError.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -33,8 +34,26 @@ from .mechanism import Configuration, MechanismDesign, evaluate
 from .statics import LinkBlocks, assemble_blocks, residual, residual_norm
 
 CONDITION_LIMIT = 1e12
+_EYE3 = np.eye(3)
+# the boundary system's d_xi_tip columns; its d_eta_base columns come from
+# the running product
+_BOUNDARY = np.zeros((6, 6))
+_BOUNDARY[:3, :3] = _EYE3
 BACKTRACK_FACTOR = 0.5   # step scale factor after a rejected trial
 MAX_BACKTRACKS = 20      # step halvings before the line search stalls
+
+
+def _check_iteration_limit(value, name: str, least: int) -> None:
+    """Refuse an iteration limit that is no whole number (a float or a bool)
+    with TypeError, and one below `least` with ValueError."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):
+        raise TypeError(f"{name} must be a whole number, got {value!r}")
+    if count < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -43,8 +62,9 @@ class SolverOptions:
     max_iters: int = 100
 
     def __post_init__(self):
-        if not self.tol_residual > 0.0 or self.max_iters < 1:   # NaN too
-            raise ValueError("tolerance must be positive and max_iters >= 1")
+        if not self.tol_residual > 0.0:   # NaN too
+            raise ValueError("tolerance must be positive")
+        _check_iteration_limit(self.max_iters, "max_iters", 1)
 
 
 @dataclass(frozen=True)
@@ -135,42 +155,44 @@ def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.nd
 def block_solve(blocks: LinkBlocks, columns: np.ndarray):
     """Solve the block recursion for balance-row right-hand sides `columns`
     (links, 3, width), those of the pose-chain rows being zero.  The interior
-    D blocks are inverted as one stack; link k's propagator
-    P_k = -Q_k [[A, B], [0, E]] with Q_k = [[I, 0], [-D^-1 C, D^-1]] and its
-    input Q_k r_k are stacked products, and only the running products stay a
-    loop.  The 6x6 boundary system gives (d_xi_tip, d_eta_base), and every
+    D blocks are inverted as one stack, and link k's propagator and input
+    are built blockwise as stacked 3x3 products:
+
+        P_k = [[-A, -B], [D^-1 C A, D^-1 C B - D^-1 E]],   u_k = [0; D^-1 r_k].
+
+    Only the running product and the back-substitution stay loops; the
+    product carries only its eta_base columns, beside the accumulated
+    input.  The 6x6 boundary system gives (d_xi_tip, d_eta_base), and every
     joint update is back-substituted from the base one.  Returns the joint
     updates (joints, 3, width) and the interior 3x3 inversion count."""
     links = len(blocks)
-    d_inv = np.broadcast_to(np.eye(3), (links, 3, 3)).copy()
+    width = columns.shape[-1]
+    d_inv = np.empty((links, 3, 3))
     d_inv[:-1] = _checked_inverses(blocks.D[:-1], lambda i: f"D block at link {i + 1}")
-    q_mat = np.zeros((links, 6, 6))
-    q_mat[:, :3, :3] = np.eye(3)
-    q_mat[:, 3:, :3] = -d_inv @ blocks.C
-    q_mat[:, 3:, 3:] = d_inv
-    left = np.zeros((links, 6, 6))
-    left[:, :3, :3] = blocks.A
-    left[:, :3, 3:] = blocks.B
-    left[:, 3:, 3:] = blocks.E
-    props = -q_mat @ left
-    rhs = np.zeros((links, 6, columns.shape[-1]))
-    rhs[:, 3:] = columns
-    q_rhs = q_mat @ rhs
-    prod = np.eye(6)
-    acc = np.zeros(rhs.shape[1:])
-    for prop, qr in zip(props, q_rhs):
-        acc = prop @ acc + qr
-        prod = prop @ prod
-    boundary = np.zeros((6, 6))
-    boundary[:3, :3] = np.eye(3)
-    boundary[:, 3:] = -prod[:, 3:]
-    state = np.zeros_like(acc)
-    state[3:] = _equilibrated_solve(boundary, acc, "boundary system")[3:]
-    etas = np.empty((links, 3, acc.shape[1]))
-    for k, (prop, qr) in enumerate(zip(props, q_rhs)):
-        etas[k] = state[3:]
-        state = prop @ state + qr
-    return etas, links - 1
+    d_inv[-1] = _EYE3
+    d_inv_c = d_inv @ blocks.C
+    props = np.empty((links, 6, 6))
+    np.negative(blocks.A, out=props[:, :3, :3])
+    np.negative(blocks.B, out=props[:, :3, 3:])
+    np.matmul(d_inv_c, blocks.A, out=props[:, 3:, :3])
+    np.subtract(d_inv_c @ blocks.B, d_inv @ blocks.E, out=props[:, 3:, 3:])
+    inputs = d_inv @ columns
+    # carried: the eta_base columns of P_k ... P_0, then the input
+    carried = np.zeros((6, 3 + width))
+    carried[:, :3] = props[0, :, 3:]
+    carried[3:, 3:] = inputs[0]
+    for prop, inp in zip(props[1:], inputs[1:]):
+        carried = prop @ carried
+        carried[3:, 3:] += inp
+    boundary = _BOUNDARY.copy()
+    boundary[:, 3:] = -carried[:, :3]
+    # back-substitution from (0, d_eta_base), one state per link
+    states = np.zeros((links, 6, width))
+    states[0, 3:] = _equilibrated_solve(boundary, carried[:, 3:], "boundary system")[3:]
+    for k in range(1, links):
+        np.matmul(props[k - 1], states[k - 1], out=states[k])
+        states[k, 3:] += inputs[k - 1]
+    return states[:, 3:], links - 1
 
 
 def newton_step(
@@ -213,7 +235,7 @@ def initial_forces(design: MechanismDesign, config: Configuration, tau, loads=()
 def _clamp_s(design: MechanismDesign, s: np.ndarray) -> tuple[np.ndarray, list[int]]:
     lo, hi = design.domains.T
     clamped = np.flatnonzero((s < lo) | (s > hi)).tolist()
-    return np.clip(s, lo, hi), clamped
+    return np.minimum(np.maximum(s, lo), hi), clamped
 
 
 def _pinned_joints(design: MechanismDesign, s: np.ndarray) -> list[int]:

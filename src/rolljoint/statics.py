@@ -14,10 +14,14 @@ has no child contact; its row is realized with D = I and d_eta = 0.
 Both the residual and the blocks are array expressions over the link axis
 of `config.geometry`, which every configuration carries from its
 evaluation: link k = i + 1 (row i) reads its parent contact from joint i
-and its child contact from joint i + 1.  The loads enter as the stacks
-`loads.net_wrench` and `net_derivative` build from the link poses.
-`joint_geometry` is re-exported here: the whole-chain kernel keeps the name
-under which the balance has always read it.
+and its child contact from joint i + 1.  The two contacts of every joint
+are handled as one stack (the geometry's column axis): one co-adjoint per
+contact frame, one product with the contact force wrenches and one set of
+tendon pulls.  The loads enter as the stacks `loads.net_wrench` and
+`net_derivative` build from the link poses, and only when there are loads,
+so an unloaded balance never reads `config.poses`.  `joint_geometry` is
+re-exported here: the whole-chain kernel keeps the name under which the
+balance has always read it.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ import numpy as np
 
 from . import loads as loads_mod
 from .geometry import matvec
-from .mechanism import Configuration, MechanismDesign, joint_geometry  # noqa: F401
+from .mechanism import Configuration, MechanismDesign, _perp, joint_geometry  # noqa: F401
+
+_EYE3 = np.eye(3)
 
 
 def _point_wrenches(points: np.ndarray, forces: np.ndarray) -> np.ndarray:
@@ -37,7 +43,7 @@ def _point_wrenches(points: np.ndarray, forces: np.ndarray) -> np.ndarray:
     pulls."""
     # side-major storage: each link's (3, sides) block is column-major, the
     # layout that fixes how its product with the tensions rounds
-    out = np.empty(points.shape[:-1] + (3,))
+    out = np.empty(forces.shape[:-1] + (3,))
     out[..., 0] = points[..., 0] * forces[..., 1] - points[..., 1] * forces[..., 0]
     out[..., 1:] = forces
     return np.swapaxes(out, -1, -2)
@@ -48,55 +54,64 @@ def _coadjoints(rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
     (`geometry.coadjoint` of each)."""
     out = np.zeros(rotation.shape[:-2] + (3, 3))
     out[..., 0, 0] = 1.0
-    # skew2(t) = (t_y, -t_x), as a row
-    skew = np.empty(translation.shape[:-1] + (1, 2))
-    skew[..., 0, 0] = translation[..., 1]
-    skew[..., 0, 1] = -translation[..., 0]
-    out[..., 0, 1:] = -(skew @ rotation)[..., 0, :]
+    # -skew2(t) = (-t_y, t_x), as a row
+    out[..., 0, 1:] = (_perp(translation)[..., None, :] @ rotation)[..., 0, :]
     out[..., 1:, 1:] = rotation
     return out
 
 
-def _twist_force_wrenches(curvature: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """coadjoint_small(u, (1, 0)) @ (0, f): the s-derivative generator of
-    the arc-length twist applied to the contact force wrench, (..., 3)."""
-    out = np.empty(f.shape[:-1] + (3,))
-    out[..., 0] = f[..., 1]
-    out[..., 1] = -curvature * f[..., 1]
-    out[..., 2] = curvature * f[..., 0]
+def _contact_wrenches(curvature: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """(joints, 2, 2, 3) wrenches of each joint's contact force f at its two
+    contact frames (stacked as in the geometry): first the s-derivative
+    generator of the arc-length twist applied to it,
+    coadjoint_small(u, (1, 0)) @ (0, f), then the wrench (0, f) itself."""
+    out = np.zeros(curvature.shape + (2, 3))
+    out[..., 0, 0] = f[:, None, 1]
+    out[..., 0, 1] = -curvature * f[:, None, 1]
+    out[..., 0, 2] = curvature * f[:, None, 0]
+    out[..., 1, 1:] = f[:, None]
     return out
 
 
-def _tendon_wrenches(design: MechanismDesign, geom) -> np.ndarray:
+def _pulls(design: MechanismDesign, geom) -> np.ndarray:
+    """(joints, 2, 2, 3, sides) pulls of unit tensions along the gap
+    segments ([:, :, 0]) and their s-derivatives ([:, :, 1]) on the links
+    they leave: column 0 on link j at its child entry points, column 1 on
+    link j+1 at its parent entry points."""
+    return _point_wrenches(design.joint_gap_points[:, ::-1, None], geom.segments.directions)
+
+
+def _tendon_wrenches(pulls: np.ndarray) -> np.ndarray:
     """(links, 3, sides) pull of unit tensions on links 1..n-1: along their
-    parent-side segments and, below the tip, their child-side segments."""
-    out = _point_wrenches(design.joint_parent_points, geom.w.unit)
-    out[:-1] += _point_wrenches(design.joint_child_points[1:], geom.v.unit[1:])
+    parent-side segments and, below the tip, their child-side segments;
+    summed in place into the parent-side column of `pulls`."""
+    out = pulls[:, 1]
+    out[:-1] += pulls[1:, 0]
     return out
 
 
-def _contact_coadjoints(geom) -> tuple[np.ndarray, np.ndarray]:
-    """Co-adjoints of each link's parent contact frame (links 1..n-1) and
-    child contact frame (links 1..n-2)."""
-    return (_coadjoints(geom.parent_rotation, geom.parent_translation),
-            _coadjoints(geom.child_rotation[1:], geom.child_translation[1:]))
+def _contact_terms(geom, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Co-adjoints (joints, 2, 3, 3) of the contact frames and the contact
+    wrenches (joints, 2, 2, 3) they map (`_contact_wrenches`)."""
+    coadjoints = _coadjoints(geom.contact_rotation, geom.contact_translation)
+    return coadjoints, matvec(coadjoints[:, :, None], _contact_wrenches(geom.curvature, f))
 
 
 def _balance(
     config: Configuration,
-    coadjoints: tuple[np.ndarray, np.ndarray],
+    contact: np.ndarray,
     tension_wrenches: np.ndarray,
     tau: np.ndarray,
     loads,
 ) -> np.ndarray:
-    """Raw balance rows (links, 3) of every non-base link."""
-    coad_parent, coad_child = coadjoints
-    wrenches = np.zeros((len(config.f), 3))   # (0, f) of each contact force
-    wrenches[:, 1:] = config.f
+    """Raw balance rows (links, 3) of every non-base link; `contact` holds
+    the contact force wrenches mapped by the co-adjoints of their contact
+    frames, stacked as in the geometry."""
     h = tension_wrenches @ tau
-    h += matvec(coad_parent, wrenches)
-    h[:-1] -= matvec(coad_child, wrenches[1:])
-    h += loads_mod.net_wrench(loads, config.poses)
+    h += contact[:, 1]
+    h[:-1] -= contact[1:, 0]
+    if loads:
+        h += loads_mod.net_wrench(loads, config.poses)
     return h
 
 
@@ -115,7 +130,8 @@ def residual(
     """
     tau = np.asarray(tau, dtype=float)
     geom = config.geometry
-    rows = _balance(config, _contact_coadjoints(geom), _tendon_wrenches(design, geom),
+    _, contact = _contact_terms(geom, config.f)
+    rows = _balance(config, contact[:, :, 1], _tendon_wrenches(_pulls(design, geom)[:, :, 0]),
                     tau, loads)
     if scaled:
         rows[:, 0] /= design.characteristic_length
@@ -168,37 +184,37 @@ def assemble_blocks(
     tau = np.asarray(tau, dtype=float)
     geom = config.geometry
     links = design.joint_count
-    f = config.f
 
     # A = -adjoint(inverse(relative)): rotation R^T, translation -R^T t
-    rel_rot_t = np.swapaxes(geom.relative_rotation, 1, 2)
-    back = -matvec(rel_rot_t, geom.relative_translation)
-    adjoint = np.zeros((links, 3, 3))
-    adjoint[:, 0, 0] = 1.0
-    adjoint[:, 1, 0] = back[:, 1]
-    adjoint[:, 2, 0] = -back[:, 0]
-    adjoint[:, 1:, 1:] = rel_rot_t
-    a_blk = -adjoint
+    back = geom.inverse_translation
+    a_blk = np.zeros((links, 3, 3))
+    a_blk[:, 0, 0] = -1.0
+    a_blk[:, 1:, 0] = _perp(back)
+    np.negative(np.swapaxes(geom.relative_rotation, 1, 2), out=a_blk[:, 1:, 1:])
 
+    # B = -curve_gap (1, t_y, -t_x) in column 0, t the parent contact
     b_blk = np.zeros((links, 3, 3))
-    tp = geom.parent_translation
-    b_blk[:, :, 0] = -geom.curve_gap[:, None] * np.column_stack(
-        [np.ones(links), tp[:, 1], -tp[:, 0]])
+    b_blk[:, 0, 0] = -geom.curve_gap
+    b_blk[:, 1:, 0] = geom.curve_gap[:, None] * _perp(geom.contact_translation[:, 1])
 
-    c_blk = loads_mod.net_derivative(loads, config.poses)
+    c_blk = loads_mod.net_derivative(loads, config.poses) if loads else np.zeros((links, 3, 3))
 
-    coad_parent, coad_child = coadjoints = _contact_coadjoints(geom)
-    e_blk = coad_parent.copy()
-    e_blk[:, :, 0] = matvec(coad_parent, _twist_force_wrenches(geom.parent_curvature, f))
-    e_blk[:, :, 0] += _point_wrenches(design.joint_parent_points, geom.w.d_unit) @ tau
+    # each contact's co-adjoint, and column 0 of its s-derivative: the
+    # twisted contact force plus the turning tendon pulls
+    coadjoints, contact = _contact_terms(geom, config.f)
+    d_column = contact[:, :, 0]
+    pulls = _pulls(design, geom)
+    pull_turn = pulls[:, :, 1] @ tau
+    e_blk = coadjoints[:, 1].copy()
+    np.add(d_column[:, 1], pull_turn[:, 1], out=e_blk[:, :, 0])
 
     # the tip row keeps D = I; interior link k reads joint k's child contact
-    d_blk = np.broadcast_to(np.eye(3), (links, 3, 3)).copy()
-    d_blk[:-1] = -coad_child
-    d_blk[:-1, :, 0] = -matvec(coad_child, _twist_force_wrenches(geom.child_curvature[1:], f[1:]))
-    d_blk[:-1, :, 0] += _point_wrenches(design.joint_child_points[1:], geom.v.d_unit[1:]) @ tau
+    d_blk = np.empty((links, 3, 3))
+    d_blk[-1] = _EYE3
+    np.negative(coadjoints[1:, 0], out=d_blk[:-1])
+    np.subtract(pull_turn[1:, 0], d_column[1:, 0], out=d_blk[:-1, :, 0])
 
     # the balance is linear in the tensions: F is its tension gradient
-    f_blk = _tendon_wrenches(design, geom)
-    h = _balance(config, coadjoints, f_blk, tau, loads)
+    f_blk = _tendon_wrenches(pulls[:, :, 0])
+    h = _balance(config, contact[:, :, 1], f_blk, tau, loads)
     return LinkBlocks(a_blk, b_blk, c_blk, d_blk, e_blk, f_blk, h)

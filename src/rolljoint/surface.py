@@ -4,6 +4,13 @@ A surface supplies, for every arc length s in its domain, a frame expressed
 in the owning link's body coordinates whose x-axis is tangent to the surface
 and whose y-axis is normal to it, plus the arc-length twist (u(s), (1, 0))
 where u is the signed curvature.  Frames obey dT/ds = T [twist].
+
+`frame_at` and `curvature_at` look up one surface at one arc length; they
+are the reference that rendering, verification and the tests read.  A
+`SurfaceStack` looks up a fixed sequence of surfaces, one arc length each,
+in one array pass per surface kind with the same arithmetic: a closed form
+for circular arcs, and for curvature profiles one grid-index search over
+every profile's grid at once and one array RK4 step.
 """
 
 from __future__ import annotations
@@ -45,10 +52,11 @@ class ContactSurface(ABC):
     def _checked(self, s: float) -> float:
         slack = 1e-9 * self.width
         if s < self.s_min - slack or s > self.s_max + slack:
-            raise DomainError(
-                f"arc length {s} outside [{self.s_min}, {self.s_max}] of {self.kind}"
-            )
+            raise self._domain_error(s)
         return min(max(s, self.s_min), self.s_max)
+
+    def _domain_error(self, s: float) -> DomainError:
+        return DomainError(f"arc length {s} outside [{self.s_min}, {self.s_max}] of {self.kind}")
 
     @abstractmethod
     def frame_at(self, s: float) -> Pose2:
@@ -95,9 +103,11 @@ class CircularArc(ContactSurface):
         return self.orientation_sign / self.radius
 
 
-def _polyval(s: float, coeffs: tuple) -> float:
-    """Polynomial with ascending coefficients at s, in plain floats: Horner's
-    rule in the order `numpy.polynomial.polynomial.polyval` evaluates it."""
+def _polyval(s, coeffs):
+    """Polynomial with ascending coefficients at s: Horner's rule in the
+    order `numpy.polynomial.polynomial.polyval` evaluates it.  In plain
+    floats, or in arrays with the coefficients on the first axis; zero
+    coefficients on top of a shorter polynomial leave its value exact."""
     u = coeffs[-1] + s * 0.0
     for c in coeffs[-2::-1]:
         u = c + u * s
@@ -192,3 +202,131 @@ class CurvatureProfile(ContactSurface):
 
     def curvature_at(self, s: float) -> float:
         return _polyval(self._checked(s), self._coeffs)
+
+
+class _ArcStack:
+    """Closed-form frames of a sequence of circular arcs."""
+
+    def __init__(self, arcs):
+        self.center = np.array([arc.center for arc in arcs])
+        self.radius = np.array([arc.radius for arc in arcs])
+        self.reference_angle = np.array([arc.reference_angle for arc in arcs])
+        self.sign = np.array([arc.orientation_sign for arc in arcs], dtype=float)
+        self.quarter_turn = self.sign * math.pi / 2.0
+        # returned as it is, so read-only
+        self.curvature = self.sign / self.radius
+        self.curvature.setflags(write=False)
+
+    def frames_at(self, s: np.ndarray):
+        phi = self.reference_angle + self.sign * s / self.radius
+        unit = np.empty((len(s), 2))
+        np.cos(phi, out=unit[:, 0])
+        np.sin(phi, out=unit[:, 1])
+        return phi + self.quarter_turn, self.center + self.radius[:, None] * unit, self.curvature
+
+
+# RK4 stage offsets from the grid node, in steps h
+_RK4_STAGES = np.array([[0.0], [0.5], [0.5], [1.0]])
+
+
+class _ProfileStack:
+    """Frames of a sequence of curvature profiles: each query starts from
+    the last grid node at or below it (`bisect_right - 1`, clamped) and takes
+    one RK4 step, as `CurvatureProfile.frame_at` does.  The grids of the
+    distinct profiles are searched at once: node x of profile i is the key
+    i + x*1j, and complex numbers order by real part, then imaginary part."""
+
+    def __init__(self, profiles):
+        unique = list(dict.fromkeys(profiles))   # shared profiles share a grid
+        sizes = np.array([len(profile._grid[0]) for profile in unique])
+        self.nodes = np.concatenate([profile._grid[0] for profile in unique])
+        self.keys = np.repeat(np.arange(len(unique), dtype=complex), sizes) + 1j * self.nodes
+        # (3, nodes): theta, x, y
+        self.states = np.concatenate([profile._grid[1] for profile in unique]).T.copy()
+        which = np.array([unique.index(profile) for profile in profiles])
+        self.which = which.astype(complex)
+        self.first = np.concatenate(([0], np.cumsum(sizes)[:-1]))[which]
+        # ascending coefficients on the first axis, zero-padded on top
+        degree = max(len(profile._coeffs) for profile in profiles)
+        self.coeffs = np.zeros((degree, 1, len(profiles)))
+        for i, profile in enumerate(profiles):
+            self.coeffs[:len(profile._coeffs), 0, i] = profile._coeffs
+
+    def frames_at(self, s: np.ndarray):
+        # s lies in its surface's domain, so the search stays in its grid
+        # past the last node too, and only the first node needs the clamp
+        idx = np.searchsorted(self.keys, self.which + 1j * s, side="right") - 1
+        idx = np.maximum(idx, self.first)
+        s0, state = self.nodes[idx], self.states[:, idx]
+        h = s - s0
+        steps = h * _RK4_STAGES           # 0, h/2, h/2, h
+        # curvature at s itself, then at the stage arc lengths of k1 .. k4
+        points = np.empty((5, len(s)))
+        points[0] = s
+        np.add(s0, steps, out=points[1:])
+        u = _polyval(points, self.coeffs)
+        # k[i] holds (u, cos theta, sin theta) of stage i; a stage's angle
+        # steps from theta0 by the previous stage's curvature (the first
+        # stage's step is 0), and its x and y are never read
+        theta = steps * u[:4]
+        theta += state[0]
+        k = np.empty((4, 3, len(s)))
+        k[:, 0] = u[1:]
+        np.cos(theta, out=k[:, 1])
+        np.sin(theta, out=k[:, 2])
+        stepped = state + (h / 6.0) * (((k[0] + 2.0 * k[1]) + 2.0 * k[2]) + k[3])
+        state = np.where(s == s0, state, stepped)
+        return state[0], state[1:].T, u[0]
+
+
+class _ScalarStack:
+    """Any other surface kind, through its own `frame_at` and `curvature_at`."""
+
+    def __init__(self, surfaces):
+        self.surfaces = surfaces
+
+    def frames_at(self, s: np.ndarray):
+        frames = [surf.frame_at(s_i) for surf, s_i in zip(self.surfaces, s.tolist())]
+        return (np.array([frame.angle for frame in frames]),
+                np.array([frame.translation for frame in frames]),
+                np.array([surf.curvature_at(s_i) for surf, s_i in zip(self.surfaces, s.tolist())]))
+
+
+_STACKS = {CircularArc: _ArcStack, CurvatureProfile: _ProfileStack}
+
+
+class SurfaceStack:
+    """A fixed sequence of surfaces looked up at one arc length each.
+
+    `frames_at(s)` returns the frame angles (m,), translations (m, 2) and
+    curvatures (m,) of surface i at s[i], equal to `frame_at` and
+    `curvature_at` of each surface: the same domain check and clamp (the
+    first surface out of its domain raises its `DomainError`) and the same
+    arithmetic, in one array pass per surface kind."""
+
+    def __init__(self, surfaces):
+        self.surfaces = tuple(surfaces)
+        s_min = np.array([surf.s_min for surf in self.surfaces], dtype=float)
+        s_max = np.array([surf.s_max for surf in self.surfaces], dtype=float)
+        slack = 1e-9 * (s_max - s_min)
+        self.s_min, self.s_max = s_min, s_max
+        self.lower, self.upper = s_min - slack, s_max + slack
+        groups: dict = {}
+        for i, surf in enumerate(self.surfaces):
+            groups.setdefault(_STACKS.get(type(surf), _ScalarStack), []).append(i)
+        self.kinds = [(np.array(index), stack([self.surfaces[i] for i in index]))
+                      for stack, index in groups.items()]
+
+    def frames_at(self, s: np.ndarray):
+        outside = (s < self.lower) | (s > self.upper)
+        if outside.any():
+            i = int(np.argmax(outside))
+            raise self.surfaces[i]._domain_error(float(s[i]))
+        s = np.minimum(np.maximum(s, self.s_min), self.s_max)
+        if len(self.kinds) == 1:
+            return self.kinds[0][1].frames_at(s)
+        angle, translation, curvature = (np.empty(len(s)), np.empty((len(s), 2)),
+                                         np.empty(len(s)))
+        for index, stack in self.kinds:
+            angle[index], translation[index], curvature[index] = stack.frames_at(s[index])
+        return angle, translation, curvature

@@ -266,6 +266,9 @@ def test_scenario_parsing_errors():
         ({"actuation": tension, "solver": {"tol_residual": "x"}}, "bad solver options"),
         ({"actuation": displacement, "solver": {"grad_tol": None}}, "bad solver options"),
         ({"actuation": displacement, "solver": {"max_outer_iters": 1.5}}, "bad solver options"),
+        ({"actuation": displacement, "solver": {"max_outer_iters": True}}, "max_outer_iters"),
+        ({"actuation": tension, "solver": {"max_iters": 2.5}}, "max_iters"),
+        ({"actuation": tension, "solver": {"max_iters": True}}, "max_iters"),
     ):
         with pytest.raises(ParseError, match=message):
             scenario_from_dict(scenario)

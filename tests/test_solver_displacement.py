@@ -4,7 +4,7 @@ import pytest
 from rolljoint import solver_displacement, solver_tension
 from rolljoint.catalog import standard_link_chain
 from rolljoint.errors import NoConvergenceError, TensionFloorError
-from rolljoint.geometry import Wrench2
+from rolljoint.geometry import Pose2, Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
 from rolljoint.mechanism import joint_geometry, tendon_lengths
 from rolljoint.solver_displacement import (
@@ -16,6 +16,7 @@ from rolljoint.solver_displacement import (
 )
 from rolljoint.solver_tension import SolverOptions, solve_tension
 from rolljoint.statics import assemble_blocks, residual, residual_norm
+from rolljoint.surface import CircularArc
 
 from conftest import count_calls, max_pose_error
 
@@ -193,6 +194,9 @@ def test_option_validation():
         DisplacementOptions(tension_floor=0.0)
     with pytest.raises(ValueError):
         DisplacementOptions(max_outer_iters=-1)
+    for limit in (2.5, True):
+        with pytest.raises(TypeError, match="max_outer_iters"):
+            DisplacementOptions(max_outer_iters=limit)
 
 
 def test_initial_tension_below_floor_rejected(paper5):
@@ -294,6 +298,26 @@ def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
     assert residual_calls[0] == block_calls[0] == 1
     assert geometry_calls[0] == 0
     np.testing.assert_array_equal(again, tau)
+
+
+def test_unloaded_iterates_build_no_per_object_values(paper5, monkeypatch):
+    # each evaluated iterate is one array pass: the surfaces are looked up
+    # as a stack, not through frame_at, and no Pose2 is built, since an
+    # unloaded balance never reads the link poses
+    generator, _ = solve_tension(paper5, (2.5, 1.0))
+    target = tendon_lengths(paper5, generator)
+    frame_calls, pose_calls = [], []
+    frame_at, post_init = CircularArc.frame_at, Pose2.__post_init__
+    monkeypatch.setattr(CircularArc, "frame_at",
+                        lambda self, s: frame_calls.append(s) or frame_at(self, s))
+    monkeypatch.setattr(Pose2, "__post_init__",
+                        lambda self: pose_calls.append(self) or post_init(self))
+    tau, config, report = solve_displacement(paper5, target)
+    assert report.converged and report.outer_iterations >= 2
+    assert frame_calls == [] and pose_calls == []
+    # the returned configuration builds its poses on first read
+    assert len(config.poses) == paper5.n and len(pose_calls) == paper5.n
+    assert config.poses is config.poses
 
 
 @pytest.mark.parametrize("pull", [0.0, 0.5], ids=["unloaded", "tip_pull"])

@@ -261,6 +261,11 @@ def test_solver_options_validation():
         SolverOptions(tol_residual=0.0)
     with pytest.raises(ValueError):
         SolverOptions(max_iters=0)
+    # an iteration limit is a whole number: neither a fraction nor a bool
+    for limit in (2.5, True):
+        with pytest.raises(TypeError, match="max_iters"):
+            SolverOptions(max_iters=limit)
+    assert SolverOptions(max_iters=np.int64(3)).max_iters == 3
 
 
 def test_warm_start_tracks_small_load_changes(paper5):

@@ -67,7 +67,8 @@ def test_residual_locality_with_loads_at_held_poses(paper5):
     s = config.s.copy()
     s[1] += 0.1
     # keep the stale poses: distal balances must then stay untouched
-    frozen = Configuration(s, config.f, config.poses, joint_geometry(paper5, s))
+    frozen = Configuration(s, config.f, config.link_angles, config.link_translations,
+                           joint_geometry(paper5, s))
     rows = residual(paper5, frozen, (6.0, 3.0), loads)
     assert np.abs(rows[2]).max() < 1e-10
     assert np.abs(rows[3]).max() < 1e-10

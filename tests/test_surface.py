@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from rolljoint.catalog import polynomial_link_chain, standard_link_chain
 from rolljoint.errors import DomainError
 from rolljoint.geometry import Pose2, Twist2, compose, exp_twist
 from rolljoint.mechanism import pose_difference
-from rolljoint.surface import CircularArc, CurvatureProfile
+from rolljoint.surface import CircularArc, CurvatureProfile, SurfaceStack
 
 
 def make_arc(radius=10.0, sign=1, half=5.0):
@@ -32,6 +34,22 @@ def make_profile(coeffs=(0.02, 0.003, -4e-4), half=6.0):
 def arc_length_twist(surf, s):
     """Body twist of the surface frame per unit arc length at s."""
     return Twist2(surf.curvature_at(s), (1.0, 0.0))
+
+
+def stacked_lookup(surf, s):
+    """One surface looked up through a `SurfaceStack`: (angle, translation,
+    curvature)."""
+    angle, translation, curvature = SurfaceStack([surf]).frames_at(np.array([float(s)]))
+    return angle[0], translation[0], curvature[0]
+
+
+def assert_matches_scalar(surf, s, angle, translation, curvature):
+    # the stack repeats the scalar arithmetic; the tolerance only allows for
+    # a numpy sine or cosine that rounds differently from the math module's
+    frame = surf.frame_at(s)
+    np.testing.assert_allclose(angle, frame.angle, rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(translation, frame.translation, rtol=1e-15, atol=1e-14)
+    assert curvature == surf.curvature_at(s)
 
 
 def test_arc_reference_frame():
@@ -88,6 +106,15 @@ def test_domain_error_and_slack():
         arc.curvature_at(-5.0001)
     # boundary noise within the slack is absorbed
     arc.frame_at(5.0 + 1e-10 * arc.width)
+    # the stacked lookup checks and clamps the same way
+    for surf in (arc, make_profile(half=5.0)):
+        for s in (5.1, -5.0001):
+            with pytest.raises(DomainError) as scalar:
+                surf.frame_at(s)
+            with pytest.raises(DomainError, match=re.escape(str(scalar.value))):
+                stacked_lookup(surf, s)
+        edge = 5.0 + 1e-10 * surf.width
+        assert_matches_scalar(surf, edge, *stacked_lookup(surf, edge))
 
 
 def test_profile_matches_curvature_polynomial():
@@ -199,3 +226,74 @@ def test_profile_frames_follow_the_array_rk4_step():
         assert frame.angle == expected[0]
         assert np.array_equal(frame.translation, expected[1:])
         assert surf.curvature_at(float(s)) == np.polynomial.polynomial.polyval(s, coeffs)
+
+
+CATALOG_SURFACES = {
+    "arc_child": standard_link_chain(2).links[0].child_surface,
+    "arc_parent": standard_link_chain(2).links[1].parent_surface,
+    "arc_clockwise": make_arc(sign=-1),
+    "profile_child": polynomial_link_chain(2).links[0].child_surface,
+    "profile_parent": polynomial_link_chain(2).links[1].parent_surface,
+    "profile_cubic": make_profile(coeffs=(0.02, 0.003, -4e-4, 1e-5)),
+}
+
+
+def _lookup_samples(surf, rng):
+    """Interior points, profile grid nodes (the step-free branch), both
+    domain ends and both ends of the slack."""
+    lo, hi = surf.domain
+    slack = 0.5e-9 * surf.width
+    samples = [*rng.uniform(lo, hi, 8), lo, hi, lo - slack, hi + slack]
+    if isinstance(surf, CurvatureProfile):
+        nodes = [node for node in surf._grid[0] if lo <= node <= hi]
+        samples += nodes[::97] + [0.0]
+    return samples
+
+
+def test_stacked_lookup_matches_scalar_frames():
+    # one stack over every catalog surface kind, mixed and repeated as in a
+    # chain, against each surface's own frame_at and curvature_at
+    surfaces = list(CATALOG_SURFACES.values()) * 2
+    rng = np.random.default_rng(8)
+    samples = [_lookup_samples(surf, rng) for surf in surfaces]
+    stack = SurfaceStack(surfaces)
+    for k in range(max(len(column) for column in samples)):
+        s = np.array([column[k % len(column)] for column in samples])
+        angle, translation, curvature = stack.frames_at(s)
+        for i, surf in enumerate(surfaces):
+            assert_matches_scalar(surf, s[i], angle[i], translation[i], curvature[i])
+    # at a grid node both take the stored state, with no step and no cosine
+    profiles = [surf for surf in surfaces if isinstance(surf, CurvatureProfile)]
+    for k in range(12):
+        s = np.array([surf._grid[0][k * (len(surf._grid[0]) // 12)] for surf in profiles])
+        angle, translation, _ = SurfaceStack(profiles).frames_at(s)
+        for i, surf in enumerate(profiles):
+            frame = surf.frame_at(s[i])
+            assert angle[i] == frame.angle and np.array_equal(translation[i], frame.translation)
+
+
+def test_stacked_lookup_names_the_first_surface_out_of_its_domain():
+    surfaces = list(CATALOG_SURFACES.values())
+    inside = np.array([surf.s_min + 0.5 * surf.width for surf in surfaces])
+    for i, surf in enumerate(surfaces):
+        s = inside.copy()
+        s[i:] = [other.s_max + 2e-9 * other.width for other in surfaces[i:]]
+        with pytest.raises(DomainError) as scalar:
+            surf.frame_at(s[i])
+        with pytest.raises(DomainError, match=re.escape(str(scalar.value))):
+            SurfaceStack(surfaces).frames_at(s)
+
+
+def test_other_surface_kinds_are_stacked_through_their_own_lookups():
+    # a surface type the stack has no array form for keeps working through
+    # its frame_at and curvature_at
+    class OwnArc(CircularArc):
+        pass
+
+    arc = make_arc(sign=-1)
+    own = OwnArc(**{name: getattr(arc, name) for name in (
+        "center", "radius", "reference_angle", "orientation_sign", "s_min", "s_max")})
+    s = np.array([-4.0, 1.5, 5.0 + 1e-10 * arc.width])
+    angle, translation, curvature = SurfaceStack([own, arc, own]).frames_at(s)
+    for i, surf in enumerate((own, arc, own)):
+        assert_matches_scalar(surf, s[i], angle[i], translation[i], curvature[i])
