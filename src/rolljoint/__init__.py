@@ -55,7 +55,14 @@ from .solver_displacement import (
     solve_displacement,
     tendon_jacobian,
 )
-from .solver_tension import NewtonStep, SolveReport, SolverOptions, newton_step, solve_tension
+from .solver_tension import (
+    NewtonStep,
+    SolveReport,
+    SolverOptions,
+    newton_step,
+    solve_tension,
+    tangent_start,
+)
 from .statics import LinkBlocks, assemble_blocks, residual
 from .surface import CircularArc, ContactSurface, CurvatureProfile
 
@@ -76,6 +83,7 @@ __all__ = [
     "LinkBlocks", "assemble_blocks", "residual",
     # solvers
     "SolverOptions", "SolveReport", "NewtonStep", "newton_step", "solve_tension",
+    "tangent_start",
     "DisplacementOptions", "DisplacementReport", "solve_displacement", "tendon_jacobian",
     # oracles
     "dense_solve", "energy", "energy_gradient_fd", "energy_minimize",

@@ -33,7 +33,7 @@ from .loads import check_targets
 from .mechanism import Configuration, MechanismDesign, tendon_lengths, validate
 from .render import render_svg
 from .solver_displacement import solve_displacement
-from .solver_tension import initial_forces, solve_tension
+from .solver_tension import solve_tension, tangent_start
 from .verification import run_verification
 
 EXIT_OK = 0
@@ -207,17 +207,18 @@ def _scenario_with_flags(scenario: Scenario, args) -> Scenario:
 
 
 def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
-    """Solve one sweep item from the previous item's (configuration, tensions);
-    an item whose warm start fails is retried cold."""
+    """Solve one sweep item from the previous item's (configuration,
+    tensions, scenario); an item whose warm start fails is retried cold.
+
+    A tension item starts from `tangent_start`: the previous equilibrium
+    moved by its first-order change towards this item's tensions and loads,
+    with the contact forces refitted on the predicted geometry."""
     if previous is not None:
-        prev_config, prev_tau = previous
+        prev_config, prev_tau, prev_scenario = previous
         try:
             if scenario.mode == "tension":
-                # keep the previous contact points but refit forces to the
-                # new inputs on the geometry the previous solve returned;
-                # the stale forces of a different tension level mislead Newton
-                init = replace(prev_config, f=initial_forces(
-                    design, prev_config, scenario.tau, scenario.loads))
+                init = tangent_start(design, prev_config, prev_tau, prev_scenario.loads,
+                                     scenario.tau, scenario.loads)
                 return _solve_scenario(design, scenario, init=init)
             # the previous configuration balances the previous tensions,
             # which are also the first tensions of this item's search
@@ -276,7 +277,7 @@ def cmd_sweep(args) -> int:
             _fmt(extra["final_residual_norm"]),
         ]))
         solved.append(config)
-        previous = config, tau
+        previous = config, tau, scenario
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
     if args.svg and solved:

@@ -1,9 +1,15 @@
-"""Minimal deterministic SVG rendering of mechanism configurations."""
+"""Minimal deterministic SVG rendering of mechanism configurations.
+
+The body-frame points of every drawn curve (link outlines, sampled
+surfaces, tendon entry points) are stacked once per call and mapped into
+the world for all configurations with one stacked product; each polyline is
+formatted from one list of coordinate strings."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from .geometry import rot2
 from .loads import ConstantWorkspace, LinearSpring
 from .mechanism import SIDES, Configuration, MechanismDesign
 
@@ -15,38 +21,53 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _polyline(points, stroke: str, width: float = 0.5, dash: str = "") -> str:
-    coords = " ".join(f"{_fmt(p[0])},{_fmt(-p[1])}" for p in points)
+_COORD = "{:.12g},{:.12g}".format
+
+
+def _coords(points: np.ndarray) -> list[str]:
+    """One "x,y" string per (m, 2) world point, y flipped to SVG's downward
+    axis."""
+    return [_COORD(x, -y) for x, y in points.tolist()]
+
+
+def _polyline(coords: list[str], stroke: str, width: float = 0.5, dash: str = "") -> str:
     extra = f' stroke-dasharray="{dash}"' if dash else ""
     return (
-        f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
+        f'<polyline points="{" ".join(coords)}" fill="none" stroke="{stroke}" '
         f'stroke-width="{_fmt(width)}"{extra}/>'
     )
 
 
-def _body_outline_points(design: MechanismDesign):
-    """Per link, the body-frame outline curves: entry-point quadrilateral
-    plus sampled surfaces.  They do not depend on the configuration."""
-    outlines = []
-    for link in design.links:
-        curves = [[link.p_l, link.p_r, link.c_r, link.c_l, link.p_l]]
-        for surf in (link.parent_surface, link.child_surface):
-            if surf is None:
-                continue
-            samples = np.linspace(surf.s_min, surf.s_max, _SURFACE_SAMPLES)
-            curves.append([surf.frame_at(s).translation for s in samples])
-        outlines.append(curves)
-    return outlines
-
-
-def _tendon_points(design: MechanismDesign, config: Configuration, side: int):
-    """Entry points of tendon SIDES[side], base to tip, in world coordinates."""
-    points = []
+def _body_points(design: MechanismDesign):
+    """Every curve drawn per configuration, as one stack of body-frame
+    points: per link its entry-point quadrilateral and its sampled surfaces,
+    then the entry points of each tendon (SIDES), base to tip.  Returns the
+    points (m, 2), the link each point is fixed to (m,) and the end index of
+    each curve.  They do not depend on the configuration."""
+    curves, owners = [], []
     for k, link in enumerate(design.links):
-        pose = config.poses[k]
-        points.append(pose.apply(link.parent_points[side]))
-        points.append(pose.apply(link.child_points[side]))
-    return points
+        curves.append([link.p_l, link.p_r, link.c_r, link.c_l, link.p_l])
+        for surf in (link.parent_surface, link.child_surface):
+            if surf is not None:
+                samples = np.linspace(surf.s_min, surf.s_max, _SURFACE_SAMPLES)
+                curves.append([surf.frame_at(s).translation for s in samples])
+        owners += [k] * (sum(map(len, curves)) - len(owners))
+    for side in range(len(SIDES)):
+        curves.append([point for link in design.links
+                       for point in (link.parent_points[side], link.child_points[side])])
+        owners += [k for k in range(design.n) for _ in range(2)]
+    points = np.array([point for curve in curves for point in curve])
+    return points, np.array(owners), np.cumsum([len(curve) for curve in curves]).tolist()
+
+
+def _world_points(configs, points: np.ndarray, owners: np.ndarray) -> np.ndarray:
+    """(configs, m, 2) world images of body points fixed to the links
+    `owners`, each mapped as `Pose2.apply` maps it: R p + t, with R built by
+    `rot2` as `Pose2.rotation` builds it, so the images are bit-identical."""
+    rotations = np.array([[rot2(angle) for angle in config.link_angles.tolist()]
+                          for config in configs])
+    translations = np.array([config.link_translations for config in configs])
+    return (rotations[:, owners] @ points[..., None])[..., 0] + translations[:, owners]
 
 
 def _load_arrows(design: MechanismDesign, config: Configuration, loads, scale: float):
@@ -73,34 +94,33 @@ def render_svg(design: MechanismDesign, configs, loads=()) -> str:
     """SVG text showing one or more configurations (link outlines, tendon
     polylines, load arrows with length proportional to magnitude)."""
     configs = list(configs)
-    outlines = _body_outline_points(design)
+    points, owners, ends = _body_points(design)
+    world = _world_points(configs, points, owners)
+    starts = [0, *ends[:-1]]
+    tendons = len(ends) - len(SIDES)
     elements = []
-    all_points = []
-    for idx, config in enumerate(configs):
+    for idx, curves in enumerate(world):
         color = _POSE_COLORS[idx % len(_POSE_COLORS)]
-        for pose, body_curves in zip(config.poses, outlines):
-            for body_curve in body_curves:
-                curve = [pose.apply(p) for p in body_curve]
-                elements.append(_polyline(curve, color, 0.4))
-                all_points.extend(curve)
-        for side in range(len(SIDES)):
-            pts = _tendon_points(design, config, side)
-            elements.append(_polyline(pts, "#555555", 0.3, dash="1,1"))
-            all_points.extend(pts)
+        coords = _coords(curves)
+        for c, (start, end) in enumerate(zip(starts, ends)):
+            if c < tendons:
+                elements.append(_polyline(coords[start:end], color, 0.4))
+            else:
+                elements.append(_polyline(coords[start:end], "#555555", 0.3, dash="1,1"))
 
-    pts = np.array(all_points)
-    span = max(float(pts.max() - pts.min()), 1.0)
+    span = max(float(world.max() - world.min()), 1.0)
     max_force = max(
         [float(np.linalg.norm(load.wrench.f)) for load in loads if hasattr(load, "wrench")]
         + [1.0]
     )
     arrow_scale = 0.25 * span / max_force
+    arrow_points = []
     for config in configs:
         for start, end in _load_arrows(design, config, loads, arrow_scale):
-            elements.append(_polyline([start, end], "#ff7f0e", 0.8))
-            all_points.extend([start, end])
+            elements.append(_polyline(_coords(np.array([start, end])), "#ff7f0e", 0.8))
+            arrow_points += [start, end]
 
-    pts = np.array(all_points)
+    pts = np.concatenate([world.reshape(-1, 2), np.array(arrow_points).reshape(-1, 2)])
     lo = pts.min(axis=0) - 5.0
     hi = pts.max(axis=0) + 5.0
     view = (

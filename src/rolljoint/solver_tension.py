@@ -10,14 +10,21 @@ Interior links cost one 3x3 inversion each, all taken in one stacked
 builds its joint geometry once: a cold solve evaluates its start at the
 mating-domain midpoints and fits the contact forces on that evaluation; a
 warm start `init` is used as it is unless a joint is clamped onto its domain.
+`tangent_start` predicts such a start at new tensions and loads from a
+nearby equilibrium: the balance is affine in both, so one elimination of the
+equilibrium's blocks gives the first-order change of the contact points (the
+predictor of a predictor-corrector continuation, Newton being the corrector).
 
 Each D block and the boundary system is equilibrated (one row/column
 max-abs pass) into B and rejected when its 1-norm condition number
 ||B||_1 ||B^-1||_1 exceeds CONDITION_LIMIT / size, read from an explicit
 inverse instead of an SVD.  As kappa_2 <= size * kappa_1, no accepted
 matrix has a 2-norm condition number above CONDITION_LIMIT.  The D blocks
-are equilibrated and checked as a stack; the first rejected one along the
-chain is named in the SingularBlockError.
+are equilibrated and checked as a stack, their balanced inverses derived
+from the one inverse of the stack; the boundary system's balanced inverse
+and its solution come from one solve.  Only a refused check classifies the
+rejection, naming the first singular or ill-conditioned matrix along the
+chain in the SingularBlockError.
 """
 
 from __future__ import annotations
@@ -29,9 +36,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import ContactRolloffError, NoConvergenceError, SingularBlockError
-from .loads import check_targets
+from .loads import check_targets, net_wrench
 from .mechanism import Configuration, MechanismDesign, evaluate
-from .statics import LinkBlocks, assemble_blocks, residual, residual_norm
+from .statics import LinkBlocks, assemble_blocks, residual, residual_norm, unforced_balance
 
 CONDITION_LIMIT = 1e12
 _EYE3 = np.eye(3)
@@ -90,14 +97,24 @@ def _equilibrate(stack: np.ndarray):
     """One row/column max-abs equilibration pass over a stack of square
     matrices (..., m, m); mixed units (mm, rad, N) otherwise inflate the
     conditioning estimate for purely notational reasons.  Returns (balanced
-    stack, row scales, column scales, mask of matrices a zero or non-finite
-    scale marks singular)."""
+    stack, row scales, column scales); every balanced entry lies in [-1, 1]
+    unless a scale was 0, NaN or inf."""
     row_scale = np.abs(stack).max(axis=-1)
     balanced = stack / row_scale[..., :, None]
     col_scale = np.abs(balanced).max(axis=-2)
-    balanced = balanced / col_scale[..., None, :]
-    # every balanced entry lies in [-1, 1] unless a scale was 0, NaN or inf
-    return balanced, row_scale, col_scale, ~np.isfinite(balanced).all(axis=(-2, -1))
+    balanced /= col_scale[..., None, :]
+    return balanced, row_scale, col_scale
+
+
+def _conditions(balanced: np.ndarray, balanced_inv: np.ndarray) -> np.ndarray:
+    """1-norm condition numbers ||B||_1 ||B^-1||_1 of a stack."""
+    return (np.abs(balanced).sum(axis=-2).max(axis=-1)
+            * np.abs(balanced_inv).sum(axis=-2).max(axis=-1))
+
+
+def _accepted(cond, size: int) -> bool:
+    # NaN (a zero or non-finite scale, or a non-finite inverse) is refused
+    return bool(np.all(cond <= CONDITION_LIMIT / size))
 
 
 def _inverses(stack: np.ndarray, singular: np.ndarray):
@@ -118,12 +135,16 @@ def _inverses(stack: np.ndarray, singular: np.ndarray):
         return _inverses(stack, singular | np.array(lu_rejects))
 
 
-def _check_conditions(balanced, balanced_inv, singular, what) -> None:
-    """Reject the first matrix of the stack that is singular or whose 1-norm
-    condition number exceeds CONDITION_LIMIT / size; `what(i)` names it."""
-    cond = (np.abs(balanced).sum(axis=-2).max(axis=-1)
-            * np.abs(balanced_inv).sum(axis=-2).max(axis=-1))
-    rejected = singular | ~(cond <= CONDITION_LIMIT / balanced.shape[-1])
+def _check_conditions(stack: np.ndarray, balanced: np.ndarray, balanced_inverse, what) -> None:
+    """The classifying path, taken only where the checks refused a stack:
+    reject the first matrix that is singular (a zero or non-finite scale, or
+    refused by LU) or whose 1-norm condition number exceeds
+    CONDITION_LIMIT / size; `what(i)` names it.  `balanced_inverse` maps the
+    inverses of `stack` onto those of its `balanced` stack."""
+    singular = ~np.isfinite(balanced).all(axis=(-2, -1))
+    inv, singular = _inverses(stack, singular)
+    cond = _conditions(balanced, balanced_inverse(inv))
+    rejected = singular | ~(cond <= CONDITION_LIMIT / stack.shape[-1])
     if rejected.any():
         i = int(np.argmax(rejected))
         if singular[i]:
@@ -135,21 +156,42 @@ def _checked_inverses(stack: np.ndarray, what) -> np.ndarray:
     """Inverses of a stack of blocks, each equilibrated and condition-checked;
     `what(i)` names block i in an error."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        balanced, row_scale, col_scale, singular = _equilibrate(stack)
-        inv, singular = _inverses(stack, singular)
-        # balanced = R^-1 M C^-1, so its inverse is C M^-1 R
-        _check_conditions(balanced, col_scale[..., :, None] * inv * row_scale[..., None, :],
-                          singular, what)
+        balanced, row_scale, col_scale = _equilibrate(stack)
+
+        def balanced_inverse(inv):
+            # balanced = R^-1 M C^-1, so its inverse is C M^-1 R
+            return col_scale[..., :, None] * inv * row_scale[..., None, :]
+
+        try:
+            inv = np.linalg.inv(stack)
+            cond = _conditions(balanced, balanced_inverse(inv))
+        except np.linalg.LinAlgError:
+            inv, cond = None, np.nan
+        if not _accepted(cond, stack.shape[-1]):
+            _check_conditions(stack, balanced, balanced_inverse, what)
     return inv
 
 
+_IDENTITIES = {3: _EYE3, 6: np.eye(6)}
+
+
 def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Solve matrix @ x = rhs, the square matrix equilibrated and
+    condition-checked like a D block; its balanced inverse and the solution
+    come from one solve with the columns [I | rhs / row scales]."""
+    size = len(matrix)
+    identity = _IDENTITIES[size] if size in _IDENTITIES else np.eye(size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        balanced, row_scale, col_scale, singular = _equilibrate(matrix[None])
-        balanced_inv, singular = _inverses(balanced, singular)
-        _check_conditions(balanced, balanced_inv, singular, lambda i: what)
-    solution = np.linalg.solve(balanced[0], rhs / row_scale[0][:, None])
-    return solution / col_scale[0][:, None]
+        balanced, row_scale, col_scale = _equilibrate(matrix)
+        try:
+            both = np.linalg.solve(
+                balanced, np.concatenate((identity, rhs / row_scale[:, None]), axis=1))
+            cond = _conditions(balanced, both[:, :size])
+        except np.linalg.LinAlgError:
+            both, cond = None, np.nan
+        if not _accepted(cond, size):
+            _check_conditions(balanced[None], balanced[None], lambda inv: inv, lambda i: what)
+    return both[:, size:] / col_scale[:, None]
 
 
 def block_solve(blocks: LinkBlocks, columns: np.ndarray):
@@ -213,23 +255,55 @@ def initial_forces(design: MechanismDesign, config: Configuration, tau, loads=()
     The balance is affine in the contact forces, so this is one small linear
     least-squares fit.  Starting Newton from all-zero forces instead puts the
     iterate on a nearly singular manifold where the first step degenerates.
-    The fit reads the configuration's geometry and poses, which depend on s
-    alone, with its forces set to zero; an evaluated configuration is
-    therefore fitted without building its geometry again.
+    The fit reads the force columns from the contact co-adjoints and the
+    zero-force balance rows from the tendon pulls and loads, all from the
+    configuration's geometry and poses, which depend on s alone; an
+    evaluated configuration is therefore fitted without building its
+    geometry again.
     """
     joints = design.joint_count
-    blocks = assemble_blocks(design, replace(config, f=np.zeros((joints, 2))), tau, loads)
+    coadjoints, h = unforced_balance(design, config, tau, loads)
     scale = np.array([1.0 / design.characteristic_length, 1.0, 1.0])
     # link i's rows hold joint i's force columns (E) and joint i+1's (D);
     # adding into zeros turns -0.0 entries into +0.0, and lstsq's Householder
     # steps read the signs of zeros
     coeff = np.zeros((joints, 3, joints, 2))
     links = np.arange(joints)
-    coeff[links, :, links] += blocks.E[:, :, 1:] * scale[:, None]
-    coeff[links[:-1], :, links[1:]] += blocks.D[:-1, :, 1:] * scale[:, None]
-    rhs = -blocks.h * scale
+    coeff[links, :, links] += coadjoints[:, 1, :, 1:] * scale[:, None]
+    coeff[links[:-1], :, links[1:]] += np.negative(coadjoints[1:, 0, :, 1:]) * scale[:, None]
+    rhs = -h * scale
     fit, *_ = np.linalg.lstsq(coeff.reshape(3 * joints, 2 * joints), rhs.ravel(), rcond=None)
     return fit.reshape(joints, 2)
+
+
+def _balance_change(config: Configuration, blocks: LinkBlocks, tau, loads,
+                    new_tau, new_loads) -> np.ndarray:
+    """Exact change (links, 3) of the balance rows at the fixed (s, f) of
+    `config` when (tau, loads) become (new_tau, new_loads): the balance is
+    affine in the tensions (gradient F) and in the load wrenches."""
+    dh = blocks.F @ (np.asarray(new_tau, dtype=float) - np.asarray(tau, dtype=float))
+    if new_loads:
+        dh += net_wrench(new_loads, config.poses)
+    if loads:
+        dh -= net_wrench(loads, config.poses)
+    return dh
+
+
+def tangent_start(design: MechanismDesign, config: Configuration, tau, loads,
+                  new_tau, new_loads=()) -> Configuration:
+    """Start for a solve at (new_tau, new_loads), predicted from `config`, an
+    equilibrium at (tau, loads): one elimination of the equilibrium's blocks
+    with the exact change of its balance rows gives the first-order (tangent)
+    change of the contact points, which is clamped into the domains and
+    evaluated; the contact forces are then fitted on that geometry
+    (`initial_forces`).  A `RolljointError` of the elimination or the
+    evaluation reaches the caller."""
+    blocks = assemble_blocks(design, config, tau, loads)
+    dh = _balance_change(config, blocks, tau, loads, new_tau, new_loads)
+    etas, _ = block_solve(blocks, -dh[:, :, None])
+    s, _ = _clamp_s(design, config.s + etas[:, 0, 0])
+    predicted = evaluate(design, s, config.f)
+    return replace(predicted, f=initial_forces(design, predicted, new_tau, new_loads))
 
 
 def _clamp_s(design: MechanismDesign, s: np.ndarray) -> tuple[np.ndarray, list[int]]:

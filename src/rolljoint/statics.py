@@ -138,6 +138,27 @@ def residual(
     return rows
 
 
+def unforced_balance(
+    design: MechanismDesign,
+    config: Configuration,
+    tau,
+    loads=(),
+) -> tuple[np.ndarray, np.ndarray]:
+    """The balance split for a contact-force fit: the contact co-adjoints
+    (joints, 2, 3, 3), whose columns 1-2 map joint j's contact force onto
+    link j+1 (column 1 of the stack) and, negated, onto link j (column 0),
+    and the balance rows h (links, 3) at zero contact force, from the
+    tendon pulls and the loads alone."""
+    geom = config.geometry
+    coadjoints = _coadjoints(geom.contact_rotation, geom.contact_translation)
+    # adding zero turns -0.0 entries into +0.0, as the zero contact wrenches
+    # of the full balance do
+    h = _tendon_wrenches(_pulls(design, geom)[:, :, 0]) @ np.asarray(tau, dtype=float) + 0.0
+    if loads:
+        h += loads_mod.net_wrench(loads, config.poses)
+    return coadjoints, h
+
+
 def block_residual(design: MechanismDesign, blocks: "LinkBlocks") -> np.ndarray:
     """Scaled residual rows read from the blocks' balance rows h."""
     rows = blocks.h.copy()

@@ -41,3 +41,67 @@ def dense_newton_step(design, config, tau, loads=()):
     solution = np.linalg.solve(mat, rhs)
     etas = solution[3 * joints:].reshape(joints, 3)
     return etas[:, 0], etas[:, 1:]
+
+
+def reference_render_svg(design, configs, loads=()):
+    """The per-point renderer: every body and tendon entry point mapped by
+    its own `Pose2.apply`, every coordinate formatted on its own; the
+    reference that `render.render_svg` reproduces byte for byte."""
+    from rolljoint.mechanism import SIDES
+    from rolljoint.render import _POSE_COLORS, _SURFACE_SAMPLES, _load_arrows
+
+    def fmt(value):
+        return f"{value:.12g}"
+
+    def polyline(points, stroke, width=0.5, dash=""):
+        coords = " ".join(f"{fmt(p[0])},{fmt(-p[1])}" for p in points)
+        extra = f' stroke-dasharray="{dash}"' if dash else ""
+        return (f'<polyline points="{coords}" fill="none" stroke="{stroke}" '
+                f'stroke-width="{fmt(width)}"{extra}/>')
+
+    outlines = []
+    for link in design.links:
+        curves = [[link.p_l, link.p_r, link.c_r, link.c_l, link.p_l]]
+        for surf in (link.parent_surface, link.child_surface):
+            if surf is None:
+                continue
+            samples = np.linspace(surf.s_min, surf.s_max, _SURFACE_SAMPLES)
+            curves.append([surf.frame_at(s).translation for s in samples])
+        outlines.append(curves)
+
+    configs = list(configs)
+    elements = []
+    all_points = []
+    for idx, config in enumerate(configs):
+        color = _POSE_COLORS[idx % len(_POSE_COLORS)]
+        for pose, body_curves in zip(config.poses, outlines):
+            for body_curve in body_curves:
+                curve = [pose.apply(p) for p in body_curve]
+                elements.append(polyline(curve, color, 0.4))
+                all_points.extend(curve)
+        for side in range(len(SIDES)):
+            pts = []
+            for pose, link in zip(config.poses, design.links):
+                pts.append(pose.apply(link.parent_points[side]))
+                pts.append(pose.apply(link.child_points[side]))
+            elements.append(polyline(pts, "#555555", 0.3, dash="1,1"))
+            all_points.extend(pts)
+
+    pts = np.array(all_points)
+    span = max(float(pts.max() - pts.min()), 1.0)
+    max_force = max(
+        [float(np.linalg.norm(load.wrench.f)) for load in loads if hasattr(load, "wrench")]
+        + [1.0]
+    )
+    arrow_scale = 0.25 * span / max_force
+    for config in configs:
+        for start, end in _load_arrows(design, config, loads, arrow_scale):
+            elements.append(polyline([start, end], "#ff7f0e", 0.8))
+            all_points.extend([start, end])
+
+    pts = np.array(all_points)
+    lo = pts.min(axis=0) - 5.0
+    hi = pts.max(axis=0) + 5.0
+    view = f"{fmt(lo[0])} {fmt(-hi[1])} {fmt(hi[0] - lo[0])} {fmt(hi[1] - lo[1])}"
+    body = "\n".join(elements)
+    return f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view}">\n{body}\n</svg>\n'

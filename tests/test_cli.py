@@ -513,10 +513,10 @@ def test_sweep_item_lengths_build_no_geometry(tmp_path, monkeypatch, joint_geome
 
 def test_sweep_builds_one_geometry_per_residual(tmp_path, monkeypatch, joint_geometry_calls):
     # the cold first item fits its forces on its start iterate's geometry;
-    # each of the two warm items starts from the previous item's returned
-    # configuration, refitted forces and its geometry as they are, so every
-    # geometry the sweep builds is one evaluated iterate's, and the two warm
-    # starts' residuals build none
+    # each of the two warm items evaluates one predicted iterate (the
+    # tangent step from the previous item's returned configuration, whose
+    # blocks read the geometry it carries) and fits its forces on it, so
+    # every geometry the sweep builds is one residual's iterate
     from conftest import count_calls
     from rolljoint.statics import residual
 
@@ -526,7 +526,7 @@ def test_sweep_builds_one_geometry_per_residual(tmp_path, monkeypatch, joint_geo
                  "--sweep", str(SCENARIOS / "sweep_fig3.json"),
                  "--out", str(tmp_path / "sweep")]) == 0
     assert residual_calls[0] > 3
-    assert joint_geometry_calls[0] == residual_calls[0] - 2
+    assert joint_geometry_calls[0] == residual_calls[0]
 
 
 def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):
@@ -599,3 +599,27 @@ def test_non_finite_results_are_never_written_as_json(tmp_path, monkeypatch, cap
     text = (out / "report.json").read_text()
     assert "NaN" not in text and json.loads(text)["status"] == "solve_error"
     assert not (out / "solution.csv").exists()
+
+
+def test_sweep_tip_pull_warm_starts_without_cold_retry(tmp_path, monkeypatch):
+    # a tip pull raised from 0.15 to 0.6 N at tau = (4, 1.9) N: the second
+    # item converges from its tangent-predicted start, so the sweep runs one
+    # cold solve (the first item) and one warm one
+    starts = []
+    solve_scenario = cli._solve_scenario
+
+    def recorded(design, scenario, init=None):
+        starts.append(init is not None)
+        return solve_scenario(design, scenario, init=init)
+
+    monkeypatch.setattr(cli, "_solve_scenario", recorded)
+    pull = {"variant": "constant_workspace", "target_link": 5, "force": [0.15, 0.0]}
+    scenario = write_json(tmp_path / "s.json", tension_scenario([4.0, 1.9], [pull]))
+    sweep = write_json(tmp_path / "w.json", {"parameter": "loads.0.force.0", "values": [0.15, 0.6]})
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--design", str(DESIGN), "--scenario", scenario,
+                 "--sweep", sweep, "--out", str(out)]) == 0
+    assert starts == [False, True]
+    rows = (out / "sweep.csv").read_text().strip().splitlines()[1:]
+    assert [row.split(",")[2] for row in rows] == ["ok", "ok"]
+    assert int(rows[1].split(",")[6]) <= 5

@@ -286,9 +286,10 @@ def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
     trials = report.outer_iterations + report.backtrack_count
     assert residual_calls[0] == start_residuals
     assert geometry_calls[0] == start_residuals + trials
-    # the force fit, one per start Newton step, the descent's start iterate
-    # and one per trial
-    assert block_calls[0] == 1 + start.iterations + 1 + trials
+    # one per start Newton step, the descent's start iterate and one per
+    # trial; the force fit reads the contact co-adjoints and the tendon
+    # pulls, not the blocks
+    assert block_calls[0] == start.iterations + 1 + trials
 
     # started from its own solution, the search reads that equilibrium's
     # geometry once (no force fit, no Newton step, no new build) and stops

@@ -11,7 +11,7 @@ from rolljoint.errors import (
 )
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
-from rolljoint.mechanism import Configuration, tendon_lengths
+from rolljoint.mechanism import Configuration, evaluate, tendon_lengths
 from rolljoint import solver_tension
 from rolljoint.solver_tension import (
     CONDITION_LIMIT,
@@ -20,12 +20,14 @@ from rolljoint.solver_tension import (
     _clamp_s,
     _equilibrate,
     _equilibrated_solve,
+    _balance_change,
     _pinned_joints,
     initial_forces,
     newton_step,
     solve_tension,
+    tangent_start,
 )
-from rolljoint.statics import residual, residual_norm
+from rolljoint.statics import assemble_blocks, residual, residual_norm
 
 from conftest import max_pose_error
 from helpers import dense_newton_step
@@ -358,3 +360,90 @@ def test_start_past_a_domain_bound_is_evaluated_clamped(paper5, joint_geometry_c
     assert joint_geometry_calls[0] == 1 + report.iterations + report.backtrack_count
     lo_all, hi_all = paper5.domains.T
     assert np.all((lo_all <= config.s) & (config.s <= hi_all))
+
+
+def tip_pull(force_x):
+    return (ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (force_x, 0.0))),)
+
+
+def test_balance_change_is_the_difference_of_two_balances(paper5):
+    # the balance is affine in the tensions and the load wrenches, so at a
+    # fixed (s, f) its change is exact, loads included; any iterate will do
+    rng = np.random.default_rng(19)
+    lo, hi = paper5.domains.T
+    config = evaluate(paper5, rng.uniform(lo, hi), rng.uniform(-1.0, 1.0, (paper5.joint_count, 2)))
+    spring = LinearSpring(target_link=3, stiffness=0.05, anchor=(10.0, 80.0))
+    cases = [
+        ((3.0, 1.0), (), (3.4, 0.8), ()),
+        ((4.0, 1.9), tip_pull(0.15), (4.0, 1.9), tip_pull(0.6)),
+        ((4.0, 1.9), tip_pull(0.15) + (spring,), (2.5, 2.0), (spring,)),
+        ((2.0, 2.0), (), (2.0, 2.5), tip_pull(-0.3)),
+    ]
+    for tau, loads, new_tau, new_loads in cases:
+        blocks = assemble_blocks(paper5, config, tau, loads)
+        change = _balance_change(config, blocks, tau, loads, new_tau, new_loads)
+        expected = (residual(paper5, config, new_tau, new_loads, scaled=False)
+                    - residual(paper5, config, tau, loads, scaled=False))
+        np.testing.assert_allclose(change, expected, rtol=0, atol=1e-12 * np.abs(blocks.h).max())
+
+
+def test_tangent_start_converges_where_the_refit_start_stalls(paper5):
+    # a tip pull raised from 0.15 to 0.6 N at tau = (4, 1.9) N: the old
+    # contact points with refitted forces stall the line search (22
+    # iterations, 263 backtracks); the tangent-predicted start converges
+    tau = (4.0, 1.9)
+    previous, _ = solve_tension(paper5, tau, tip_pull(0.15))
+    refit = evaluate(paper5, previous.s, initial_forces(paper5, previous, tau, tip_pull(0.6)))
+    with pytest.raises(NoConvergenceError):
+        solve_tension(paper5, tau, tip_pull(0.6), init=refit)
+    start = tangent_start(paper5, previous, tau, tip_pull(0.15), tau, tip_pull(0.6))
+    config, report = solve_tension(paper5, tau, tip_pull(0.6), init=start)
+    assert report.converged and report.iterations <= 5
+    cold, _ = solve_tension(paper5, tau, tip_pull(0.6))
+    assert max_pose_error(config.poses, cold.poses) < 1e-6
+
+
+def test_tangent_start_mends_a_stale_long_chain_warm_start():
+    # the equilibrium at (3, 2) N kept as the start at (3.3, 2) N sits near a
+    # singular Jacobian on a 50-link chain; its tangent prediction does not
+    from rolljoint.catalog import standard_link_chain
+
+    chain = standard_link_chain(50)
+    previous, _ = solve_tension(chain, (3.0, 2.0))
+    with pytest.raises(SingularBlockError):
+        solve_tension(chain, (3.3, 2.0), init=previous)
+    start = tangent_start(chain, previous, (3.0, 2.0), (), (3.3, 2.0))
+    _, report = solve_tension(chain, (3.3, 2.0), init=start)
+    assert report.converged and report.iterations <= 3
+
+
+def test_tangent_start_follows_the_branch_of_a_fine_continuation(paper5):
+    # a tip pull raised in one step from 0.533 to 1.519 N on a chain curled
+    # past 90 degrees: the tangent start reaches the equilibrium a cold
+    # solve and a 20-step continuation reach (the tip bent back to the
+    # right), not the more curled one on the far side of the chain
+    tau = (6.769133716400182, 2.739917364292364)
+    low, high = 0.533125598385, 1.51938361136
+    previous, _ = solve_tension(paper5, tau, tip_pull(low))
+    assert previous.link_translations[-1, 0] < -50.0
+    start = tangent_start(paper5, previous, tau, tip_pull(low), tau, tip_pull(high))
+    config, _ = solve_tension(paper5, tau, tip_pull(high), init=start)
+    cold, _ = solve_tension(paper5, tau, tip_pull(high))
+    followed, force = previous, low
+    for step in np.linspace(low, high, 21)[1:]:
+        start = tangent_start(paper5, followed, tau, tip_pull(force), tau, tip_pull(step))
+        followed, _ = solve_tension(paper5, tau, tip_pull(step), init=start)
+        force = step
+    assert config.link_translations[-1, 0] > 40.0
+    assert max_pose_error(config.poses, cold.poses) < 1e-6
+    assert max_pose_error(config.poses, followed.poses) < 1e-6
+
+
+def test_tangent_start_keeps_an_equilibrium_at_unchanged_inputs(paper5):
+    # no change of the inputs predicts no move: the start is the same
+    # contact points with the forces fitted on them
+    tau = (6.0, 3.0)
+    previous, _ = solve_tension(paper5, tau, tip_pull(1.0))
+    start = tangent_start(paper5, previous, tau, tip_pull(1.0), tau, tip_pull(1.0))
+    np.testing.assert_array_equal(start.s, previous.s)
+    np.testing.assert_array_equal(start.f, initial_forces(paper5, previous, tau, tip_pull(1.0)))
