@@ -71,9 +71,11 @@ def write_solution_csv(path: Path, config: Configuration, lengths) -> None:
     the joint below it, blank on the base link) and a summary row of the
     tendon lengths; cells a row has no value for stay blank."""
     lines = [",".join(CSV_COLUMNS)]
-    for k, pose in enumerate(config.poses):
-        joint = [config.s[k - 1], *config.f[k - 1]] if k else []
-        cells = [str(k + 1), *map(_fmt, [*pose.translation, pose.angle, *joint])]
+    s, f = config.s.tolist(), config.f.tolist()
+    links = zip(config.link_translations.tolist(), config.link_angles.tolist())
+    for k, (translation, angle) in enumerate(links):
+        joint = [s[k - 1], *f[k - 1]] if k else []
+        cells = [str(k + 1), *map(_fmt, [*translation, angle, *joint])]
         lines.append(",".join(cells + [""] * (len(CSV_COLUMNS) - len(cells))))
     lines.append(",".join(["summary", *[""] * 6, *map(_fmt, lengths)]))
     path.write_text("\n".join(lines) + "\n")
@@ -243,6 +245,11 @@ def cmd_sweep(args) -> int:
             raise ParseError("sweep needs a non-empty list of values")
         scenarios = []
         for value in values:
+            # a number or a non-empty list of numbers; a bool is neither
+            items = value if isinstance(value, list) and value else [value]
+            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
+                raise ParseError(f"sweep value {json.dumps(value)} of {parameter} is not "
+                                 "a number or a non-empty list of numbers")
             item = copy.deepcopy(template)
             set_by_path(item, parameter, value)
             scenario = _scenario_with_flags(scenario_from_dict(item), args)
@@ -269,10 +276,9 @@ def cmd_sweep(args) -> int:
             _write_failure(item_dir, scenario, status, str(exc))
             lines.append(f"{idx},{_fmt_value(value)},{status},,,,,")
             continue
-        tip = config.poses[-1]
+        tip = [*config.link_translations[-1].tolist(), config.link_angles[-1]]
         lines.append(",".join([
-            str(idx), _fmt_value(value), "ok",
-            _fmt(tip.translation[0]), _fmt(tip.translation[1]), _fmt(tip.angle),
+            str(idx), _fmt_value(value), "ok", *map(_fmt, tip),
             str(extra.get("iterations", extra.get("outer_iterations", 0))),
             _fmt(extra["final_residual_norm"]),
         ]))

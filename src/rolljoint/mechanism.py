@@ -128,16 +128,6 @@ class MechanismDesign:
         return self.domains.mean(axis=1)
 
     @cached_property
-    def joint_child_points(self) -> np.ndarray:
-        """(joints, sides, 2) child entry points of link j, row j for joint j."""
-        return _frozen([link.child_points for link in self.links[:-1]])
-
-    @cached_property
-    def joint_parent_points(self) -> np.ndarray:
-        """(joints, sides, 2) parent entry points of link j+1."""
-        return _frozen([link.parent_points for link in self.links[1:]])
-
-    @cached_property
     def surface_stack(self) -> SurfaceStack:
         """Every joint's mating surfaces as one `SurfaceStack`: entry 2j is
         the child surface of joint j, entry 2j + 1 its parent surface."""
@@ -147,9 +137,10 @@ class MechanismDesign:
     @cached_property
     def joint_gap_points(self) -> np.ndarray:
         """(joints, 2, sides, 2) far-end entry points of each joint's gap
-        segments: column 0 `joint_parent_points`, column 1
-        `joint_child_points`."""
-        return _frozen(np.stack((self.joint_parent_points, self.joint_child_points), axis=1))
+        segments: column 0 the parent entry points of link j+1, column 1 the
+        child entry points of link j."""
+        return _frozen([(link.parent_points, below.child_points)
+                        for below, link in zip(self.links, self.links[1:])])
 
     @cached_property
     def link_spans(self) -> np.ndarray:
@@ -211,10 +202,6 @@ class Configuration:
         return evaluate(design, s, f)
 
 
-def _transposed(matrices: np.ndarray) -> np.ndarray:
-    return np.swapaxes(matrices, -1, -2)
-
-
 @dataclass(frozen=True, eq=False)
 class SegmentGeometry:
     """Tendon gap segments of every joint, both tendons at once (row j for
@@ -265,7 +252,7 @@ class JointGeometry:
     second axis: column 0 the child contact frame, which lies on link j (in
     its coordinates), and the child-side segments v of link j; column 1 the
     parent contact frame on link j+1 and its parent-side segments w.  The
-    `child_*` and `parent_*` properties and `v` and `w` are those columns."""
+    segment columns are also read as `v` and `w`."""
 
     contact_angle: np.ndarray         # (J, 2)
     contact_rotation: np.ndarray      # (J, 2, 2, 2)
@@ -278,14 +265,6 @@ class JointGeometry:
     inverse_translation: np.ndarray   # translation of link j expressed in link j+1
     segments: SegmentGeometry         # (J, 2, ...): v, then w
 
-    child_angle = property(lambda self: self.contact_angle[:, 0])
-    child_rotation = property(lambda self: self.contact_rotation[:, 0])
-    child_translation = property(lambda self: self.contact_translation[:, 0])
-    child_curvature = property(lambda self: self.curvature[:, 0])
-    parent_angle = property(lambda self: self.contact_angle[:, 1])
-    parent_rotation = property(lambda self: self.contact_rotation[:, 1])
-    parent_translation = property(lambda self: self.contact_translation[:, 1])
-    parent_curvature = property(lambda self: self.curvature[:, 1])
     v = property(lambda self: self.segments[:, 0])
     w = property(lambda self: self.segments[:, 1])
 
@@ -312,9 +291,9 @@ def joint_geometry(design: MechanismDesign, s) -> JointGeometry:
     # inverse(parent) has translation -R_p^T t_p, which the child frame maps
     # into link j; column 1 is the translation of inverse(relative)
     rel_t = np.empty((joints, 2, 2))
-    parent_back = matvec(_transposed(rotation[:, 1]), t_parent)
+    parent_back = matvec(np.swapaxes(rotation[:, 1], 1, 2), t_parent)
     np.subtract(t_child, matvec(rotation[:, 0], parent_back), out=rel_t[:, 0])
-    np.negative(matvec(_transposed(rotation[:, 3]), rel_t[:, 0]), out=rel_t[:, 1])
+    np.negative(matvec(np.swapaxes(rotation[:, 3], 1, 2), rel_t[:, 0]), out=rel_t[:, 1])
     gap = np.empty((joints, 2))
     curve_gap = np.subtract(curvature[:, 0], curvature[:, 1], out=gap[:, 0])
     np.negative(curve_gap, out=gap[:, 1])
@@ -347,15 +326,10 @@ def _link_poses(angles: np.ndarray, translations: np.ndarray) -> tuple[Pose2, ..
     return tuple(Pose2(angle, t) for angle, t in zip(angles.tolist(), translations))
 
 
-def forward_poses(design: MechanismDesign, s,
-                  geometry: Optional[JointGeometry] = None) -> tuple[Pose2, ...]:
+def forward_poses(design: MechanismDesign, s) -> tuple[Pose2, ...]:
     """Chain the base pose through every rolling contact at contact arc
-    lengths s: the link poses of `evaluate`, as `Pose2` values.  `geometry`
-    is the joint geometry at s; it is built here only when the caller passes
-    none."""
-    if geometry is None:
-        geometry = joint_geometry(design, s)
-    return _link_poses(*_pose_chain(design.base_pose, geometry))
+    lengths s: the link poses of `evaluate`, as `Pose2` values."""
+    return _link_poses(*_pose_chain(design.base_pose, joint_geometry(design, s)))
 
 
 def evaluate(design: MechanismDesign, s, f) -> Configuration:

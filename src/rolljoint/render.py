@@ -43,14 +43,16 @@ def _body_points(design: MechanismDesign):
     points: per link its entry-point quadrilateral and its sampled surfaces,
     then the entry points of each tendon (SIDES), base to tip.  Returns the
     points (m, 2), the link each point is fixed to (m,) and the end index of
-    each curve.  They do not depend on the configuration."""
+    each curve.  They do not depend on the configuration.  The surfaces are
+    sampled from the design's `surface_stack`, one lookup per sample row."""
+    stack = design.surface_stack
+    samples = np.linspace(stack.s_min, stack.s_max, _SURFACE_SAMPLES)
+    outlines = np.stack([stack.frames_at(row)[1] for row in samples], axis=1)
     curves, owners = [], []
     for k, link in enumerate(design.links):
         curves.append([link.p_l, link.p_r, link.c_r, link.c_l, link.p_l])
-        for surf in (link.parent_surface, link.child_surface):
-            if surf is not None:
-                samples = np.linspace(surf.s_min, surf.s_max, _SURFACE_SAMPLES)
-                curves.append([surf.frame_at(s).translation for s in samples])
+        # stack entries 2k - 1 and 2k: link k's parent and child surfaces
+        curves += [outlines[entry] for entry in (2 * k - 1, 2 * k) if 0 <= entry < len(outlines)]
         owners += [k] * (sum(map(len, curves)) - len(owners))
     for side in range(len(SIDES)):
         curves.append([point for link in design.links

@@ -203,7 +203,7 @@ def solve_displacement(
     config, start = solve_tension(design, tau, loads, init=init, opts=opts.inner)
     lengths = tendon_lengths(design, config)
     error = lengths - l_des
-    blocks = assemble_blocks(design, config, tau, loads)
+    blocks = start.blocks
     rows = block_residual(design, blocks)
     objective = _merit(error, rows)
     history = [objective]

@@ -7,9 +7,12 @@ and applies a backtracking line search on the scaled residual norm.
 Interior links cost one 3x3 inversion each, all taken in one stacked
 `np.linalg.inv`; the boundary solve is the only 6x6 operation, and only the
 6x6 products of the recursion run link by link.  Every evaluated iterate
-builds its joint geometry once: a cold solve evaluates its start at the
-mating-domain midpoints and fits the contact forces on that evaluation; a
-warm start `init` is used as it is unless a joint is clamped onto its domain.
+builds its joint geometry once and owns its blocks, assembled once: their
+balance rows are its line-search residual and, once it is accepted, the next
+Newton step eliminates them; the report carries the last iterate's blocks.
+A cold solve evaluates its start at the mating-domain midpoints and fits the
+contact forces on that evaluation; a warm start `init` is used as it is
+unless a joint is clamped onto its domain.
 `tangent_start` predicts such a start at new tensions and loads from a
 nearby equilibrium: the balance is affine in both, so one elimination of the
 equilibrium's blocks gives the first-order change of the contact points (the
@@ -30,7 +33,7 @@ chain in the SingularBlockError.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -38,7 +41,7 @@ import numpy as np
 from .errors import ContactRolloffError, NoConvergenceError, SingularBlockError
 from .loads import check_targets, net_wrench
 from .mechanism import Configuration, MechanismDesign, evaluate
-from .statics import LinkBlocks, assemble_blocks, residual, residual_norm, unforced_balance
+from .statics import LinkBlocks, assemble_blocks, block_residual, residual_norm, unforced_balance
 
 CONDITION_LIMIT = 1e12
 _EYE3 = np.eye(3)
@@ -84,6 +87,8 @@ class SolveReport:
     residual_history: tuple[float, ...] = ()
     inversions_3x3: int = 0
     solves_6x6: int = 0
+    # the blocks of the returned (or the error's) configuration
+    blocks: Optional[LinkBlocks] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,24 +122,6 @@ def _accepted(cond, size: int) -> bool:
     return bool(np.all(cond <= CONDITION_LIMIT / size))
 
 
-def _inverses(stack: np.ndarray, singular: np.ndarray):
-    """Inverses of a stack of square matrices, skipping those already marked
-    singular; returns (inverses, singular mask grown by those LU rejects)."""
-    safe = np.where(singular[..., None, None], np.eye(stack.shape[-1]), stack)
-    try:
-        return np.linalg.inv(safe), singular
-    except np.linalg.LinAlgError:
-        # only a stack holding an exactly singular block takes this path
-        lu_rejects = []
-        for matrix in safe:
-            try:
-                np.linalg.inv(matrix)
-                lu_rejects.append(False)
-            except np.linalg.LinAlgError:
-                lu_rejects.append(True)
-        return _inverses(stack, singular | np.array(lu_rejects))
-
-
 def _check_conditions(stack: np.ndarray, balanced: np.ndarray, balanced_inverse, what) -> None:
     """The classifying path, taken only where the checks refused a stack:
     reject the first matrix that is singular (a zero or non-finite scale, or
@@ -142,7 +129,12 @@ def _check_conditions(stack: np.ndarray, balanced: np.ndarray, balanced_inverse,
     CONDITION_LIMIT / size; `what(i)` names it.  `balanced_inverse` maps the
     inverses of `stack` onto those of its `balanced` stack."""
     singular = ~np.isfinite(balanced).all(axis=(-2, -1))
-    inv, singular = _inverses(stack, singular)
+    inv = np.zeros(stack.shape)
+    for i, matrix in enumerate(stack):
+        try:
+            inv[i] = np.linalg.inv(matrix)
+        except np.linalg.LinAlgError:
+            singular[i] = True
     cond = _conditions(balanced, balanced_inverse(inv))
     rejected = singular | ~(cond <= CONDITION_LIMIT / stack.shape[-1])
     if rejected.any():
@@ -336,9 +328,9 @@ def solve_tension(
         raise ValueError("tendon tensions must be two finite positive values")
     check_targets(loads, design.n)
 
-    # each evaluated iterate's joint geometry is built once and shared by
-    # its residual, its Newton blocks once accepted, and the caller
-    # (carried on the returned configuration)
+    # each evaluated iterate's joint geometry is built once and carried on
+    # its configuration; its blocks are assembled once, give its residual
+    # rows and, once it is accepted, the next Newton step
     if init is not None:
         s, clamped = _clamp_s(design, init.s)
         config = evaluate(design, s, init.f) if clamped else init
@@ -358,10 +350,11 @@ def solve_tension(
         # each Newton step is one boundary solve
         return SolveReport(
             iterations, norm_inf, backtracks, tuple(sorted(clamped_all)), converged,
-            tuple(history), inversions, iterations,
+            tuple(history), inversions, iterations, blocks,
         )
 
-    rows = residual(design, config, tau, loads)
+    blocks = assemble_blocks(design, config, tau, loads)
+    rows = block_residual(design, blocks)
     norm_inf = residual_norm(rows, np.inf)
     history.append(norm_inf)
 
@@ -373,17 +366,18 @@ def solve_tension(
                 report=report(False),
                 configuration=config,
             )
-        step = newton_step(design, config, tau, loads)
-        inversions += step.inversions_3x3
+        etas, count = block_solve(blocks, -blocks.h[:, :, None])
+        inversions += count
         iterations += 1
 
         norm_2 = residual_norm(rows, 2)
         scale = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
-            s_trial, clamped = _clamp_s(design, config.s + scale * step.ds)
-            trial = evaluate(design, s_trial, config.f + scale * step.df)
-            rows_trial = residual(design, trial, tau, loads)
+            s_trial, clamped = _clamp_s(design, config.s + scale * etas[:, 0, 0])
+            trial = evaluate(design, s_trial, config.f + scale * etas[:, 1:, 0])
+            blocks_trial = assemble_blocks(design, trial, tau, loads)
+            rows_trial = block_residual(design, blocks_trial)
             trial_2 = residual_norm(rows_trial, 2)
             if trial_2 < norm_2 or trial_2 <= opts.tol_residual:
                 accepted = True
@@ -404,7 +398,7 @@ def solve_tension(
                 report=report(False),
                 configuration=config,
             )
-        config, rows = trial, rows_trial
+        config, blocks, rows = trial, blocks_trial, rows_trial
         clamped_all.update(clamped)
         norm_inf = residual_norm(rows, np.inf)
         history.append(norm_inf)

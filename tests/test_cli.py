@@ -152,6 +152,24 @@ def test_sweep_empty_values_is_parse_error(tmp_path):
                  "--sweep", sweep, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("parameter, values", [
+    ("loads", [[], [{"variant": "constant_workspace", "target_link": 5, "force": [0.1, 0.0]}]]),
+    ("actuation.tau.0", [3.0, True]),
+], ids=["load_lists", "bool"])
+def test_sweep_refuses_values_that_are_not_numbers(tmp_path, capsys, parameter, values):
+    # a sweep value is a number or a non-empty list of numbers (a bool is
+    # neither); any other one is refused before an item is solved or a
+    # directory is written, instead of failing in the CSV writer after every
+    # item was solved, or of solving a bool as 1 N
+    scenario = write_json(tmp_path / "s.json", dict(tension_scenario([3.0, 1.0]), loads=[]))
+    sweep = write_json(tmp_path / "w.json", {"parameter": parameter, "values": values})
+    assert main(["sweep", "--design", str(DESIGN), "--scenario", scenario,
+                 "--sweep", sweep, "--out", str(tmp_path / "o")]) == 2
+    assert (f" of {parameter} is not a number or a non-empty list of numbers"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 def test_verify_command_passes_on_shipped_design(capsys):
     assert main(["verify", "--design", str(DESIGN), "--seed", "0"]) == 0
     output = capsys.readouterr().out
@@ -206,9 +224,10 @@ def test_svg_contains_geometry(tmp_path):
 
 
 def test_svg_samples_each_surface_once(monkeypatch):
-    # the sampled surface outlines are body-frame points: one frame lookup
-    # per sample and surface, however many configurations are drawn
-    from rolljoint.render import _SURFACE_SAMPLES, render_svg
+    # the sampled surface outlines are body-frame points, looked up through
+    # the design's surface stack (no per-surface frame_at call), however
+    # many configurations are drawn
+    from rolljoint.render import render_svg
     from rolljoint.solver_tension import solve_tension
     from rolljoint.surface import CircularArc
 
@@ -218,7 +237,7 @@ def test_svg_samples_each_surface_once(monkeypatch):
     calls = []
     monkeypatch.setattr(CircularArc, "frame_at", lambda self, s: calls.append(s) or frame_at(self, s))
     svg = render_svg(design, configs)
-    assert len(calls) == 2 * design.joint_count * _SURFACE_SAMPLES
+    assert calls == []
     # per configuration: one quadrilateral per link, one curve per surface
     # and two tendon polylines
     per_config = design.n + 2 * design.joint_count + 2
@@ -513,20 +532,25 @@ def test_sweep_item_lengths_build_no_geometry(tmp_path, monkeypatch, joint_geome
 
 def test_sweep_builds_one_geometry_per_residual(tmp_path, monkeypatch, joint_geometry_calls):
     # the cold first item fits its forces on its start iterate's geometry;
-    # each of the two warm items evaluates one predicted iterate (the
-    # tangent step from the previous item's returned configuration, whose
-    # blocks read the geometry it carries) and fits its forces on it, so
-    # every geometry the sweep builds is one residual's iterate
+    # each of the two warm items assembles the previous item's equilibrium
+    # once for its tangent step (reading the geometry that configuration
+    # carries), evaluates one predicted iterate and fits its forces on it;
+    # every other block assembly is one evaluated iterate's, whose balance
+    # rows are its residual, so no residual is computed on its own
     from conftest import count_calls
-    from rolljoint.statics import residual
+    from rolljoint.solver_tension import tangent_start
+    from rolljoint.statics import assemble_blocks, residual
 
     residual_calls = count_calls(monkeypatch, residual)
+    block_calls = count_calls(monkeypatch, assemble_blocks)
+    tangent_calls = count_calls(monkeypatch, tangent_start)
     assert main(["sweep", "--design", str(DESIGN),
                  "--scenario", str(SCENARIOS / "tension_31.json"),
                  "--sweep", str(SCENARIOS / "sweep_fig3.json"),
                  "--out", str(tmp_path / "sweep")]) == 0
-    assert residual_calls[0] > 3
-    assert joint_geometry_calls[0] == residual_calls[0]
+    assert residual_calls[0] == 0 and tangent_calls[0] == 2
+    assert block_calls[0] > 3 + tangent_calls[0]
+    assert joint_geometry_calls[0] == block_calls[0] - tangent_calls[0]
 
 
 def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):
@@ -548,6 +572,24 @@ def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):
         summary = (out / f"item_{idx:03d}" / "solution.csv").read_text().strip().splitlines()[-1]
         report = json.loads((out / f"item_{idx:03d}" / "report.json").read_text())
         assert summary.split(",")[-2:] == [f"{v:.12g}" for v in report["lengths_mm"]]
+
+
+def test_unloaded_sweep_builds_no_poses(tmp_path, monkeypatch):
+    # solution.csv rows, the sweep's tip rows and the rendered outlines read
+    # the configurations' link arrays and the design's surface stack, so an
+    # unloaded sweep builds no Pose2 beyond those of loading the design
+    from rolljoint.geometry import Pose2
+
+    calls = []
+    post_init = Pose2.__post_init__
+    monkeypatch.setattr(Pose2, "__post_init__", lambda self: calls.append(self) or post_init(self))
+    load_design(DESIGN)
+    design_poses, calls[:] = len(calls), []
+    assert main(["sweep", "--design", str(DESIGN),
+                 "--scenario", str(SCENARIOS / "tension_31.json"),
+                 "--sweep", str(SCENARIOS / "sweep_fig3.json"),
+                 "--out", str(tmp_path / "sweep"), "--svg"]) == 0
+    assert len(calls) == design_poses
 
 
 @pytest.mark.parametrize("path, value", [

@@ -315,8 +315,10 @@ def test_stacked_kernel_matches_scalar_primitives(make):
             t_child, t_parent = child.frame_at(s[j]), parent.frame_at(s[j])
             relative = compose(t_child, inverse(t_parent))
             for angle, rot, trans, frame in (
-                (geom.child_angle, geom.child_rotation, geom.child_translation, t_child),
-                (geom.parent_angle, geom.parent_rotation, geom.parent_translation, t_parent),
+                (geom.contact_angle[:, 0], geom.contact_rotation[:, 0],
+                 geom.contact_translation[:, 0], t_child),
+                (geom.contact_angle[:, 1], geom.contact_rotation[:, 1],
+                 geom.contact_translation[:, 1], t_parent),
                 (geom.relative_angle, geom.relative_rotation, geom.relative_translation, relative),
             ):
                 assert angle[j] == pytest.approx(frame.angle, abs=1e-12)

@@ -15,6 +15,7 @@ from rolljoint.errors import RolljointError
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace
 from rolljoint.mechanism import Configuration, evaluate, tendon_lengths
+from rolljoint.oracle import dense_solve
 from rolljoint.solver_displacement import solve_displacement
 from rolljoint.solver_tension import SolverOptions, initial_forces, solve_tension
 from rolljoint.statics import residual, residual_norm
@@ -91,3 +92,21 @@ def test_displacement_target_solves_or_raises_typed_error(key, tau_gen, loaded, 
     assert np.abs(tendon_lengths(design, config) - target).max() <= 1e-6
     rows = residual(design, config, tau, loads)
     assert residual_norm(rows, np.inf) <= SolverOptions().tol_residual
+
+
+@pytest.mark.parametrize("key", DESIGNS)
+@PROPERTY
+@given(tau=tensions, pull=tip_pulls)
+def test_recursive_solve_agrees_with_dense_oracle(key, tau, pull):
+    # the block recursion and the oracle's damped Newton on the full unknown
+    # vector (FD Jacobian, dense solve) share no code past the residual;
+    # where both converge from their cold starts they land on the same
+    # contact points
+    design = DESIGNS[key]
+    loads = tip_pull(design, pull)
+    try:
+        config, _ = solve_tension(design, tau, loads, opts=SolverOptions(tol_residual=1e-11))
+        dense = dense_solve(design, tau, loads, tol=1e-11)
+    except RolljointError:
+        return
+    np.testing.assert_allclose(config.s, dense.s, rtol=0, atol=1e-8)

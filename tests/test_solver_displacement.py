@@ -269,10 +269,11 @@ def _spy_start_solves(monkeypatch):
 
 def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
     # every joint geometry belongs to an evaluated iterate: the start solve's
-    # iterates with one residual each (the cold start's force fit reads its
-    # start iterate's), and one trial per accepted or rejected step, whose
-    # blocks give its merit and, once accepted, the next step's elimination;
-    # the lengths and the blocks of each iterate read the geometry it carries
+    # iterates (the cold start's force fit reads its start iterate's), and
+    # one trial per accepted or rejected step; each iterate's blocks are
+    # assembled once and give its residual rows and, once accepted, the next
+    # step's elimination (the descent starts from the start solve's last
+    # blocks); the lengths and the blocks read the geometry it carries
     generator, _ = solve_tension(paper5, (2.5, 1.0))
     target = tendon_lengths(paper5, generator)
     starts = _spy_start_solves(monkeypatch)
@@ -282,21 +283,20 @@ def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
     tau, config, report = solve_displacement(paper5, target)
     assert report.converged and report.outer_iterations >= 2
     [start] = starts
-    start_residuals = 1 + start.iterations + start.backtrack_count
+    start_iterates = 1 + start.iterations + start.backtrack_count
     trials = report.outer_iterations + report.backtrack_count
-    assert residual_calls[0] == start_residuals
-    assert geometry_calls[0] == start_residuals + trials
-    # one per start Newton step, the descent's start iterate and one per
-    # trial; the force fit reads the contact co-adjoints and the tendon
-    # pulls, not the blocks
-    assert block_calls[0] == start.iterations + 1 + trials
+    assert residual_calls[0] == 0
+    assert geometry_calls[0] == start_iterates + trials
+    # one per evaluated iterate; the force fit reads the contact co-adjoints
+    # and the tendon pulls, not the blocks
+    assert block_calls[0] == start_iterates + trials
 
     # started from its own solution, the search reads that equilibrium's
     # geometry once (no force fit, no Newton step, no new build) and stops
     geometry_calls[0] = residual_calls[0] = block_calls[0] = 0
     again, _, report = solve_displacement(paper5, target, tau_init=tau, init=config)
     assert report.converged and report.outer_iterations == report.inner_iterations == 0
-    assert residual_calls[0] == block_calls[0] == 1
+    assert residual_calls[0] == 0 and block_calls[0] == 1
     assert geometry_calls[0] == 0
     np.testing.assert_array_equal(again, tau)
 

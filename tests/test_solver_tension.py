@@ -27,9 +27,9 @@ from rolljoint.solver_tension import (
     solve_tension,
     tangent_start,
 )
-from rolljoint.statics import assemble_blocks, residual, residual_norm
+from rolljoint.statics import assemble_blocks, block_residual, residual, residual_norm
 
-from conftest import max_pose_error
+from conftest import count_calls, max_pose_error
 from helpers import dense_newton_step
 
 TIGHT = SolverOptions(tol_residual=1e-12)
@@ -309,6 +309,31 @@ def test_joint_geometry_built_once_per_evaluated_iterate(paper5, joint_geometry_
     joint_geometry_calls[0] = 0
     _, report = solve_tension(paper5, (6.0, 3.0))
     assert joint_geometry_calls[0] == 1 + report.iterations + report.backtrack_count
+
+
+def test_each_iterate_is_balanced_once(monkeypatch):
+    # each evaluated iterate's blocks are assembled once: their balance rows
+    # are its line-search residual and, once it is accepted, the next Newton
+    # step eliminates them, so no residual is computed on its own; the
+    # report carries the blocks of the iterate it ends on, errors included
+    from rolljoint.catalog import standard_link_chain
+
+    design, tau = standard_link_chain(20), (6.0, 1.0)
+    residual_calls = count_calls(monkeypatch, residual)
+    block_calls = count_calls(monkeypatch, assemble_blocks)
+    config, report = solve_tension(design, tau)
+    assert report.iterations >= 1 and report.backtrack_count >= 1
+    assert residual_calls[0] == 0
+    assert block_calls[0] == 1 + report.iterations + report.backtrack_count
+    np.testing.assert_array_equal(block_residual(design, report.blocks),
+                                  residual(design, config, tau))
+
+    with pytest.raises(NoConvergenceError) as info:
+        solve_tension(design, tau, opts=SolverOptions(max_iters=2))
+    blocks = assemble_blocks(design, info.value.configuration, tau)
+    for name in ("A", "B", "C", "D", "E", "F", "h"):
+        np.testing.assert_array_equal(getattr(info.value.report.blocks, name),
+                                      getattr(blocks, name))
 
 
 def test_rejected_interior_d_block_names_its_link(paper5):
