@@ -124,7 +124,8 @@ def _write_solved(out_dir: Path, design: MechanismDesign, scenario: Scenario,
 
 def _solve_scenario(design: MechanismDesign, scenario: Scenario,
                     init: Configuration | None = None):
-    """Returns (config, tau, report dict)."""
+    """Returns (config, tau, report dict, blocks): the blocks of a tension
+    solve's equilibrium, None for a displacement solve."""
     if scenario.mode == "tension":
         config, rep = solve_tension(
             design, scenario.tau, scenario.loads, init=init, opts=scenario.solver.inner,
@@ -136,7 +137,7 @@ def _solve_scenario(design: MechanismDesign, scenario: Scenario,
             "backtrack_count": rep.backtrack_count,
             "clamped_joints": list(rep.clamped_joints),
         }
-        return config, np.asarray(scenario.tau), extra
+        return config, np.asarray(scenario.tau), extra, rep.blocks
     tau, config, rep = solve_displacement(
         design, scenario.lengths, scenario.loads,
         tau_init=scenario.tau_init, opts=scenario.solver, init=init,
@@ -152,7 +153,7 @@ def _solve_scenario(design: MechanismDesign, scenario: Scenario,
         "target_lengths_mm": list(rep.target_lengths),
         "backtrack_count": rep.backtrack_count,
     }
-    return config, tau, extra
+    return config, tau, extra, None
 
 
 def _failure(exc: RolljointError) -> tuple[str, int]:
@@ -175,7 +176,7 @@ def cmd_solve(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        config, tau, extra = _solve_scenario(design, scenario)
+        config, tau, extra, _ = _solve_scenario(design, scenario)
         _write_solved(out_dir, design, scenario, config, tau, extra)
     except RolljointError as exc:
         status, code = _failure(exc)
@@ -210,17 +211,19 @@ def _scenario_with_flags(scenario: Scenario, args) -> Scenario:
 
 def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
     """Solve one sweep item from the previous item's (configuration,
-    tensions, scenario); an item whose warm start fails is retried cold.
+    tensions, scenario, blocks); an item whose warm start fails is retried
+    cold.  Returns what `_solve_scenario` returns.
 
     A tension item starts from `tangent_start`: the previous equilibrium
     moved by its first-order change towards this item's tensions and loads,
-    with the contact forces refitted on the predicted geometry."""
+    read from the blocks its solve returned, with the contact forces refitted
+    on the predicted geometry."""
     if previous is not None:
-        prev_config, prev_tau, prev_scenario = previous
+        prev_config, prev_tau, prev_scenario, prev_blocks = previous
         try:
             if scenario.mode == "tension":
-                init = tangent_start(design, prev_config, prev_tau, prev_scenario.loads,
-                                     scenario.tau, scenario.loads)
+                init = tangent_start(design, prev_config, prev_blocks, prev_tau,
+                                     prev_scenario.loads, scenario.tau, scenario.loads)
                 return _solve_scenario(design, scenario, init=init)
             # the previous configuration balances the previous tensions,
             # which are also the first tensions of this item's search
@@ -269,7 +272,7 @@ def cmd_sweep(args) -> int:
         item_dir = out_dir / f"item_{idx:03d}"
         item_dir.mkdir(exist_ok=True)
         try:
-            config, tau, extra = _solve_warm(design, scenario, previous)
+            config, tau, extra, blocks = _solve_warm(design, scenario, previous)
             _write_solved(item_dir, design, scenario, config, tau, extra)
         except RolljointError as exc:
             status, _ = _failure(exc)
@@ -283,7 +286,7 @@ def cmd_sweep(args) -> int:
             _fmt(extra["final_residual_norm"]),
         ]))
         solved.append(config)
-        previous = config, tau, scenario
+        previous = config, tau, scenario, blocks
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
     if args.svg and solved:

@@ -50,11 +50,23 @@ Only the start is an equilibrium solve: `solve_tension` at `tau_init`.  The
 descent stops at an iterate whose scaled residual is within the inner
 `tol_residual` and whose gradient e^T J is within `grad_tol` (relative to
 max(1, ||e|| ||J||)); both are read from that step's own elimination.
+
+The start does not depend on the target lengths: it is the equilibrium at
+`tau_init`, its tendon lengths, its balance rows and its first elimination,
+which step 0 of the descent reads.  A cold start (no `init`) is therefore
+kept per design, with its `tau_init` (by value), its loads (element by
+element, by identity, as the value types compare) and its inner solver
+options (by ==), and reused by the next cold request that matches all
+three; a request that does not match replaces it.  The kept arrays are
+read-only, a start that raises is not kept, and the results are the same
+bits whether the start is reused or solved.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -153,6 +165,41 @@ def _bordered_columns(config: Configuration, blocks):
     return etas[:, :, 0], etas[:, :, 1:], dl_ds
 
 
+def _solve_start(design: MechanismDesign, tau: np.ndarray, loads, inner: SolverOptions,
+                 init: Optional[Configuration]):
+    """The target-independent start of a descent: the equilibrium at `tau`,
+    the report of its solve (whose blocks are the equilibrium's), its tendon
+    lengths and scaled balance rows, and its first elimination
+    `_bordered_columns` (newton, impulse, dl_ds)."""
+    config, report = solve_tension(design, tau, loads, init=init, opts=inner)
+    return (config, report, tendon_lengths(design, config),
+            block_residual(design, report.blocks), _bordered_columns(config, report.blocks))
+
+
+# design -> (tau_init, loads, inner options, start) of its last cold start
+_COLD_STARTS: "weakref.WeakKeyDictionary[MechanismDesign, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _cold_start(design: MechanismDesign, tau: np.ndarray, loads, inner: SolverOptions):
+    """The start without `init`, reused when the design's kept cold start
+    has the same tensions, load objects and inner options; otherwise solved,
+    made read-only and kept in its place."""
+    tau_key, loads = tuple(tau.tolist()), tuple(loads)
+    kept = _COLD_STARTS.get(design)
+    if kept is not None:
+        kept_tau, kept_loads, kept_inner, start = kept
+        if (kept_tau == tau_key and kept_inner == inner and len(kept_loads) == len(loads)
+                and all(map(operator.is_, kept_loads, loads))):
+            return start
+    start = config, report, lengths, rows, columns = _solve_start(design, tau, loads, inner, None)
+    for value in (*vars(config.geometry).values(), *vars(config.geometry.segments).values(),
+                  *vars(report.blocks).values(), lengths, rows, *columns):
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+    _COLD_STARTS[design] = tau_key, loads, inner, start
+    return start
+
+
 def _norm(x: np.ndarray) -> float:
     """The 2-norm of np.linalg.norm (the same dot product and square root)
     without its argument handling."""
@@ -200,18 +247,20 @@ def solve_displacement(
     if np.any(tau < floor):
         raise ValueError("initial tensions must be at or above the tension floor")
 
-    config, start = solve_tension(design, tau, loads, init=init, opts=opts.inner)
-    lengths = tendon_lengths(design, config)
+    if init is None:
+        start = _cold_start(design, tau, loads, opts.inner)
+    else:
+        start = _solve_start(design, tau, loads, opts.inner, init)
+    # each iterate's one elimination, (newton, impulse, dl_ds): the Newton
+    # step and the tension impulse responses (the start's is part of the start)
+    config, start_report, lengths, rows, (newton, impulse, dl_ds) = start
+    blocks = start_report.blocks
     error = lengths - l_des
-    blocks = start.blocks
-    rows = block_residual(design, blocks)
     objective = _merit(error, rows)
     history = [objective]
     backtracks = 0
 
     for outer in range(opts.max_outer_iters + 1):
-        # one elimination: the Newton step and the tension impulse responses
-        newton, impulse, dl_ds = _bordered_columns(config, blocks)
         jac = dl_ds @ impulse[:, 0]
         grad_norm = _norm(error @ jac)
         jac_norm = _norm(jac)
@@ -261,6 +310,7 @@ def solve_displacement(
             if objective_trial <= objective * (1.0 + 1e-14) + 1e-300:
                 tau, config, blocks, rows = tau_trial, trial, blocks_trial, rows_trial
                 lengths, error, objective = lengths_trial, error_trial, objective_trial
+                newton, impulse, dl_ds = _bordered_columns(config, blocks)
                 alpha *= ALPHA_GROWTH
                 accepted = True
                 break
@@ -280,7 +330,7 @@ def solve_displacement(
         achieved_lengths=tuple(lengths),
         target_lengths=tuple(l_des),
         final_residual_norm=residual_norm(rows, np.inf),
-        inner_iterations=start.iterations,
+        inner_iterations=start_report.iterations,
         backtrack_count=backtracks,
         objective_history=tuple(history),
         length_error_mm=float(np.abs(error).max()),

@@ -22,12 +22,16 @@ Each D block and the boundary system is equilibrated (one row/column
 max-abs pass) into B and rejected when its 1-norm condition number
 ||B||_1 ||B^-1||_1 exceeds CONDITION_LIMIT / size, read from an explicit
 inverse instead of an SVD.  As kappa_2 <= size * kappa_1, no accepted
-matrix has a 2-norm condition number above CONDITION_LIMIT.  The D blocks
-are equilibrated and checked as a stack, their balanced inverses derived
-from the one inverse of the stack; the boundary system's balanced inverse
-and its solution come from one solve.  Only a refused check classifies the
+matrix has a 2-norm condition number above CONDITION_LIMIT.  A cheap upper
+bound on kappa_1 is checked first, against half that limit: for the D
+blocks size * max|M| * max_k ||M_k^-1||_1 from the one inverse of the
+unbalanced stack, so that an accepted stack is never equilibrated; for the
+boundary system, whose balanced inverse and solution come from one solve,
+size * ||B^-1||_1.  Only where the bound is above it (or not finite) is the
+exact kappa_1 computed, and only a refused exact check classifies the
 rejection, naming the first singular or ill-conditioned matrix along the
-chain in the SingularBlockError.
+chain in the SingularBlockError.  The factor 2 of margin is far above
+rounding, so the bound never accepts a matrix the exact check refuses.
 """
 
 from __future__ import annotations
@@ -144,22 +148,38 @@ def _check_conditions(stack: np.ndarray, balanced: np.ndarray, balanced_inverse,
         raise SingularBlockError(f"ill-conditioned {what(i)} (cond_1 {cond[i]:.2e})")
 
 
+def _within_bound(bound, size: int) -> bool:
+    """Whether an upper bound on every balanced 1-norm condition number lies
+    within half the limit; the margin keeps rounding from letting the bound
+    accept a matrix the exact test refuses.  NaN is not within."""
+    return bool(bound <= CONDITION_LIMIT / (2 * size))
+
+
 def _checked_inverses(stack: np.ndarray, what) -> np.ndarray:
     """Inverses of a stack of blocks, each equilibrated and condition-checked;
     `what(i)` names block i in an error."""
+    size = stack.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        try:
+            inv = np.linalg.inv(stack)
+        except np.linalg.LinAlgError:
+            inv = None
+        else:
+            # balanced = R^-1 M C^-1 has entries and column scales <= 1 and
+            # row scales <= max|M| over the stack, so ||B_k||_1 <= size and
+            # ||B_k^-1||_1 <= max|M| ||M_k^-1||_1; an empty stack passes
+            bound = (size * np.abs(stack).max(initial=0.0)
+                     * np.abs(inv).sum(axis=-2).max(initial=0.0))
+            if _within_bound(bound, size):
+                return inv
         balanced, row_scale, col_scale = _equilibrate(stack)
 
         def balanced_inverse(inv):
             # balanced = R^-1 M C^-1, so its inverse is C M^-1 R
             return col_scale[..., :, None] * inv * row_scale[..., None, :]
 
-        try:
-            inv = np.linalg.inv(stack)
-            cond = _conditions(balanced, balanced_inverse(inv))
-        except np.linalg.LinAlgError:
-            inv, cond = None, np.nan
-        if not _accepted(cond, stack.shape[-1]):
+        cond = np.nan if inv is None else _conditions(balanced, balanced_inverse(inv))
+        if not _accepted(cond, size):
             _check_conditions(stack, balanced, balanced_inverse, what)
     return inv
 
@@ -178,11 +198,15 @@ def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.nd
         try:
             both = np.linalg.solve(
                 balanced, np.concatenate((identity, rhs / row_scale[:, None]), axis=1))
-            cond = _conditions(balanced, both[:, :size])
         except np.linalg.LinAlgError:
-            both, cond = None, np.nan
-        if not _accepted(cond, size):
-            _check_conditions(balanced[None], balanced[None], lambda inv: inv, lambda i: what)
+            both = None
+        # the balanced entries lie in [-1, 1], so ||B||_1 <= size
+        if both is None or not _within_bound(
+                size * np.abs(both[:, :size]).sum(axis=0).max(), size):
+            cond = np.nan if both is None else _conditions(balanced, both[:, :size])
+            if not _accepted(cond, size):
+                _check_conditions(balanced[None], balanced[None], lambda inv: inv,
+                                  lambda i: what)
     return both[:, size:] / col_scale[:, None]
 
 
@@ -281,16 +305,15 @@ def _balance_change(config: Configuration, blocks: LinkBlocks, tau, loads,
     return dh
 
 
-def tangent_start(design: MechanismDesign, config: Configuration, tau, loads,
-                  new_tau, new_loads=()) -> Configuration:
+def tangent_start(design: MechanismDesign, config: Configuration, blocks: LinkBlocks,
+                  tau, loads, new_tau, new_loads=()) -> Configuration:
     """Start for a solve at (new_tau, new_loads), predicted from `config`, an
-    equilibrium at (tau, loads): one elimination of the equilibrium's blocks
-    with the exact change of its balance rows gives the first-order (tangent)
-    change of the contact points, which is clamped into the domains and
-    evaluated; the contact forces are then fitted on that geometry
-    (`initial_forces`).  A `RolljointError` of the elimination or the
-    evaluation reaches the caller."""
-    blocks = assemble_blocks(design, config, tau, loads)
+    equilibrium at (tau, loads) whose blocks are `blocks` (the `report.blocks`
+    of the solve that returned it): one elimination of those blocks with the
+    exact change of the balance rows gives the first-order (tangent) change of
+    the contact points, which is clamped into the domains and evaluated; the
+    contact forces are then fitted on that geometry (`initial_forces`).  A
+    `RolljointError` of the elimination or the evaluation reaches the caller."""
     dh = _balance_change(config, blocks, tau, loads, new_tau, new_loads)
     etas, _ = block_solve(blocks, -dh[:, :, None])
     s, _ = _clamp_s(design, config.s + etas[:, 0, 0])

@@ -532,11 +532,11 @@ def test_sweep_item_lengths_build_no_geometry(tmp_path, monkeypatch, joint_geome
 
 def test_sweep_builds_one_geometry_per_residual(tmp_path, monkeypatch, joint_geometry_calls):
     # the cold first item fits its forces on its start iterate's geometry;
-    # each of the two warm items assembles the previous item's equilibrium
-    # once for its tangent step (reading the geometry that configuration
-    # carries), evaluates one predicted iterate and fits its forces on it;
-    # every other block assembly is one evaluated iterate's, whose balance
-    # rows are its residual, so no residual is computed on its own
+    # each of the two warm items takes its tangent step from the blocks the
+    # previous item's solve returned, evaluates one predicted iterate and
+    # fits its forces on it; every block assembly is one evaluated iterate's,
+    # whose balance rows are its residual, so no residual is computed on its
+    # own
     from conftest import count_calls
     from rolljoint.solver_tension import tangent_start
     from rolljoint.statics import assemble_blocks, residual
@@ -550,7 +550,7 @@ def test_sweep_builds_one_geometry_per_residual(tmp_path, monkeypatch, joint_geo
                  "--out", str(tmp_path / "sweep")]) == 0
     assert residual_calls[0] == 0 and tangent_calls[0] == 2
     assert block_calls[0] > 3 + tangent_calls[0]
-    assert joint_geometry_calls[0] == block_calls[0] - tangent_calls[0]
+    assert joint_geometry_calls[0] == block_calls[0]
 
 
 def test_sweep_computes_item_lengths_once(tmp_path, monkeypatch):
@@ -630,8 +630,8 @@ def test_non_finite_results_are_never_written_as_json(tmp_path, monkeypatch, cap
     solve = cli._solve_scenario
 
     def nan_report(design, scenario, init=None):
-        config, tau, extra = solve(design, scenario, init)
-        return config, tau, {**extra, "final_residual_norm": math.nan}
+        config, tau, extra, blocks = solve(design, scenario, init)
+        return config, tau, {**extra, "final_residual_norm": math.nan}, blocks
 
     monkeypatch.setattr(cli, "_solve_scenario", nan_report)
     out = tmp_path / "out"

@@ -37,7 +37,7 @@ def test_world_points_map_as_pose_apply(paper5, rng):
 def test_shipped_scenario_svg_matches_reference(name):
     design = load_design(DESIGN)
     scenario = load_scenario(ROOT / "scenarios" / name)
-    config, _, _ = cli._solve_scenario(design, scenario)
+    config, *_ = cli._solve_scenario(design, scenario)
     assert render_svg(design, [config], scenario.loads) == reference_render_svg(
         design, [config], scenario.loads)
 

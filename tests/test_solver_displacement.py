@@ -1,8 +1,11 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from rolljoint import solver_displacement, solver_tension
-from rolljoint.catalog import standard_link_chain
+from rolljoint.catalog import demo_five_link, standard_link_chain
 from rolljoint.errors import NoConvergenceError, TensionFloorError
 from rolljoint.geometry import Pose2, Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
@@ -267,13 +270,15 @@ def _spy_start_solves(monkeypatch):
     return reports
 
 
-def test_geometry_built_only_for_evaluated_inner_iterates(paper5, monkeypatch):
+def test_geometry_built_only_for_evaluated_inner_iterates(monkeypatch):
     # every joint geometry belongs to an evaluated iterate: the start solve's
     # iterates (the cold start's force fit reads its start iterate's), and
     # one trial per accepted or rejected step; each iterate's blocks are
     # assembled once and give its residual rows and, once accepted, the next
     # step's elimination (the descent starts from the start solve's last
-    # blocks); the lengths and the blocks read the geometry it carries
+    # blocks); the lengths and the blocks read the geometry it carries.  A
+    # new design has no kept cold start, so its first request solves one
+    paper5 = demo_five_link()
     generator, _ = solve_tension(paper5, (2.5, 1.0))
     target = tendon_lengths(paper5, generator)
     starts = _spy_start_solves(monkeypatch)
@@ -404,3 +409,130 @@ def test_warm_loaded_long_chain_converges():
     assert report.converged
     assert report.backtrack_count == 0
     assert np.abs(tau - 2.4).max() < 1e-4
+
+
+def _round_trip_target(design, tau_gen=(2.5, 1.0), loads=()):
+    generator, _ = solve_tension(design, tau_gen, loads)
+    return tendon_lengths(design, generator)
+
+
+def _same_bits(first, again):
+    (tau_a, config_a, report_a), (tau_b, config_b, report_b) = first, again
+    assert tau_a.tobytes() == tau_b.tobytes()
+    assert config_a.s.tobytes() == config_b.s.tobytes()
+    assert config_a.f.tobytes() == config_b.f.tobytes()
+    assert report_a == report_b
+
+
+def test_repeated_cold_request_reuses_the_start(monkeypatch):
+    # the second cold request on a design with the same tau_init, loads and
+    # options solves no start (neither its Newton steps nor its first
+    # elimination), and returns the same bits
+    design = demo_five_link()
+    target = _round_trip_target(design)
+    starts = _spy_start_solves(monkeypatch)
+    eliminations = count_calls(monkeypatch, solver_tension.block_solve)
+    first = solve_displacement(design, target, tau_init=(1.5, 1.0))
+    cold_eliminations, eliminations[0] = eliminations[0], 0
+    [start] = starts
+    assert start.iterations >= 1
+    again = solve_displacement(design, target, tau_init=(1.5, 1.0))
+    assert len(starts) == 1
+    assert eliminations[0] == cold_eliminations - 1 - start.iterations
+    _same_bits(first, again)
+    assert again[2].inner_iterations == start.iterations
+    # another target on the same design reads the same start
+    solve_displacement(design, _round_trip_target(design, (1.0, 2.0)), tau_init=(1.5, 1.0))
+    assert len(starts) == 1
+    # the kept arrays are read-only
+    *_, (config, report, lengths, rows, columns) = solver_displacement._COLD_STARTS[design]
+    geometry = config.geometry
+    arrays = [config.s, config.f, lengths, rows, *columns,
+              *vars(report.blocks).values(), *vars(geometry.segments).values(),
+              *(value for value in vars(geometry).values() if isinstance(value, np.ndarray))]
+    assert not any(array.flags.writeable for array in arrays)
+
+
+def test_cold_start_key_misses(monkeypatch):
+    # the start is kept for one (tau_init, load objects, inner options) per
+    # design; a warm start neither reads nor replaces it
+    design = demo_five_link()
+    pull = ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (1.0, -0.2)))
+    target = _round_trip_target(design, (6.0, 3.0), (pull,))
+    solves = []
+
+    def spy(*args, **kwargs):
+        solves.append(kwargs.get("init"))
+        return solve_tension(*args, **kwargs)
+
+    def solved(loads, tau_init=(5.0, 4.0), inner=SolverOptions(), init=None):
+        before = len(solves)
+        solve_displacement(design, target, loads, tau_init=tau_init,
+                           opts=DisplacementOptions(inner=inner), init=init)
+        return len(solves) - before
+
+    monkeypatch.setattr(solver_displacement, "solve_tension", spy)
+    assert solved((pull,)) == 1
+    assert solved((pull,)) == 0
+    _, config, _ = solve_displacement(design, target, (pull,), tau_init=(5.0, 4.0))
+    assert solved((pull,), init=config) == 1 and solves[-1] is config
+    assert solved((pull,)) == 0
+    assert solved((pull,), tau_init=(5.0, 4.5)) == 1
+    same_values = ConstantWorkspace(target_link=5, wrench=pull.wrench)
+    assert solved((same_values,), tau_init=(5.0, 4.5)) == 1
+    tighter = SolverOptions(tol_residual=1e-10)
+    assert solved((same_values,), tau_init=(5.0, 4.5), inner=tighter) == 1
+    assert solved((same_values,), tau_init=(5.0, 4.5), inner=tighter) == 0
+    # equal options built anew still match
+    assert solved((same_values,), tau_init=(5.0, 4.5),
+                  inner=SolverOptions(tol_residual=1e-10)) == 0
+
+
+class UnhashablePull(ConstantWorkspace):
+    """A user load type whose instances cannot be hashed."""
+
+    __hash__ = None
+
+
+def test_list_and_unhashable_loads_solve():
+    # the key holds the loads element by element, compared by identity, so
+    # neither a list nor an unhashable load type needs hashing
+    design = demo_five_link()
+    pull = UnhashablePull(target_link=5, wrench=Wrench2(0.0, (1.0, -0.2)))
+    with pytest.raises(TypeError):
+        hash(pull)
+    target = _round_trip_target(design, (6.0, 3.0), (pull,))
+    first = solve_displacement(design, target, [pull], tau_init=(5.0, 4.0))
+    assert first[2].converged
+    _same_bits(first, solve_displacement(design, target, [pull], tau_init=(5.0, 4.0)))
+    _same_bits(first, solve_displacement(design, target, (pull,), tau_init=(5.0, 4.0)))
+
+
+def test_failed_start_is_not_kept(monkeypatch):
+    # a start whose equilibrium solve raises is solved, and raises, again
+    design = demo_five_link()
+    pull = ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (1.0, -0.2)))
+    target = _round_trip_target(design, (6.0, 3.0), (pull,))
+    short = DisplacementOptions(inner=SolverOptions(max_iters=1))
+    starts = []
+
+    def spy(*args, **kwargs):
+        starts.append(kwargs.get("init"))
+        return solve_tension(*args, **kwargs)
+
+    monkeypatch.setattr(solver_displacement, "solve_tension", spy)
+    for attempt in (1, 2):
+        with pytest.raises(NoConvergenceError):
+            solve_displacement(design, target, (pull,), tau_init=(5.0, 4.0), opts=short)
+        assert len(starts) == attempt
+    assert design not in solver_displacement._COLD_STARTS
+
+
+def test_kept_start_does_not_keep_its_design():
+    design = demo_five_link()
+    solve_displacement(design, _round_trip_target(design))
+    assert design in solver_displacement._COLD_STARTS
+    alive = weakref.ref(design)
+    del design
+    gc.collect()
+    assert alive() is None

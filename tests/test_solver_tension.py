@@ -222,6 +222,24 @@ def test_condition_check_rejects_just_above_limit(size):
     np.testing.assert_allclose(fine @ _equilibrated_solve(fine, rhs, "test system"), rhs, atol=1e-9)
 
 
+@pytest.mark.parametrize("size", [3, 6])
+def test_condition_check_verdict_does_not_depend_on_scale(size):
+    # the bound tried first grows with max|M| as ||M^-1||_1 shrinks, so a
+    # nearly singular matrix is refused at any overall scale, and a
+    # well-posed one passes
+    rhs = np.ones((size, 1))
+    for scale in 10.0 ** np.arange(-8.0, 9.0, 2.0):
+        above = scale * nearly_singular(size, 3.9e-12)
+        with pytest.raises(SingularBlockError, match="ill-conditioned"):
+            checked_inverse(above)
+        with pytest.raises(SingularBlockError, match="ill-conditioned"):
+            _equilibrated_solve(above, rhs, "test system")
+        fine = scale * nearly_singular(size, 4e-6)
+        np.testing.assert_allclose(checked_inverse(fine) @ fine, np.eye(size), atol=1e-9)
+        np.testing.assert_allclose(fine @ _equilibrated_solve(fine, rhs, "test system"), rhs,
+                                   atol=1e-9)
+
+
 def test_equilibrated_solve_matches_dense_solve_on_paper5(paper5, monkeypatch):
     systems = []
 
@@ -417,11 +435,12 @@ def test_tangent_start_converges_where_the_refit_start_stalls(paper5):
     # contact points with refitted forces stall the line search (22
     # iterations, 263 backtracks); the tangent-predicted start converges
     tau = (4.0, 1.9)
-    previous, _ = solve_tension(paper5, tau, tip_pull(0.15))
+    previous, found = solve_tension(paper5, tau, tip_pull(0.15))
     refit = evaluate(paper5, previous.s, initial_forces(paper5, previous, tau, tip_pull(0.6)))
     with pytest.raises(NoConvergenceError):
         solve_tension(paper5, tau, tip_pull(0.6), init=refit)
-    start = tangent_start(paper5, previous, tau, tip_pull(0.15), tau, tip_pull(0.6))
+    start = tangent_start(paper5, previous, found.blocks, tau, tip_pull(0.15),
+                          tau, tip_pull(0.6))
     config, report = solve_tension(paper5, tau, tip_pull(0.6), init=start)
     assert report.converged and report.iterations <= 5
     cold, _ = solve_tension(paper5, tau, tip_pull(0.6))
@@ -434,10 +453,10 @@ def test_tangent_start_mends_a_stale_long_chain_warm_start():
     from rolljoint.catalog import standard_link_chain
 
     chain = standard_link_chain(50)
-    previous, _ = solve_tension(chain, (3.0, 2.0))
+    previous, found = solve_tension(chain, (3.0, 2.0))
     with pytest.raises(SingularBlockError):
         solve_tension(chain, (3.3, 2.0), init=previous)
-    start = tangent_start(chain, previous, (3.0, 2.0), (), (3.3, 2.0))
+    start = tangent_start(chain, previous, found.blocks, (3.0, 2.0), (), (3.3, 2.0))
     _, report = solve_tension(chain, (3.3, 2.0), init=start)
     assert report.converged and report.iterations <= 3
 
@@ -449,15 +468,18 @@ def test_tangent_start_follows_the_branch_of_a_fine_continuation(paper5):
     # right), not the more curled one on the far side of the chain
     tau = (6.769133716400182, 2.739917364292364)
     low, high = 0.533125598385, 1.51938361136
-    previous, _ = solve_tension(paper5, tau, tip_pull(low))
+    previous, found = solve_tension(paper5, tau, tip_pull(low))
     assert previous.link_translations[-1, 0] < -50.0
-    start = tangent_start(paper5, previous, tau, tip_pull(low), tau, tip_pull(high))
+    start = tangent_start(paper5, previous, found.blocks, tau, tip_pull(low),
+                          tau, tip_pull(high))
     config, _ = solve_tension(paper5, tau, tip_pull(high), init=start)
     cold, _ = solve_tension(paper5, tau, tip_pull(high))
-    followed, force = previous, low
+    followed, blocks, force = previous, found.blocks, low
     for step in np.linspace(low, high, 21)[1:]:
-        start = tangent_start(paper5, followed, tau, tip_pull(force), tau, tip_pull(step))
-        followed, _ = solve_tension(paper5, tau, tip_pull(step), init=start)
+        start = tangent_start(paper5, followed, blocks, tau, tip_pull(force),
+                              tau, tip_pull(step))
+        followed, report = solve_tension(paper5, tau, tip_pull(step), init=start)
+        blocks = report.blocks
         force = step
     assert config.link_translations[-1, 0] > 40.0
     assert max_pose_error(config.poses, cold.poses) < 1e-6
@@ -468,7 +490,8 @@ def test_tangent_start_keeps_an_equilibrium_at_unchanged_inputs(paper5):
     # no change of the inputs predicts no move: the start is the same
     # contact points with the forces fitted on them
     tau = (6.0, 3.0)
-    previous, _ = solve_tension(paper5, tau, tip_pull(1.0))
-    start = tangent_start(paper5, previous, tau, tip_pull(1.0), tau, tip_pull(1.0))
+    previous, found = solve_tension(paper5, tau, tip_pull(1.0))
+    start = tangent_start(paper5, previous, found.blocks, tau, tip_pull(1.0),
+                          tau, tip_pull(1.0))
     np.testing.assert_array_equal(start.s, previous.s)
     np.testing.assert_array_equal(start.f, initial_forces(paper5, previous, tau, tip_pull(1.0)))
