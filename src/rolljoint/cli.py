@@ -30,7 +30,7 @@ from .fileio import (
     strict_json,
 )
 from .loads import check_targets
-from .mechanism import Configuration, MechanismDesign, tendon_lengths, validate
+from .mechanism import Configuration, MechanismDesign, tendon_lengths
 from .render import render_svg
 from .solver_displacement import solve_displacement
 from .solver_tension import solve_tension, tangent_start
@@ -301,11 +301,6 @@ def cmd_verify(args) -> int:
         design = load_design(args.design)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    problems = validate(design)
-    if problems:
-        for problem in problems:
-            print(f"invalid design: {problem}", file=sys.stderr)
         return EXIT_PARSE
     try:
         rows = run_verification(design, seed=args.seed)

@@ -65,7 +65,6 @@ def dense_solve(
     loads=(),
     init: Optional[Configuration] = None,
     tol: float = 1e-10,
-    max_iters: int = 100,
 ) -> Configuration:
     """Damped Newton on the full unknown vector with an FD Jacobian."""
     check_targets(loads, design.n)
@@ -78,7 +77,7 @@ def dense_solve(
         z = np.concatenate([s0, _affine_force_fit(design, s0, tau, loads)])
 
     res = _residual_vector(design, z, tau, loads)
-    for _ in range(max_iters):
+    for _ in range(100):
         if np.abs(res).max() <= tol:
             return Configuration.from_unknowns(
                 design, z[:joints], z[joints:].reshape(joints, 2)
@@ -150,16 +149,16 @@ def energy(design: MechanismDesign, s, tau, loads=()) -> float:
     return total
 
 
-def energy_gradient_fd(design: MechanismDesign, s, tau, loads=(), step: float = 1e-6) -> np.ndarray:
+def energy_gradient_fd(design: MechanismDesign, s, tau, loads=()) -> np.ndarray:
     s = np.asarray(s, dtype=float)
     grad = np.zeros_like(s)
     for j in range(s.size):
         bumped = s.copy()
-        bumped[j] += step
+        bumped[j] += FD_STEP
         upper = energy(design, bumped, tau, loads)
-        bumped[j] -= 2.0 * step
+        bumped[j] -= 2.0 * FD_STEP
         lower = energy(design, bumped, tau, loads)
-        grad[j] = (upper - lower) / (2.0 * step)
+        grad[j] = (upper - lower) / (2.0 * FD_STEP)
     return grad
 
 
@@ -168,7 +167,6 @@ def energy_minimize(
     tau,
     loads=(),
     init_s=None,
-    xatol: float = 1e-10,
 ) -> np.ndarray:
     """Derivative-free minimization of the potential over s (cross-check only)."""
     from scipy.optimize import minimize   # here, so `import rolljoint` stays fast
@@ -183,7 +181,7 @@ def energy_minimize(
         method="Nelder-Mead",
         bounds=design.domains,
         options={
-            "xatol": xatol,
+            "xatol": 1e-10,
             "fatol": 1e-15,
             "maxiter": 20000,
             "maxfev": 40000,

@@ -64,7 +64,6 @@ bits whether the start is reused or solved.
 
 from __future__ import annotations
 
-import math
 import operator
 import weakref
 from dataclasses import dataclass, field
@@ -117,10 +116,11 @@ class DisplacementReport:
 
     `outer_iterations` counts the bordered steps (a last, rejected one
     included) and `inner_iterations` the Newton iterations of the start's
-    `solve_tension` alone.  `objective` and `objective_history` (the start,
-    then one entry per step) are the merit phi = |e|^2/2 + |rows|^2/2, and
-    `final_residual_norm` is the scaled residual infinity norm of the last
-    iterate.
+    `solve_tension` alone; when a kept cold start is reused, that is the
+    iteration count of the solve that built it.  `objective` and
+    `objective_history` (the start, then one entry per step) are the merit
+    phi = |e|^2/2 + |rows|^2/2, and `final_residual_norm` is the scaled
+    residual infinity norm of the last iterate.
     """
 
     outer_iterations: int
@@ -200,13 +200,6 @@ def _cold_start(design: MechanismDesign, tau: np.ndarray, loads, inner: SolverOp
     return start
 
 
-def _norm(x: np.ndarray) -> float:
-    """The 2-norm of np.linalg.norm (the same dot product and square root)
-    without its argument handling."""
-    x = x.ravel()
-    return math.sqrt(x.dot(x))
-
-
 def _merit(error: np.ndarray, rows: np.ndarray) -> float:
     return 0.5 * float(error @ error) + 0.5 * float((rows * rows).sum())
 
@@ -262,9 +255,9 @@ def solve_displacement(
 
     for outer in range(opts.max_outer_iters + 1):
         jac = dl_ds @ impulse[:, 0]
-        grad_norm = _norm(error @ jac)
-        jac_norm = _norm(jac)
-        scale = max(1.0, _norm(error) * jac_norm)
+        grad_norm = residual_norm(error @ jac, 2)
+        jac_norm = residual_norm(jac, 2)
+        scale = max(1.0, residual_norm(error, 2) * jac_norm)
         converged = (residual_norm(rows, np.inf) <= opts.inner.tol_residual
                      and grad_norm <= opts.grad_tol * scale)
         if converged or outer == opts.max_outer_iters:

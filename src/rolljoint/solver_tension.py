@@ -18,20 +18,21 @@ nearby equilibrium: the balance is affine in both, so one elimination of the
 equilibrium's blocks gives the first-order change of the contact points (the
 predictor of a predictor-corrector continuation, Newton being the corrector).
 
-Each D block and the boundary system is equilibrated (one row/column
-max-abs pass) into B and rejected when its 1-norm condition number
-||B||_1 ||B^-1||_1 exceeds CONDITION_LIMIT / size, read from an explicit
-inverse instead of an SVD.  As kappa_2 <= size * kappa_1, no accepted
-matrix has a 2-norm condition number above CONDITION_LIMIT.  A cheap upper
-bound on kappa_1 is checked first, against half that limit: for the D
-blocks size * max|M| * max_k ||M_k^-1||_1 from the one inverse of the
-unbalanced stack, so that an accepted stack is never equilibrated; for the
-boundary system, whose balanced inverse and solution come from one solve,
-size * ||B^-1||_1.  Only where the bound is above it (or not finite) is the
-exact kappa_1 computed, and only a refused exact check classifies the
-rejection, naming the first singular or ill-conditioned matrix along the
-chain in the SingularBlockError.  The factor 2 of margin is far above
-rounding, so the bound never accepts a matrix the exact check refuses.
+Each D block and the boundary system must be well conditioned, in two
+steps.  First a cheap upper bound on the balanced 1-norm condition number
+kappa_1 is checked against half of CONDITION_LIMIT / size: for the D blocks
+size * max|M| * max_k ||M_k^-1||_1 from the one inverse of the unbalanced
+stack, so that an accepted stack is never equilibrated; for the boundary
+system, whose balanced inverse and solution come from one solve,
+size * ||B^-1||_1.  The factor 2 of margin is far above rounding, so the
+bound never accepts a matrix the exact test refuses.  Only where the bound
+is above it (or not finite), or LU fails, does the exact test run: each
+matrix is equilibrated (one row/column max-abs pass) into B, its kappa_1 =
+||B||_1 ||B^-1||_1 is read from the explicit inverse already at hand, and
+the first matrix along the chain that is singular or whose kappa_1 exceeds
+CONDITION_LIMIT / size is named in a SingularBlockError.  As
+kappa_2 <= size * kappa_1, no accepted matrix has a 2-norm condition number
+above CONDITION_LIMIT.
 """
 
 from __future__ import annotations
@@ -121,25 +122,25 @@ def _conditions(balanced: np.ndarray, balanced_inv: np.ndarray) -> np.ndarray:
             * np.abs(balanced_inv).sum(axis=-2).max(axis=-1))
 
 
-def _accepted(cond, size: int) -> bool:
-    # NaN (a zero or non-finite scale, or a non-finite inverse) is refused
-    return bool(np.all(cond <= CONDITION_LIMIT / size))
-
-
-def _check_conditions(stack: np.ndarray, balanced: np.ndarray, balanced_inverse, what) -> None:
-    """The classifying path, taken only where the checks refused a stack:
-    reject the first matrix that is singular (a zero or non-finite scale, or
-    refused by LU) or whose 1-norm condition number exceeds
-    CONDITION_LIMIT / size; `what(i)` names it.  `balanced_inverse` maps the
-    inverses of `stack` onto those of its `balanced` stack."""
+def _check_conditions(stack: np.ndarray, balanced: np.ndarray, balanced_inverse, what,
+                      inv: Optional[np.ndarray] = None) -> None:
+    """The exact test, taken only where the bound refused a stack or LU
+    failed: reject the first matrix that is singular (a zero or non-finite
+    scale, or refused by LU) or whose 1-norm condition number exceeds
+    CONDITION_LIMIT / size; `what(i)` names it.  `inv` holds the inverses of
+    `stack` where one LU over the whole stack succeeded; without it each
+    matrix is inverted alone.  `balanced_inverse` maps the inverses of
+    `stack` onto those of its `balanced` stack."""
     singular = ~np.isfinite(balanced).all(axis=(-2, -1))
-    inv = np.zeros(stack.shape)
-    for i, matrix in enumerate(stack):
-        try:
-            inv[i] = np.linalg.inv(matrix)
-        except np.linalg.LinAlgError:
-            singular[i] = True
+    if inv is None:
+        inv = np.zeros(stack.shape)
+        for i, matrix in enumerate(stack):
+            try:
+                inv[i] = np.linalg.inv(matrix)
+            except np.linalg.LinAlgError:
+                singular[i] = True
     cond = _conditions(balanced, balanced_inverse(inv))
+    # NaN (a zero or non-finite scale, or a non-finite inverse) is refused
     rejected = singular | ~(cond <= CONDITION_LIMIT / stack.shape[-1])
     if rejected.any():
         i = int(np.argmax(rejected))
@@ -156,8 +157,8 @@ def _within_bound(bound, size: int) -> bool:
 
 
 def _checked_inverses(stack: np.ndarray, what) -> np.ndarray:
-    """Inverses of a stack of blocks, each equilibrated and condition-checked;
-    `what(i)` names block i in an error."""
+    """Inverses of a stack of blocks, each condition-checked; `what(i)` names
+    block i in an error."""
     size = stack.shape[-1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         try:
@@ -178,9 +179,7 @@ def _checked_inverses(stack: np.ndarray, what) -> np.ndarray:
             # balanced = R^-1 M C^-1, so its inverse is C M^-1 R
             return col_scale[..., :, None] * inv * row_scale[..., None, :]
 
-        cond = np.nan if inv is None else _conditions(balanced, balanced_inverse(inv))
-        if not _accepted(cond, size):
-            _check_conditions(stack, balanced, balanced_inverse, what)
+        _check_conditions(stack, balanced, balanced_inverse, what, inv)
     return inv
 
 
@@ -203,10 +202,8 @@ def _equilibrated_solve(matrix: np.ndarray, rhs: np.ndarray, what: str) -> np.nd
         # the balanced entries lie in [-1, 1], so ||B||_1 <= size
         if both is None or not _within_bound(
                 size * np.abs(both[:, :size]).sum(axis=0).max(), size):
-            cond = np.nan if both is None else _conditions(balanced, both[:, :size])
-            if not _accepted(cond, size):
-                _check_conditions(balanced[None], balanced[None], lambda inv: inv,
-                                  lambda i: what)
+            _check_conditions(balanced[None], balanced[None], lambda inv: inv,
+                              lambda i: what, None if both is None else both[None, :, :size])
     return both[:, size:] / col_scale[:, None]
 
 

@@ -26,6 +26,7 @@ balance has always read it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,7 +170,10 @@ def block_residual(design: MechanismDesign, blocks: "LinkBlocks") -> np.ndarray:
 def residual_norm(rows: np.ndarray, ord: float = np.inf) -> float:
     if ord == np.inf:
         return float(np.abs(rows).max())
-    return float(np.linalg.norm(rows.ravel()))
+    # the dot product and square root of np.linalg.norm, without its
+    # argument handling
+    rows = rows.ravel()
+    return math.sqrt(rows.dot(rows))
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,10 +43,10 @@ def _random_twist(rng: np.random.Generator) -> geo.Twist2:
     return geo.Twist2(rng.uniform(-0.5, 0.5), rng.uniform(-2.0, 2.0, 2))
 
 
-def check_geometry_identities(rng: np.random.Generator, samples: int = 300):
+def check_geometry_identities(rng: np.random.Generator):
     rows = []
     worst_hom = worst_dual = worst_anti = worst_fd = 0.0
-    for _ in range(samples):
+    for _ in range(300):
         a, b = _random_pose(rng), _random_pose(rng)
         err = np.abs(
             geo.adjoint(geo.compose(a, b)) - geo.adjoint(a) @ geo.adjoint(b)
@@ -87,12 +87,12 @@ def _design_surfaces(design: MechanismDesign):
     return seen
 
 
-def check_surface_ode(design: MechanismDesign, samples: int = 20):
+def check_surface_ode(design: MechanismDesign):
     rows = []
     worst_ratio_err = worst_speed = 0.0
     for surf in _design_surfaces(design):
         margin = 0.05 * surf.width
-        grid = np.linspace(surf.s_min + margin, surf.s_max - margin, samples)
+        grid = np.linspace(surf.s_min + margin, surf.s_max - margin, 20)
         for s in grid:
             frame = surf.frame_at(s)
             twist = geo.Twist2(surf.curvature_at(s), (1.0, 0.0))
@@ -119,7 +119,7 @@ def check_surface_ode(design: MechanismDesign, samples: int = 20):
     return rows
 
 
-def check_load_derivatives(rng: np.random.Generator, samples: int = 100):
+def check_load_derivatives(rng: np.random.Generator):
     rows = []
     variants = {
         "constant_body": lambda: loads_mod.ConstantBody(
@@ -137,7 +137,7 @@ def check_load_derivatives(rng: np.random.Generator, samples: int = 100):
     h = 1e-6
     for name, make in variants.items():
         worst = 0.0
-        for _ in range(samples):
+        for _ in range(100):
             load = make()
             pose = _random_pose(rng)
             closed = load.body_wrench_derivative(pose)
@@ -166,15 +166,14 @@ def _random_feasible_config(design: MechanismDesign, rng: np.random.Generator) -
     return Configuration.from_unknowns(design, s, f)
 
 
-def check_block_linearization(design: MechanismDesign, rng: np.random.Generator,
-                              samples: int = 5):
+def check_block_linearization(design: MechanismDesign, rng: np.random.Generator):
     """Stacked blocks must predict residual changes to second order."""
     tau = np.array([2.0, 1.0])
     loads = (loads_mod.ConstantWorkspace(
         target_link=design.n, wrench=geo.Wrench2(0.0, (0.4, -0.2))),)
     worst = 0.0
     detail = []
-    for _ in range(samples):
+    for _ in range(5):
         config = _random_feasible_config(design, rng)
         blocks = statics.assemble_blocks(design, config, tau, loads)
         direction = rng.uniform(-1.0, 1.0, 3 * design.joint_count)
@@ -231,12 +230,11 @@ def _verify_scenarios(design: MechanismDesign):
     ]
 
 
-def check_jacobian_fd(design: MechanismDesign, rng: np.random.Generator,
-                      samples: int = 3):
+def check_jacobian_fd(design: MechanismDesign, rng: np.random.Generator):
     opts = SolverOptions(tol_residual=1e-12)
     worst = 0.0
     worst_null = 0.0
-    for _ in range(samples):
+    for _ in range(3):
         tau = rng.uniform(1.0, 6.0, 2)
         config, _ = solve_tension(design, tau, opts=opts)
         jac = tendon_jacobian(design, config, tau)

@@ -263,7 +263,7 @@ def test_criterion_7_linearization_and_load_derivatives(paper5):
         ratios.append(ratio)
 
     # load-derivative FD agreement, 100 random poses per variant
-    load_rows = check_load_derivatives(rng, samples=100)
+    load_rows = check_load_derivatives(rng)
     assert len(load_rows) == 3 and all(row.passed for row in load_rows)
     report_line(7, f"block FD ratios {['%.2f' % r for r in ratios]}, "
                    f"load-derivative FD {'; '.join(row.detail for row in load_rows)}")

@@ -128,7 +128,8 @@ def _exact_inverses(stack, what):
             cond = solver_tension._conditions(balanced, balanced_inverse(inv))
         except np.linalg.LinAlgError:
             inv, cond = None, np.nan
-        if not solver_tension._accepted(cond, size):
+        # NaN is refused
+        if not np.all(cond <= solver_tension.CONDITION_LIMIT / size):
             solver_tension._check_conditions(stack, balanced, balanced_inverse, what)
     return inv
 
@@ -145,7 +146,7 @@ def _exact_solve(matrix, rhs, what):
             cond = solver_tension._conditions(balanced, both[:, :size])
         except np.linalg.LinAlgError:
             both, cond = None, np.nan
-        if not solver_tension._accepted(cond, size):
+        if not np.all(cond <= solver_tension.CONDITION_LIMIT / size):
             solver_tension._check_conditions(balanced[None], balanced[None], lambda inv: inv,
                                              lambda i: what)
     return both[:, size:] / col_scale[:, None]

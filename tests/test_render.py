@@ -9,7 +9,7 @@ import pytest
 from rolljoint import cli
 from rolljoint.fileio import load_design, load_scenario
 from rolljoint.geometry import Wrench2
-from rolljoint.loads import ConstantWorkspace
+from rolljoint.loads import ConstantBody, ConstantWorkspace, LinearSpring
 from rolljoint.render import _world_points, render_svg
 from rolljoint.solver_tension import solve_tension
 
@@ -75,4 +75,37 @@ def test_loaded_six_configuration_svg_matches_reference(paper5):
 def test_profile_chain_svg_matches_reference(poly3):
     configs = [solve_tension(poly3, tau)[0] for tau in ((2.0, 1.0), (1.0, 1.0), (1.0, 2.0))]
     assert render_svg(poly3, configs) == reference_render_svg(poly3, configs)
+
+
+def _polylines(svg, stroke):
+    """World points (m, 2) of each polyline drawn with `stroke`."""
+    lines = []
+    for line in svg.splitlines():
+        if f'stroke="{stroke}"' in line:
+            coords = line.split('points="')[1].split('"')[0].split()
+            lines.append(np.array([[float(v) for v in c.split(",")] for c in coords]) * (1, -1))
+    return lines
+
+
+def test_spring_and_body_load_arrows(paper5):
+    # a spring's arrow starts at its link's origin along -k (t - anchor), a
+    # body load's along its force turned into the world; both are scaled by
+    # a quarter of the drawing's span per unit of the largest load force
+    loads = (LinearSpring(target_link=3, stiffness=0.05, anchor=(20.0, 60.0)),
+             ConstantBody(target_link=5, wrench=Wrench2(0.0, (0.5, -2.0))))
+    configs = [solve_tension(paper5, tau, loads)[0] for tau in ((3.0, 1.0), (1.0, 2.0))]
+    svg = render_svg(paper5, configs, loads)
+    arrows = _polylines(svg, "#ff7f0e")
+    drawn = np.concatenate([line for stroke in ("#1f77b4", "#d62728", "#555555")
+                            for line in _polylines(svg, stroke)])
+    scale = 0.25 * (drawn.max() - drawn.min()) / np.linalg.norm((0.5, -2.0))
+    expected = []
+    for config in configs:
+        spring, body = config.poses[2], config.poses[4]
+        pull = -0.05 * (spring.translation - (20.0, 60.0))
+        force = body.rotation @ (0.5, -2.0)
+        expected += [[spring.translation, spring.translation + scale * pull],
+                     [body.translation, body.translation + scale * force]]
+    assert len(arrows) == 4
+    np.testing.assert_allclose(np.array(arrows), np.array(expected), rtol=0, atol=1e-9)
 

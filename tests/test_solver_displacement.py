@@ -6,7 +6,7 @@ import pytest
 
 from rolljoint import solver_displacement, solver_tension
 from rolljoint.catalog import demo_five_link, standard_link_chain
-from rolljoint.errors import NoConvergenceError, TensionFloorError
+from rolljoint.errors import DegenerateTendonError, NoConvergenceError, TensionFloorError
 from rolljoint.geometry import Pose2, Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
 from rolljoint.mechanism import joint_geometry, tendon_lengths
@@ -305,6 +305,28 @@ def test_geometry_built_only_for_evaluated_inner_iterates(monkeypatch):
     assert geometry_calls[0] == 0
     np.testing.assert_array_equal(again, tau)
 
+
+
+def test_collapsed_tendon_trial_is_a_rejected_trial(monkeypatch):
+    # a trial whose gap segment collapses is backtracked like one whose
+    # merit does not decrease, and the descent goes on to converge
+    design = demo_five_link()
+    target = tendon_lengths(design, solve_tension(design, (2.5, 1.0))[0])
+    _, _, plain = solve_displacement(design, target)
+    evaluate = solver_displacement.evaluate
+    raised = []
+
+    def collapsing(*args):
+        if not raised:
+            raised.append(True)
+            raise DegenerateTendonError("gap segment collapsed")
+        return evaluate(*args)
+
+    monkeypatch.setattr(solver_displacement, "evaluate", collapsing)
+    _, _, report = solve_displacement(demo_five_link(), target)
+    assert raised and report.converged
+    assert report.backtrack_count == plain.backtrack_count + 1
+    assert report.length_error_mm <= 1e-6
 
 def test_unloaded_iterates_build_no_per_object_values(paper5, monkeypatch):
     # each evaluated iterate is one array pass: the surfaces are looked up

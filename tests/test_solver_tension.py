@@ -240,6 +240,33 @@ def test_condition_check_verdict_does_not_depend_on_scale(size):
                                    atol=1e-9)
 
 
+
+def test_exact_check_accepts_what_the_bound_refuses(monkeypatch):
+    # a badly scaled but well-posed D block and a boundary-sized system just
+    # inside the limit are above the cheap bound; the exact test runs on the
+    # inverses already at hand, returns, and the result is what the
+    # unchecked inverse or balanced solve gives, bit for bit
+    checks = []
+
+    def recorded(*args):
+        checks.append(args[-1] is not None)
+        return check(*args)
+
+    check = solver_tension._check_conditions
+    monkeypatch.setattr(solver_tension, "_check_conditions", recorded)
+    stack = np.stack([2.0 * np.eye(3), np.diag([1e-8, 1.0, 1e8]), nearly_singular(3, 0.5)])
+    inverses = _checked_inverses(stack, lambda i: f"D block at link {i + 1}")
+    assert checks == [True]
+    assert inverses.tobytes() == np.linalg.inv(stack).tobytes()
+
+    matrix = nearly_singular(6, 5e-11)
+    rhs = np.linspace(-1.0, 1.0, 18).reshape(6, 3)
+    solution = _equilibrated_solve(matrix, rhs, "boundary system")
+    assert checks == [True, True]
+    balanced, row_scale, col_scale = _equilibrate(matrix)
+    both = np.linalg.solve(balanced, np.concatenate((np.eye(6), rhs / row_scale[:, None]), axis=1))
+    assert solution.tobytes() == (both[:, 6:] / col_scale[:, None]).tobytes()
+
 def test_equilibrated_solve_matches_dense_solve_on_paper5(paper5, monkeypatch):
     systems = []
 
