@@ -12,12 +12,14 @@ poses and a batched rotation of the relative translations, kept as arrays;
 `forward_poses` returns it as `Pose2` values.
 
 `evaluate(design, s, f)` is the one constructor of a `Configuration`: it
-builds the geometry once and chains the link angles and translations from
-it, so every configuration is an evaluated iterate that carries its
-geometry (read as `config.geometry` by the tendon lengths here, the force
-balance in `statics` and the displacement solver's Jacobian) and belongs to
-the design that evaluated it.  Its `poses` tuple is built on first read.
-`Configuration.from_unknowns` is the same call.
+builds the geometry once, so every configuration is an evaluated iterate
+that carries its geometry (read as `config.geometry` by the tendon lengths
+here, the force balance in `statics` and the displacement solver's
+Jacobian) and belongs to the design that evaluated it.  The link angles and
+translations are chained from that geometry and the base pose on their
+first read, and the `poses` tuple is built from them on its first read, so
+an iterate whose poses nothing reads (every iterate of an unloaded solve)
+never chains them.  `Configuration.from_unknowns` is the same call.
 
 Indexing: links are stored 0-based; joint j couples the child surface of
 link j with the parent surface of link j+1 and carries one contact arc
@@ -29,7 +31,7 @@ expressed in the parent-contact frame of link j+1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -172,29 +174,48 @@ def _mean_link_extent(links) -> float:
 @dataclass(frozen=True, eq=False)
 class Configuration:
     """One evaluated iterate: contact arc lengths s (n-1,), contact forces
-    f (n-1, 2), the link angles (n,) and translations (n, 2) chained from s,
-    and the `JointGeometry` at s.  `evaluate` builds it; the geometry travels
-    with the configuration and belongs to the design that evaluated it.
+    f (n-1, 2), the `JointGeometry` at s and the design's base pose.
+    `evaluate` builds it; the geometry travels with the configuration and
+    belongs to the design that evaluated it.  The link angles (n,) and
+    translations (n, 2) are chained from the geometry on first read, and
     `poses` holds the same link poses as `Pose2` values, built on first
     read."""
 
     s: np.ndarray
     f: np.ndarray
-    link_angles: np.ndarray
-    link_translations: np.ndarray
     geometry: "JointGeometry" = field(repr=False)
+    base_pose: Pose2 = field(repr=False)
 
     def __post_init__(self):
         s = _frozen(self.s).reshape(-1)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "f", _frozen(self.f).reshape(len(s), 2))
-        object.__setattr__(self, "link_angles", _frozen(self.link_angles).reshape(-1))
-        object.__setattr__(self, "link_translations",
-                           _frozen(self.link_translations).reshape(-1, 2))
+
+    @cached_property
+    def _chain(self) -> tuple[np.ndarray, np.ndarray]:
+        angles, translations = _pose_chain(self.base_pose, self.geometry)
+        angles.setflags(write=False)
+        translations.setflags(write=False)
+        return angles, translations
+
+    @cached_property
+    def link_angles(self) -> np.ndarray:
+        return self._chain[0]
+
+    @cached_property
+    def link_translations(self) -> np.ndarray:
+        return self._chain[1]
 
     @cached_property
     def poses(self) -> tuple[Pose2, ...]:
         return _link_poses(self.link_angles, self.link_translations)
+
+    def with_forces(self, f) -> "Configuration":
+        """The same evaluated iterate with contact forces f: its geometry and
+        any link poses already chained depend on s alone, so they carry over."""
+        out = replace(self, f=f)
+        vars(out).update((key, value) for key, value in vars(self).items() if key not in vars(out))
+        return out
 
     @staticmethod
     def from_unknowns(design: MechanismDesign, s, f) -> "Configuration":
@@ -334,10 +355,8 @@ def forward_poses(design: MechanismDesign, s) -> tuple[Pose2, ...]:
 
 def evaluate(design: MechanismDesign, s, f) -> Configuration:
     """One evaluation of the unknowns (s, f): the joint geometry at s, built
-    once, and the link angles and translations chained from its relative
-    poses."""
-    geometry = joint_geometry(design, s)
-    return Configuration(s, f, *_pose_chain(design.base_pose, geometry), geometry)
+    once; the link poses are chained from it when first read."""
+    return Configuration(s, f, joint_geometry(design, s), design.base_pose)
 
 
 def tendon_lengths(design: MechanismDesign, config: Configuration) -> np.ndarray:

@@ -168,7 +168,10 @@ def energy_minimize(
     loads=(),
     init_s=None,
 ) -> np.ndarray:
-    """Derivative-free minimization of the potential over s (cross-check only)."""
+    """Derivative-free minimization of the potential over s (cross-check only).
+
+    Needs scipy (the `test` extra), which the package itself does not
+    depend on."""
     from scipy.optimize import minimize   # here, so `import rolljoint` stays fast
 
     _check_conservative(loads)

@@ -33,9 +33,13 @@ give its merit and, once it is accepted, the next step's elimination.  A
 rejected trial only re-solves the 2x2 system.  The first step takes
 alpha = ALPHA_GROWTH^2 / ||J||_F^2 of the first Jacobian (lambda = 1e-2
 ||J||_F^2), near the Gauss-Newton step along J's strong direction but still
-damped along the weak direction of a loaded J.  alpha grows by
-ALPHA_GROWTH after an accepted step (towards Gauss-Newton) and shrinks by
-BACKTRACK_FACTOR after a rejected one (towards gradient descent); a trial
+damped along the weak direction of a loaded J.  After an accepted step
+alpha grows (towards Gauss-Newton) by a gain-ratio test (More 1978; Madsen,
+Nielsen & Tingleff 2004): the model predicts the decrease
+pred = phi - |r + J dtau|^2/2 (its balance rows are zero), and where
+pred > 0 and the trial's actual decrease is within GAIN_BAND * pred of it,
+alpha grows by ALPHA_GROWTH^2, otherwise by ALPHA_GROWTH.  It shrinks by
+BACKTRACK_FACTOR after a rejected step (towards gradient descent); a trial
 whose tendon collapses or whose merit is not finite is rejected too.  When
 MAX_BACKTRACKS retries of one step all fail, the descent stops unconverged.
 alpha is capped so that lambda stays above DAMPING_FLOOR * ||J||_F^2: the
@@ -44,7 +48,10 @@ where J is rank 1 (unloaded chains, J tau = 0), while a weak load, which
 leaves J only nearly rank 1, still gets an almost undamped step.  Tensions
 are projected onto the tension floor; a tension held at the floor by its
 gradient is dropped from the normal matrix (a projected Newton step), so the
-other tension still gets its Gauss-Newton step.
+other tension still gets its Gauss-Newton step.  These 2-element quantities
+(J, the gradient, the normal matrix, the damped step in closed form, the
+floor projection and the norms of the stopping test) are Python floats; the
+arrays are the elimination's columns and the balance rows.
 
 Only the start is an equilibrium solve: `solve_tension` at `tau_init`.  The
 descent stops at an iterate whose scaled residual is within the inner
@@ -64,6 +71,7 @@ bits whether the start is reused or solved.
 
 from __future__ import annotations
 
+import math
 import operator
 import weakref
 from dataclasses import dataclass, field
@@ -92,7 +100,8 @@ DAMPING_FLOOR = 1e-10   # lower bound on lambda / ||J||_F^2
 ALPHA_GROWTH = 10.0     # alpha factor after an accepted step
 BACKTRACK_FACTOR = 0.5  # alpha factor after a rejected step
 MAX_BACKTRACKS = 40     # retries of one step before the descent stops
-_EYE2 = np.eye(2)
+GAIN_BAND = 0.01        # relative gap of the actual to the predicted decrease
+                        # within which alpha grows by ALPHA_GROWTH**2
 
 
 @dataclass(frozen=True)
@@ -150,19 +159,19 @@ def tendon_jacobian(
     blocks = assemble_blocks(design, config, tau, loads)
     if residual_norm(block_residual(design, blocks), np.inf) > 1e-6:
         raise ValueError("tendon_jacobian requires an equilibrium configuration")
-    _, impulse, dl_ds = _bordered_columns(config, blocks)
-    return dl_ds @ impulse[:, 0]
+    return _bordered_columns(config, blocks)[1][:, 1:]
 
 
 def _bordered_columns(config: Configuration, blocks):
-    """One elimination with the columns [-h, -F]: the Newton step at fixed
-    tensions (joints, 3), the joint responses to unit tension impulses
-    (joints, 3, sides) (row 0 of both is ds, rows 1-2 df), and the length
-    derivatives dl/ds (sides, joints) from the configuration's geometry."""
+    """One elimination with the columns [-h, -F]: `etas` (joints, 3, 3),
+    column 0 the Newton step at fixed tensions and columns 1-2 the joint
+    responses to unit tension impulses (row 0 ds, rows 1-2 df), and the
+    tendon lengths' response to them (sides, 3), L etas[:, 0] = [L ds0 | J]
+    with L = dl/ds from the configuration's geometry."""
     etas, _ = block_solve(blocks, -np.concatenate((blocks.h[:, :, None], blocks.F), axis=2))
     segments = config.geometry.segments
     dl_ds = np.einsum("jsi,jsi->sj", segments.unit[:, 0], segments.d_vec[:, 0])
-    return etas[:, :, 0], etas[:, :, 1:], dl_ds
+    return etas, dl_ds @ etas[:, 0]
 
 
 def _solve_start(design: MechanismDesign, tau: np.ndarray, loads, inner: SolverOptions,
@@ -170,7 +179,7 @@ def _solve_start(design: MechanismDesign, tau: np.ndarray, loads, inner: SolverO
     """The target-independent start of a descent: the equilibrium at `tau`,
     the report of its solve (whose blocks are the equilibrium's), its tendon
     lengths and scaled balance rows, and its first elimination
-    `_bordered_columns` (newton, impulse, dl_ds)."""
+    `_bordered_columns` (etas, moves)."""
     config, report = solve_tension(design, tau, loads, init=init, opts=inner)
     return (config, report, tendon_lengths(design, config),
             block_residual(design, report.blocks), _bordered_columns(config, report.blocks))
@@ -200,18 +209,25 @@ def _cold_start(design: MechanismDesign, tau: np.ndarray, loads, inner: SolverOp
     return start
 
 
-def _merit(error: np.ndarray, rows: np.ndarray) -> float:
-    return 0.5 * float(error @ error) + 0.5 * float((rows * rows).sum())
+def _merit(e0: float, e1: float, rows: np.ndarray) -> float:
+    return 0.5 * (e0 * e0 + e1 * e1) + 0.5 * float((rows * rows).sum())
 
 
-def damped_step(normal: np.ndarray, grad: np.ndarray, alpha: float) -> np.ndarray:
+def damped_step(normal, grad, alpha: float) -> tuple[float, float]:
     """Levenberg-Marquardt step (normal + I/alpha)^-1 grad in step-size form.
 
     `normal` is J^T J and `grad` is J^T r for the linearized length error r;
     the step is subtracted from the tensions.  For alpha -> 0 it tends to
-    the gradient step alpha * grad.
+    the gradient step alpha * grad.  The 2x2 system is solved in closed
+    form, the adjugate of I + alpha normal over its determinant, on the
+    Python floats of its entries.
     """
-    return alpha * np.linalg.solve(_EYE2 + alpha * normal, grad)
+    (n00, n01), (n10, n11) = normal
+    g0, g1 = grad
+    m00, m11 = 1.0 + alpha * n00, 1.0 + alpha * n11
+    m01, m10 = alpha * n01, alpha * n10
+    scale = alpha / (m00 * m11 - m01 * m10)
+    return scale * (m11 * g0 - m01 * g1), scale * (m00 * g1 - m10 * g0)
 
 
 def solve_displacement(
@@ -244,67 +260,86 @@ def solve_displacement(
         start = _cold_start(design, tau, loads, opts.inner)
     else:
         start = _solve_start(design, tau, loads, opts.inner, init)
-    # each iterate's one elimination, (newton, impulse, dl_ds): the Newton
-    # step and the tension impulse responses (the start's is part of the start)
-    config, start_report, lengths, rows, (newton, impulse, dl_ds) = start
-    blocks = start_report.blocks
-    error = lengths - l_des
-    objective = _merit(error, rows)
+    # each iterate's one elimination, (etas, moves): the Newton step and the
+    # tension impulse responses, and the lengths' response to them (the
+    # start's is part of the start)
+    config, start_report, lengths, rows, (etas, moves) = start
+    # the tensions, the length error and the 2x2 quantities of the step are
+    # Python floats
+    t0, t1 = tau.tolist()
+    e0, e1 = (lengths - l_des).tolist()
+    objective = _merit(e0, e1, rows)
     history = [objective]
     backtracks = 0
 
     for outer in range(opts.max_outer_iters + 1):
-        jac = dl_ds @ impulse[:, 0]
-        grad_norm = residual_norm(error @ jac, 2)
-        jac_norm = residual_norm(jac, 2)
-        scale = max(1.0, residual_norm(error, 2) * jac_norm)
+        (r0, j00, j01), (r1, j10, j11) = moves.tolist()
+        g0, g1 = e0 * j00 + e1 * j10, e0 * j01 + e1 * j11
+        grad_norm = math.sqrt(g0 * g0 + g1 * g1)
+        jac_sq = j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11
+        scale = max(1.0, math.sqrt((e0 * e0 + e1 * e1) * jac_sq))
         converged = (residual_norm(rows, np.inf) <= opts.inner.tol_residual
                      and grad_norm <= opts.grad_tol * scale)
         if converged or outer == opts.max_outer_iters:
             break
         # the tension step lowers the linearized error r = e + L ds0
-        grad = (error + dl_ds @ newton[:, 0]) @ jac
-        jac_sq = max(jac_norm**2, 1e-30)
+        r0 += e0
+        r1 += e1
+        g0, g1 = r0 * j00 + r1 * j10, r0 * j01 + r1 * j11
+        jac_sq = max(jac_sq, 1e-30)
         if outer == 0:
             alpha = ALPHA_GROWTH**2 / jac_sq
         alpha = min(alpha, 1.0 / (DAMPING_FLOOR * jac_sq))
         # a tension the gradient pushes into the floor is left out of the
         # normal matrix, so the projection cannot undo the other's step
-        free = (tau > floor) | (grad <= 0.0)
-        normal = (jac.T @ jac) * (free[:, None] & free)
+        free0, free1 = t0 > floor or g0 <= 0.0, t1 > floor or g1 <= 0.0
+        n01 = j00 * j01 + j10 * j11 if free0 and free1 else 0.0
+        normal = ((j00 * j00 + j10 * j10 if free0 else 0.0, n01),
+                  (n01, j01 * j01 + j11 * j11 if free1 else 0.0))
 
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
-            tau_trial = np.maximum(tau - damped_step(normal, grad, alpha), floor)
-            step = tau_trial - tau
-            if not step.any():
-                if np.all(tau <= floor):
+            d0, d1 = damped_step(normal, (g0, g1), alpha)
+            # max(x, floor) keeps a NaN x, as np.maximum does
+            u0, u1 = max(t0 - d0, floor), max(t1 - d1, floor)
+            step0, step1 = u0 - t0, u1 - t1
+            if not (step0 or step1):
+                if t0 <= floor and t1 <= floor:
                     raise TensionFloorError(
                         "descent pinned both tensions at the floor",
                         configuration=config,
                     )
                 break
-            update = newton + impulse @ step
+            update = etas @ np.array((1.0, step0, step1))
             try:
-                trial = evaluate(design, _clamp_s(design, config.s + update[:, 0])[0],
+                trial = evaluate(design, _clamp_s(design, config.s + update[:, 0]),
                                  config.f + update[:, 1:])
             except DegenerateTendonError:
                 alpha *= BACKTRACK_FACTOR
                 backtracks += 1
                 continue
             lengths_trial = tendon_lengths(design, trial)
-            error_trial = lengths_trial - l_des
+            f0, f1 = (lengths_trial - l_des).tolist()
             # the trial's blocks give its merit and, once accepted, the
             # next step's elimination
+            tau_trial = np.array((u0, u1))
             blocks_trial = assemble_blocks(design, trial, tau_trial, loads)
             rows_trial = block_residual(design, blocks_trial)
-            objective_trial = _merit(error_trial, rows_trial)
+            objective_trial = _merit(f0, f1, rows_trial)
             # a NaN merit fails the test and counts as a backtrack
             if objective_trial <= objective * (1.0 + 1e-14) + 1e-300:
-                tau, config, blocks, rows = tau_trial, trial, blocks_trial, rows_trial
-                lengths, error, objective = lengths_trial, error_trial, objective_trial
-                newton, impulse, dl_ds = _bordered_columns(config, blocks)
-                alpha *= ALPHA_GROWTH
+                # the model's decrease: its lengths r + J dtau, its balance
+                # rows zero; where the trial's decrease matches it, alpha
+                # grows by ALPHA_GROWTH**2 instead of ALPHA_GROWTH
+                m0 = r0 + j00 * step0 + j01 * step1
+                m1 = r1 + j10 * step0 + j11 * step1
+                predicted = objective - 0.5 * (m0 * m0 + m1 * m1)
+                fits = (predicted > 0.0
+                        and abs(objective - objective_trial - predicted) <= GAIN_BAND * predicted)
+                alpha *= ALPHA_GROWTH**2 if fits else ALPHA_GROWTH
+                tau, t0, t1, config, rows = tau_trial, u0, u1, trial, rows_trial
+                lengths, e0, e1, objective = lengths_trial, f0, f1, objective_trial
+                etas, moves = _bordered_columns(trial, blocks_trial)
                 accepted = True
                 break
             alpha *= BACKTRACK_FACTOR
@@ -326,7 +361,7 @@ def solve_displacement(
         inner_iterations=start_report.iterations,
         backtrack_count=backtracks,
         objective_history=tuple(history),
-        length_error_mm=float(np.abs(error).max()),
+        length_error_mm=max(abs(e0), abs(e1)),
     )
     if not converged:
         raise NoConvergenceError(

@@ -38,7 +38,7 @@ above CONDITION_LIMIT.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -313,15 +313,19 @@ def tangent_start(design: MechanismDesign, config: Configuration, blocks: LinkBl
     `RolljointError` of the elimination or the evaluation reaches the caller."""
     dh = _balance_change(config, blocks, tau, loads, new_tau, new_loads)
     etas, _ = block_solve(blocks, -dh[:, :, None])
-    s, _ = _clamp_s(design, config.s + etas[:, 0, 0])
+    s = _clamp_s(design, config.s + etas[:, 0, 0])
     predicted = evaluate(design, s, config.f)
-    return replace(predicted, f=initial_forces(design, predicted, new_tau, new_loads))
+    return predicted.with_forces(initial_forces(design, predicted, new_tau, new_loads))
 
 
-def _clamp_s(design: MechanismDesign, s: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _clamp_s(design: MechanismDesign, s: np.ndarray) -> np.ndarray:
     lo, hi = design.domains.T
-    clamped = np.flatnonzero((s < lo) | (s > hi)).tolist()
-    return np.minimum(np.maximum(s, lo), hi), clamped
+    return np.minimum(np.maximum(s, lo), hi)
+
+
+def _outside_joints(design: MechanismDesign, s: np.ndarray) -> list[int]:
+    lo, hi = design.domains.T
+    return np.flatnonzero((s < lo) | (s > hi)).tolist()
 
 
 def _pinned_joints(design: MechanismDesign, s: np.ndarray) -> list[int]:
@@ -352,13 +356,13 @@ def solve_tension(
     # its configuration; its blocks are assembled once, give its residual
     # rows and, once it is accepted, the next Newton step
     if init is not None:
-        s, clamped = _clamp_s(design, init.s)
-        config = evaluate(design, s, init.f) if clamped else init
+        clamped = _outside_joints(design, init.s)
+        config = evaluate(design, _clamp_s(design, init.s), init.f) if clamped else init
     else:
         # contact points at the mating-domain midpoints, forces from the
         # fit on that same evaluation
         config = evaluate(design, design.joint_midpoints(), np.zeros((design.joint_count, 2)))
-        config = replace(config, f=initial_forces(design, config, tau, loads))
+        config = config.with_forces(initial_forces(design, config, tau, loads))
 
     history: list[float] = []
     clamped_all: set[int] = set()
@@ -394,8 +398,8 @@ def solve_tension(
         scale = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
-            s_trial, clamped = _clamp_s(design, config.s + scale * etas[:, 0, 0])
-            trial = evaluate(design, s_trial, config.f + scale * etas[:, 1:, 0])
+            s_trial = config.s + scale * etas[:, 0, 0]
+            trial = evaluate(design, _clamp_s(design, s_trial), config.f + scale * etas[:, 1:, 0])
             blocks_trial = assemble_blocks(design, trial, tau, loads)
             rows_trial = block_residual(design, blocks_trial)
             trial_2 = residual_norm(rows_trial, 2)
@@ -419,7 +423,7 @@ def solve_tension(
                 configuration=config,
             )
         config, blocks, rows = trial, blocks_trial, rows_trial
-        clamped_all.update(clamped)
+        clamped_all.update(_outside_joints(design, s_trial))
         norm_inf = residual_norm(rows, np.inf)
         history.append(norm_inf)
 

@@ -17,7 +17,7 @@ from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace
 from rolljoint.mechanism import Configuration, evaluate, tendon_lengths
 from rolljoint.oracle import dense_solve
-from rolljoint.solver_displacement import solve_displacement
+from rolljoint.solver_displacement import DAMPING_FLOOR, damped_step, solve_displacement
 from rolljoint.solver_tension import SolverOptions, initial_forces, solve_tension
 from rolljoint.statics import residual, residual_norm
 
@@ -199,3 +199,35 @@ def test_condition_bound_decides_as_the_exact_check(stack, upper, lower):
     rhs = np.linspace(-1.0, 1.0, 18).reshape(6, 3)
     assert (_outcome(solver_tension._equilibrated_solve, boundary, rhs, "boundary system")
             == _outcome(_exact_solve, boundary, rhs, "boundary system"))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(kind=st.sampled_from(("rank 1", "nearly rank 1", "full rank")),
+       angles=st.tuples(st.floats(0.0, 6.3), st.floats(0.0, 6.3)),
+       size=st.floats(-2.0, 3.0), weak=st.floats(0.0, 1.0),
+       free=st.tuples(st.booleans(), st.booleans()),
+       damping=st.one_of(st.floats(-12.0, 10.0), st.just(10.0)),
+       error=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_closed_form_damped_step_matches_dense_solve(kind, angles, size, weak, free, damping,
+                                                     error):
+    # J = s1 u v^T + s2 u' v'^T (u', v' the unit vectors turned by 90
+    # degrees): s2 = 0, s2 / s1 in [1e-12, 1e-6] or in [1e-3, 1]; alpha up
+    # to the cap 1 / (DAMPING_FLOOR ||J||_F^2), the cap itself included
+    u, v = (np.array([np.cos(a), np.sin(a)]) for a in angles)
+    turn = np.array([[0.0, -1.0], [1.0, 0.0]])
+    ratio = {"rank 1": 0.0, "nearly rank 1": 10.0 ** (-6.0 - 6.0 * weak),
+             "full rank": 10.0 ** (-3.0 * weak)}[kind]
+    jac = 10.0 ** size * (np.outer(u, v) + ratio * np.outer(turn @ u, turn @ v))
+    alpha = 10.0 ** min(damping, -np.log10(DAMPING_FLOOR)) / (jac * jac).sum()
+    mask = np.array(free)
+    normal = (jac.T @ jac) * (mask[:, None] & mask)
+    grad = np.array(error) @ jac
+    damped = np.eye(2) + alpha * normal
+    dense = alpha * np.linalg.solve(damped, grad)
+    step = np.array(damped_step(normal, grad, alpha))
+    # the dense solve itself is only good to about eps * cond(I + alpha N)
+    # where that system is ill-conditioned (both tensions free, J nearly
+    # rank 1, alpha near the cap: up to 1e-6 relative against an exact
+    # rational solve), so the bound grows with the condition number there
+    tolerance = max(1e-12, 4e-15 * np.linalg.cond(damped))
+    assert np.linalg.norm(step - dense) <= tolerance * np.linalg.norm(dense)

@@ -12,7 +12,7 @@ from rolljoint.errors import (
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
 from rolljoint.mechanism import Configuration, evaluate, tendon_lengths
-from rolljoint import solver_tension
+from rolljoint import mechanism, solver_tension
 from rolljoint.solver_tension import (
     CONDITION_LIMIT,
     SolverOptions,
@@ -21,6 +21,7 @@ from rolljoint.solver_tension import (
     _equilibrate,
     _equilibrated_solve,
     _balance_change,
+    _outside_joints,
     _pinned_joints,
     initial_forces,
     newton_step,
@@ -298,8 +299,8 @@ def test_clamp_and_pin_match_per_joint_loop(paper5):
             slack = 1e-9 * (hi - lo)
             if s[j] <= lo + slack or s[j] >= hi - slack:
                 pinned.append(j)
-        out, out_clamped = _clamp_s(paper5, s)
-        assert np.array_equal(out, expected) and out_clamped == clamped
+        assert np.array_equal(_clamp_s(paper5, s), expected)
+        assert _outside_joints(paper5, s) == clamped
         assert _pinned_joints(paper5, s) == pinned
 
 
@@ -522,3 +523,24 @@ def test_tangent_start_keeps_an_equilibrium_at_unchanged_inputs(paper5):
                           tau, tip_pull(1.0))
     np.testing.assert_array_equal(start.s, previous.s)
     np.testing.assert_array_equal(start.f, initial_forces(paper5, previous, tau, tip_pull(1.0)))
+
+
+def test_loaded_solve_chains_each_iterate_once(paper5, monkeypatch):
+    # the link poses are chained on first read: once per evaluated iterate
+    # of a loaded solve (the cold start's force fit and its first balance
+    # read the same evaluation), and to the same results as a solve whose
+    # every iterate chains them when it is built
+    loads = (ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (0.5, 0.0))),)
+    chains = count_calls(monkeypatch, mechanism._pose_chain)
+    lazy, lazy_report = solve_tension(paper5, (6.0, 3.0), loads)
+    assert chains[0] == 1 + lazy_report.iterations + lazy_report.backtrack_count
+
+    def eager(design, s, f):
+        config = evaluate(design, s, f)
+        assert config.link_angles.shape == (design.n,)
+        return config
+
+    monkeypatch.setattr(solver_tension, "evaluate", eager)
+    config, report = solve_tension(paper5, (6.0, 3.0), loads)
+    assert lazy.s.tobytes() == config.s.tobytes() and lazy.f.tobytes() == config.f.tobytes()
+    assert lazy_report == report

@@ -66,9 +66,12 @@ def test_residual_locality_with_loads_at_held_poses(paper5):
                               opts=SolverOptions(tol_residual=1e-12))
     s = config.s.copy()
     s[1] += 0.1
-    # keep the stale poses: distal balances must then stay untouched
-    frozen = Configuration(s, config.f, config.link_angles, config.link_translations,
-                           joint_geometry(paper5, s))
+    # keep the stale poses (the link arrays are cached on first read, so the
+    # cache is seeded with the old ones): distal balances must then stay
+    # untouched
+    frozen = Configuration(s, config.f, joint_geometry(paper5, s), paper5.base_pose)
+    vars(frozen).update(link_angles=config.link_angles,
+                        link_translations=config.link_translations)
     rows = residual(paper5, frozen, (6.0, 3.0), loads)
     assert np.abs(rows[2]).max() < 1e-10
     assert np.abs(rows[3]).max() < 1e-10
