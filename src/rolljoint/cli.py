@@ -168,7 +168,7 @@ def _failure(exc: RolljointError) -> tuple[str, int]:
 def cmd_solve(args) -> int:
     try:
         design = load_design(args.design)
-        scenario = _scenario_with_flags(load_scenario(args.scenario), args)
+        scenario = load_scenario(args.scenario)
         check_targets(scenario.loads, design.n)
     except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -196,17 +196,6 @@ def _write_failure(out_dir: Path, scenario: Scenario, status: str, message: str)
     _write_report(out_dir / "report.json", {
         "mode": scenario.mode, "status": status, "message": message,
     })
-
-
-def _scenario_with_flags(scenario: Scenario, args) -> Scenario:
-    """The scenario with `--tol` and `--max-iters` applied to its tension
-    settings."""
-    inner = scenario.solver.inner
-    if args.tol is not None:
-        inner = replace(inner, tol_residual=args.tol)
-    if args.max_iters is not None:
-        inner = replace(inner, max_iters=args.max_iters)
-    return replace(scenario, solver=replace(scenario.solver, inner=inner))
 
 
 def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
@@ -255,7 +244,7 @@ def cmd_sweep(args) -> int:
                                  "a number or a non-empty list of numbers")
             item = copy.deepcopy(template)
             set_by_path(item, parameter, value)
-            scenario = _scenario_with_flags(scenario_from_dict(item), args)
+            scenario = scenario_from_dict(item)
             check_targets(scenario.loads, design.n)
             scenarios.append(scenario)
     except (ParseError, KeyError, OSError, ValueError) as exc:
@@ -330,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--scenario", required=True)
     solve.add_argument("--out", required=True)
     solve.add_argument("--svg", action="store_true", help="also render config.svg")
-    solve.add_argument("--tol", type=float, default=None)
-    solve.add_argument("--max-iters", type=int, default=None)
     solve.set_defaults(func=cmd_solve)
 
     sweep = sub.add_parser("sweep", help="solve a scenario across parameter values")
@@ -340,8 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--sweep", required=True, help='JSON {"parameter": path, "values": [...]}')
     sweep.add_argument("--out", required=True)
     sweep.add_argument("--svg", action="store_true", help="render all poses overlaid")
-    sweep.add_argument("--tol", type=float, default=None)
-    sweep.add_argument("--max-iters", type=int, default=None)
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run the self-check suites on a design")

@@ -79,18 +79,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ContactRolloffError,
-    DegenerateTendonError,
-    NoConvergenceError,
-    TensionFloorError,
-)
+from .errors import DegenerateTendonError, NoConvergenceError, TensionFloorError
 from .mechanism import Configuration, MechanismDesign, evaluate, tendon_lengths
 from .solver_tension import (
     SolverOptions,
     _check_iteration_limit,
     _clamp_s,
-    _pinned_joints,
+    _refuse_pinned,
     block_solve,
     solve_tension,
 )
@@ -369,11 +364,5 @@ def solve_displacement(
             report=report,
             configuration=config,
         )
-    pinned = _pinned_joints(design, config.s)
-    if pinned:
-        raise ContactRolloffError(
-            f"converged with contact at domain boundary for joints {pinned}",
-            report=report,
-            configuration=config,
-        )
+    _refuse_pinned(design, config, report, "converged with contact at domain boundary")
     return tau, config, report

@@ -2,8 +2,9 @@
 
 Each iteration assembles the stacked per-link blocks, eliminates them
 forward into a single 6x6 boundary system (base pose fixed, no joint
-unknowns past the tip), solves it, back-substitutes for every joint update
-and applies a backtracking line search on the scaled residual norm.
+unknowns past the tip), solves it, reads every joint update from the
+forward pass's per-link maps and applies a backtracking line search on the
+scaled residual norm.
 Interior links cost one 3x3 inversion each, all taken in one stacked
 `np.linalg.inv`; the boundary solve is the only 6x6 operation, and only the
 6x6 products of the recursion run link by link.  Every evaluated iterate
@@ -215,10 +216,11 @@ def block_solve(blocks: LinkBlocks, columns: np.ndarray):
 
         P_k = [[-A, -B], [D^-1 C A, D^-1 C B - D^-1 E]],   u_k = [0; D^-1 r_k].
 
-    Only the running product and the back-substitution stay loops; the
-    product carries only its eta_base columns, beside the accumulated
-    input.  The 6x6 boundary system gives (d_xi_tip, d_eta_base), and every
-    joint update is back-substituted from the base one.  Returns the joint
+    Only the running product stays a loop: it keeps, for every link, the
+    state past that link as an affine map of d_eta_base (its eta_base
+    columns beside its accumulated input).  The last map gives the 6x6
+    boundary system for (d_xi_tip, d_eta_base), and every other joint update
+    is read from the maps with one stacked product.  Returns the joint
     updates (joints, 3, width) and the interior 3x3 inversion count."""
     links = len(blocks)
     width = columns.shape[-1]
@@ -231,23 +233,19 @@ def block_solve(blocks: LinkBlocks, columns: np.ndarray):
     np.negative(blocks.B, out=props[:, :3, 3:])
     np.matmul(d_inv_c, blocks.A, out=props[:, 3:, :3])
     np.subtract(d_inv_c @ blocks.B, d_inv @ blocks.E, out=props[:, 3:, 3:])
-    inputs = d_inv @ columns
-    # carried: the eta_base columns of P_k ... P_0, then the input
-    carried = np.zeros((6, 3 + width))
-    carried[:, :3] = props[0, :, 3:]
-    carried[3:, 3:] = inputs[0]
-    for prop, inp in zip(props[1:], inputs[1:]):
-        carried = prop @ carried
-        carried[3:, 3:] += inp
-    boundary = _BOUNDARY.copy()
-    boundary[:, 3:] = -carried[:, :3]
-    # back-substitution from (0, d_eta_base), one state per link
-    states = np.zeros((links, 6, width))
-    states[0, 3:] = _equilibrated_solve(boundary, carried[:, 3:], "boundary system")[3:]
+    # maps[k] = P_k ... P_0 applied to (0, d_eta_base), plus the inputs: the
+    # eta_base columns, then the input columns
+    maps = np.zeros((links, 6, 3 + width))
+    maps[:, 3:, 3:] = d_inv @ columns
+    maps[0, :, :3] = props[0, :, 3:]
     for k in range(1, links):
-        np.matmul(props[k - 1], states[k - 1], out=states[k])
-        states[k, 3:] += inputs[k - 1]
-    return states[:, 3:], links - 1
+        maps[k] += props[k] @ maps[k - 1]
+    boundary = _BOUNDARY.copy()
+    boundary[:, 3:] = -maps[-1, :, :3]
+    etas = np.empty((links, 3, width))
+    etas[0] = _equilibrated_solve(boundary, maps[-1, :, 3:], "boundary system")[3:]
+    etas[1:] = maps[:-1, 3:, :3] @ etas[0] + maps[:-1, 3:, 3:]
+    return etas, links - 1
 
 
 def newton_step(
@@ -334,6 +332,16 @@ def _pinned_joints(design: MechanismDesign, s: np.ndarray) -> list[int]:
     return np.flatnonzero((s <= lo + slack) | (s >= hi - slack)).tolist()
 
 
+def _refuse_pinned(design: MechanismDesign, config: Configuration, report, what: str) -> None:
+    """The verdict on an iterate a solver returns or stops at: a joint whose
+    contact sits on a domain boundary raises ContactRolloffError with
+    `report` and `config`, its message opened by `what`."""
+    pinned = _pinned_joints(design, config.s)
+    if pinned:
+        raise ContactRolloffError(f"{what} for joints {pinned}",
+                                  report=report, configuration=config)
+
+
 def solve_tension(
     design: MechanismDesign,
     tau,
@@ -380,6 +388,7 @@ def solve_tension(
     blocks = assemble_blocks(design, config, tau, loads)
     rows = block_residual(design, blocks)
     norm_inf = residual_norm(rows, np.inf)
+    norm_2 = residual_norm(rows, 2)
     history.append(norm_inf)
 
     while not norm_inf <= opts.tol_residual:   # a NaN residual keeps iterating
@@ -394,7 +403,6 @@ def solve_tension(
         inversions += count
         iterations += 1
 
-        norm_2 = residual_norm(rows, 2)
         scale = 1.0
         accepted = False
         for _ in range(MAX_BACKTRACKS + 1):
@@ -409,29 +417,19 @@ def solve_tension(
             scale *= BACKTRACK_FACTOR
             backtracks += 1
         if not accepted:
-            pinned = _pinned_joints(design, config.s)
-            if pinned:
-                raise ContactRolloffError(
-                    f"stalled with contact pinned at a domain boundary "
-                    f"for joints {pinned}",
-                    report=report(False),
-                    configuration=config,
-                )
+            stalled = report(False)
+            _refuse_pinned(design, config, stalled,
+                           "stalled with contact pinned at a domain boundary")
             raise NoConvergenceError(
                 "line search stalled without residual decrease",
-                report=report(False),
+                report=stalled,
                 configuration=config,
             )
-        config, blocks, rows = trial, blocks_trial, rows_trial
+        config, blocks, rows, norm_2 = trial, blocks_trial, rows_trial, trial_2
         clamped_all.update(_outside_joints(design, s_trial))
         norm_inf = residual_norm(rows, np.inf)
         history.append(norm_inf)
 
-    pinned = _pinned_joints(design, config.s)
-    if pinned:
-        raise ContactRolloffError(
-            f"converged with contact at domain boundary for joints {pinned}",
-            report=report(True),
-            configuration=config,
-        )
-    return config, report(True)
+    final = report(True)
+    _refuse_pinned(design, config, final, "converged with contact at domain boundary")
+    return config, final

@@ -23,6 +23,11 @@ def chain3():
 
 
 @pytest.fixture(scope="session")
+def chain20():
+    return standard_link_chain(20)
+
+
+@pytest.fixture(scope="session")
 def poly2():
     return polynomial_link_chain(2)
 

@@ -5,18 +5,20 @@ import numpy as np
 from rolljoint.statics import assemble_blocks
 
 
-def dense_newton_step(design, config, tau, loads=()):
-    """Newton update solved from the fully stacked block system with one
-    dense LU, no forward elimination; same linearization, independent path.
+def dense_block_solve(blocks, columns):
+    """The block system of `block_solve` solved whole with one dense LU, no
+    forward elimination; same blocks, independent path.  `columns`
+    (links, 3, width) are the right-hand sides of the balance rows, those of
+    the pose-chain rows being zero; returns the joint updates
+    (joints, 3, width).
 
     Unknowns: [xi_1..xi_{n-1} | eta_0..eta_{n-2}], each 3 wide.
     """
-    blocks = assemble_blocks(design, config, tau, loads)
-    n = design.n
-    joints = n - 1
+    joints = len(blocks)
+    n = joints + 1
     dim = 6 * joints
     mat = np.zeros((dim, dim))
-    rhs = np.zeros(dim)
+    rhs = np.zeros((dim, columns.shape[-1]))
 
     def xi_col(k):      # pose perturbation of link k, k in 1..n-1
         return 3 * (k - 1)
@@ -36,10 +38,17 @@ def dense_newton_step(design, config, tau, loads=()):
         if k <= n - 2:
             mat[row2:row2 + 3, eta_col(k):eta_col(k) + 3] += blk.D
         mat[row2:row2 + 3, eta_col(k - 1):eta_col(k - 1) + 3] += blk.E
-        rhs[row2:row2 + 3] = -blk.h
+        rhs[row2:row2 + 3] = columns[k - 1]
 
     solution = np.linalg.solve(mat, rhs)
-    etas = solution[3 * joints:].reshape(joints, 3)
+    return solution[3 * joints:].reshape(joints, 3, -1)
+
+
+def dense_newton_step(design, config, tau, loads=()):
+    """Newton update (ds, df): column 0 of `dense_block_solve` with the
+    balance rows -h of the assembled blocks."""
+    blocks = assemble_blocks(design, config, tau, loads)
+    etas = dense_block_solve(blocks, -blocks.h[:, :, None])[:, :, 0]
     return etas[:, 0], etas[:, 1:]
 
 

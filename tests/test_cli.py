@@ -199,9 +199,10 @@ def test_solve_exit_codes(tmp_path):
     assert main(["solve", "--design", str(DESIGN), "--scenario", bad,
                  "--out", str(tmp_path / "o")]) == 2
     # iteration starvation
-    scenario = write_json(tmp_path / "s.json", tension_scenario([3.0, 1.0]))
+    scenario = write_json(tmp_path / "s.json",
+                          {**tension_scenario([3.0, 1.0]), "solver": {"max_iters": 1}})
     assert main(["solve", "--design", str(DESIGN), "--scenario", scenario,
-                 "--out", str(tmp_path / "o"), "--max-iters", "1"]) == 3
+                 "--out", str(tmp_path / "o")]) == 3
     # domains too narrow for the commanded ratio: contact rolls off
     narrow_path = tmp_path / "narrow.json"
     save_design(standard_link_chain(5, half_domain=4.0), narrow_path)

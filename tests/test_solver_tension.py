@@ -23,6 +23,7 @@ from rolljoint.solver_tension import (
     _balance_change,
     _outside_joints,
     _pinned_joints,
+    block_solve,
     initial_forces,
     newton_step,
     solve_tension,
@@ -31,7 +32,7 @@ from rolljoint.solver_tension import (
 from rolljoint.statics import assemble_blocks, block_residual, residual, residual_norm
 
 from conftest import count_calls, max_pose_error
-from helpers import dense_newton_step
+from helpers import dense_block_solve, dense_newton_step
 
 TIGHT = SolverOptions(tol_residual=1e-12)
 
@@ -102,6 +103,32 @@ def test_recursive_step_equals_dense_block_step(fixture_name, request, rng):
     scale = max(np.abs(ds_dense).max(), np.abs(df_dense).max(), 1.0)
     assert np.abs(step.ds - ds_dense).max() / scale < 1e-8
     assert np.abs(step.df - df_dense).max() / scale < 1e-8
+
+
+@pytest.mark.parametrize("fixture_name, spread",
+                         [("paper5", 0.3), ("poly3", 0.3), ("chain20", 0.05)])
+def test_bordered_columns_equal_dense_block_solve(fixture_name, spread, request, rng):
+    # the displacement solver's three columns [-h, -F] at seeded iterates
+    # near a cold start: contact points about the domain midpoints (within
+    # `spread` of the half-width), the fitted forces scaled by up to 20%,
+    # unloaded and with a tip pull
+    design = request.getfixturevalue(fixture_name)
+    joints = design.joint_count
+    mid, half = design.joint_midpoints(), np.diff(design.domains, axis=1)[:, 0] / 2
+    tau = (3.0, 2.0)
+    pull = (ConstantWorkspace(target_link=design.n, wrench=Wrench2(0.0, (0.2, -0.1))),)
+    for loads in ((), pull):
+        for _ in range(4):
+            s = mid + rng.uniform(-spread, spread, joints) * half
+            config = evaluate(design, s, np.zeros((joints, 2)))
+            f = initial_forces(design, config, tau, loads) * rng.uniform(0.8, 1.2, (joints, 2))
+            blocks = assemble_blocks(design, config.with_forces(f), tau, loads)
+            columns = -np.concatenate((blocks.h[:, :, None], blocks.F), axis=2)
+            etas, _ = block_solve(blocks, columns)
+            dense = dense_block_solve(blocks, columns)
+            # per column, relative to max(|dense|, 1)
+            scale = np.maximum(np.abs(dense).max(axis=(0, 1)), 1.0)
+            assert (np.abs(etas - dense).max(axis=(0, 1)) / scale).max() < 1e-9
 
 
 def test_doubled_tensions_reproduce_configuration(paper5):
@@ -385,9 +412,6 @@ def test_each_iterate_is_balanced_once(monkeypatch):
 def test_rejected_interior_d_block_names_its_link(paper5):
     # the interior D blocks are inverted and checked as one stack; the first
     # rejected block is reported with its link number
-    from rolljoint.solver_tension import block_solve
-    from rolljoint.statics import assemble_blocks
-
     config, _ = solve_tension(paper5, (3.0, 1.0))
     blocks = assemble_blocks(paper5, config, (3.0, 1.0))
     columns = -blocks.h[:, :, None]
