@@ -34,7 +34,6 @@ from .mechanism import Configuration, MechanismDesign, tendon_lengths
 from .render import render_svg
 from .solver_displacement import solve_displacement
 from .solver_tension import solve_tension, tangent_start
-from .verification import run_verification
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -291,6 +290,9 @@ def cmd_verify(args) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    # imported here, so that solve and sweep never compile or run it
+    from .verification import run_verification
+
     try:
         rows = run_verification(design, seed=args.seed)
     except RolljointError as exc:

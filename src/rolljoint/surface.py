@@ -6,16 +6,18 @@ and whose y-axis is normal to it, plus the arc-length twist (u(s), (1, 0))
 where u is the signed curvature.  Frames obey dT/ds = T [twist].
 
 `frame_at` and `curvature_at` look up one surface at one arc length; they
-are the reference that rendering, verification and the tests read.  A
-`SurfaceStack` looks up a fixed sequence of surfaces, one arc length each,
-in one array pass per surface kind with the same arithmetic: a closed form
-for circular arcs, and for curvature profiles one grid-index search over
-every profile's grid at once and one array RK4 step.
+are what rendering, verification and the tests read.  A `SurfaceStack`
+looks up a fixed sequence of surfaces, one arc length each, in one array
+pass per surface kind with the same arithmetic: a closed form for circular
+arcs, and for curvature profiles one grid-index search over every
+profile's grid at once.  A curvature profile has one RK4 step, `_rk4_step`,
+written for arrays: its grid takes all its steps through it at
+construction, and the scalar and stacked lookups each take one step
+through it from a grid node.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -114,25 +116,33 @@ def _polyval(s, coeffs):
     return u
 
 
-def _profile_rhs(s: float, state: tuple, coeffs: tuple) -> tuple:
-    theta = state[0]
-    return _polyval(s, coeffs), math.cos(theta), math.sin(theta)
+# RK4 stage offsets from the step's start, in steps h
+_RK4_STAGES = np.array([[0.0], [0.5], [0.5], [1.0]])
 
 
-def _rk4_step(s: float, state: tuple, h: float, coeffs: tuple) -> tuple:
-    """One classical RK4 step of (theta, x, y) in plain floats, each
-    component evaluated as state + h/6 (k1 + 2 k2 + 2 k3 + k4) left to
-    right."""
-    half = 0.5 * h
-    k1 = _profile_rhs(s, state, coeffs)
-    k2 = _profile_rhs(s + half, tuple(v + half * k for v, k in zip(state, k1)), coeffs)
-    k3 = _profile_rhs(s + half, tuple(v + half * k for v, k in zip(state, k2)), coeffs)
-    k4 = _profile_rhs(s + h, tuple(v + h * k for v, k in zip(state, k3)), coeffs)
-    sixth = h / 6.0
-    return tuple(
-        v + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-        for v, a, b, c, d in zip(state, k1, k2, k3, k4)
-    )
+def _rk4_step(s0, h, theta0, coeffs, s):
+    """One classical RK4 step of (theta', x', y') = (u, cos theta, sin theta)
+    by h from arc length s0 and angle theta0, for arrays of steps (m,).
+
+    Returns the curvature at s, evaluated in the same polynomial pass as the
+    stage curvatures, and the increments (3, m) of theta, x and y, each
+    h/6 (k1 + 2 k2 + 2 k3 + k4) summed left to right.  The angle increment
+    reads only the curvatures, not theta0."""
+    steps = h * _RK4_STAGES           # 0, h/2, h/2, h
+    points = np.empty((5, len(s0)))
+    points[0] = s
+    np.add(s0, steps, out=points[1:])
+    u = _polyval(points, coeffs)
+    # k[i] holds (u, cos theta, sin theta) of stage i; a stage's angle
+    # steps from theta0 by the previous stage's curvature (the first
+    # stage's step is 0), and its x and y are never read
+    theta = steps * u[:4]
+    theta += theta0
+    k = np.empty((4, 3, len(s0)))
+    k[:, 0] = u[1:]
+    np.cos(theta, out=k[:, 1])
+    np.sin(theta, out=k[:, 2])
+    return u[0], (h / 6.0) * (((k[0] + 2.0 * k[1]) + 2.0 * k[2]) + k[3])
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +150,10 @@ class CurvatureProfile(ContactSurface):
     """Surface defined by a polynomial curvature u(s) (ascending coefficients).
 
     The frame at s = 0 equals `reference_frame`; other frames come from RK4
-    integration of (theta', x', y') = (u, cos theta, sin theta), cached on a
-    dense grid at construction and locally re-integrated per query.
+    integration of (theta', x', y') = (u, cos theta, sin theta): a grid of
+    nodes from 0 to each end of the domain, built at construction, then one
+    step from the last grid node at or below the query.  Coefficients are a
+    non-empty flat sequence (a single number is one coefficient).
     """
 
     reference_frame: Pose2
@@ -153,6 +165,8 @@ class CurvatureProfile(ContactSurface):
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.array(self.curvature_coeffs, dtype=float))
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise ValueError("curvature profile needs a non-empty flat list of coefficients")
         coeffs.setflags(write=False)
         object.__setattr__(self, "curvature_coeffs", coeffs)
         frame = self.reference_frame
@@ -163,41 +177,45 @@ class CurvatureProfile(ContactSurface):
         object.__setattr__(self, "_coeffs", tuple(coeffs.tolist()))
         object.__setattr__(self, "_grid", self._integrate_grid())
 
-    def _integrate_grid(self) -> tuple[list[float], list[tuple]]:
-        # the integration hull always contains 0 where the reference frame sits
-        lo = min(0.0, self.s_min)
-        hi = max(0.0, self.s_max)
+    def _integrate_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes (N,) in ascending order and their states (3, N), from equal
+        steps of at most width / PROFILE_STEPS from 0 to each end of the
+        integration hull.  The states equal stepping node by node: the angle
+        steps read no state, so they are taken first, in one pass, and their
+        running sum gives the angles the x and y steps start from; every
+        running sum adds left to right, as stepping does."""
         h_max = self.width / PROFILE_STEPS
-        start = (self.reference_frame.angle, *self.reference_frame.translation.tolist())
-        nodes: list[float] = [0.0]
-        states: list[tuple] = [start]
-        for bound, direction in ((hi, 1.0), (lo, -1.0)):
-            span = abs(bound)
-            if span == 0.0:
+        start = np.array([self.reference_frame.angle, *self.reference_frame.translation])
+        nodes, states = [np.zeros(1)], [start[:, None]]
+        # the integration hull always contains 0 where the reference frame sits
+        for bound in (max(0.0, self.s_max), min(0.0, self.s_min)):
+            if bound == 0.0:
                 continue
-            count = max(1, math.ceil(span / h_max))
-            h = direction * span / count
-            state = start
-            s = 0.0
-            for _ in range(count):
-                state = _rk4_step(s, state, h, self._coeffs)
-                s += h
-                nodes.append(s)
-                states.append(state)
-        grid = sorted(zip(nodes, states))
-        return [node for node, _ in grid], [state for _, state in grid]
+            count = max(1, math.ceil(abs(bound) / h_max))
+            h = bound / count
+            s = np.cumsum(np.r_[0.0, np.full(count, h)])
+            _, increments = _rk4_step(s[:-1], h, start[0], self._coeffs, s[:-1])
+            theta = np.cumsum(np.r_[start[0], increments[0]])
+            _, increments = _rk4_step(s[:-1], h, theta[:-1], self._coeffs, s[:-1])
+            nodes.append(s[1:])
+            states.append(np.cumsum(np.c_[start, increments], axis=1)[:, 1:])
+        nodes = np.concatenate(nodes)
+        order = np.argsort(nodes)
+        return nodes[order], np.concatenate(states, axis=1)[:, order]
 
-    def _state_at(self, s: float) -> tuple:
-        grid_s, grid_states = self._grid
-        idx = min(max(bisect.bisect_right(grid_s, s) - 1, 0), len(grid_s) - 1)
-        s0, state = grid_s[idx], grid_states[idx]
-        if s != s0:
-            state = _rk4_step(s0, state, s - s0, self._coeffs)
-        return state
+    def _state_at(self, s: float) -> np.ndarray:
+        nodes, states = self._grid
+        idx = max(int(np.searchsorted(nodes, s, side="right")) - 1, 0)
+        state = states[:, idx]
+        if s == nodes[idx]:
+            return state
+        s0 = nodes[idx:idx + 1]
+        _, increments = _rk4_step(s0, s - s0, state[0], self._coeffs, s)
+        return state + increments[:, 0]
 
     def frame_at(self, s: float) -> Pose2:
         s = self._checked(s)
-        theta, x, y = self._state_at(s)
+        theta, x, y = self._state_at(s).tolist()
         return Pose2(theta, (x, y))
 
     def curvature_at(self, s: float) -> float:
@@ -225,14 +243,10 @@ class _ArcStack:
         return phi + self.quarter_turn, self.center + self.radius[:, None] * unit, self.curvature
 
 
-# RK4 stage offsets from the grid node, in steps h
-_RK4_STAGES = np.array([[0.0], [0.5], [0.5], [1.0]])
-
-
 class _ProfileStack:
     """Frames of a sequence of curvature profiles: each query starts from
-    the last grid node at or below it (`bisect_right - 1`, clamped) and takes
-    one RK4 step, as `CurvatureProfile.frame_at` does.  The grids of the
+    the last grid node at or below it (clamped to the first) and takes one
+    RK4 step, as `CurvatureProfile.frame_at` does.  The grids of the
     distinct profiles are searched at once: node x of profile i is the key
     i + x*1j, and complex numbers order by real part, then imaginary part."""
 
@@ -242,7 +256,7 @@ class _ProfileStack:
         self.nodes = np.concatenate([profile._grid[0] for profile in unique])
         self.keys = np.repeat(np.arange(len(unique), dtype=complex), sizes) + 1j * self.nodes
         # (3, nodes): theta, x, y
-        self.states = np.concatenate([profile._grid[1] for profile in unique]).T.copy()
+        self.states = np.concatenate([profile._grid[1] for profile in unique], axis=1)
         which = np.array([unique.index(profile) for profile in profiles])
         self.which = which.astype(complex)
         self.first = np.concatenate(([0], np.cumsum(sizes)[:-1]))[which]
@@ -258,25 +272,9 @@ class _ProfileStack:
         idx = np.searchsorted(self.keys, self.which + 1j * s, side="right") - 1
         idx = np.maximum(idx, self.first)
         s0, state = self.nodes[idx], self.states[:, idx]
-        h = s - s0
-        steps = h * _RK4_STAGES           # 0, h/2, h/2, h
-        # curvature at s itself, then at the stage arc lengths of k1 .. k4
-        points = np.empty((5, len(s)))
-        points[0] = s
-        np.add(s0, steps, out=points[1:])
-        u = _polyval(points, self.coeffs)
-        # k[i] holds (u, cos theta, sin theta) of stage i; a stage's angle
-        # steps from theta0 by the previous stage's curvature (the first
-        # stage's step is 0), and its x and y are never read
-        theta = steps * u[:4]
-        theta += state[0]
-        k = np.empty((4, 3, len(s)))
-        k[:, 0] = u[1:]
-        np.cos(theta, out=k[:, 1])
-        np.sin(theta, out=k[:, 2])
-        stepped = state + (h / 6.0) * (((k[0] + 2.0 * k[1]) + 2.0 * k[2]) + k[3])
-        state = np.where(s == s0, state, stepped)
-        return state[0], state[1:].T, u[0]
+        curvature, increments = _rk4_step(s0, s - s0, state[0], self.coeffs, s)
+        state = np.where(s == s0, state, state + increments)
+        return state[0], state[1:].T, curvature
 
 
 class _ScalarStack:

@@ -611,6 +611,18 @@ def test_non_finite_design_numbers_exit_with_parse_error(tmp_path, capsys, path,
     assert not (out / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("coeffs", [[], [[0.02, 0.003]]], ids=["empty", "nested"])
+def test_malformed_profile_coefficients_exit_with_parse_error(tmp_path, capsys, coeffs):
+    design = write_json(tmp_path / "d.json", _set_design_value(
+        design_to_dict(polynomial_link_chain(3)), "links.0.child_surface.curvature_coeffs", coeffs))
+    out = tmp_path / "out"
+    assert main(["solve", "--design", design, "--scenario", str(SCENARIOS / "tension_31.json"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "coefficients" in err
+    assert not (out / "solution.csv").exists()
+
+
 def test_non_finite_results_are_never_written_as_json(tmp_path, monkeypatch, capsys):
     from rolljoint.errors import NonFiniteResultError
     from rolljoint.geometry import Pose2

@@ -3,12 +3,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial.polynomial import polyval
 
 from rolljoint.catalog import polynomial_link_chain, standard_link_chain
 from rolljoint.errors import DomainError
 from rolljoint.geometry import Pose2, Twist2, compose, exp_twist
 from rolljoint.mechanism import pose_difference
-from rolljoint.surface import CircularArc, CurvatureProfile, SurfaceStack
+from rolljoint.surface import PROFILE_STEPS, CircularArc, CurvatureProfile, SurfaceStack
 
 
 def make_arc(radius=10.0, sign=1, half=5.0):
@@ -169,6 +172,9 @@ def test_bad_surface_parameters_rejected():
                     orientation_sign=2, s_min=0.0, s_max=1.0)
     with pytest.raises(ValueError):
         make_profile(half=-1.0)
+    for coeffs in ([], [[0.02, 0.003]]):
+        with pytest.raises(ValueError, match="coefficients"):
+            make_profile(coeffs)
 
 
 @pytest.mark.parametrize("params", [
@@ -201,31 +207,65 @@ def test_non_finite_profile_parameters_rejected(params):
         CurvatureProfile(**{**profile, **params})
 
 
+def plain_rk4_step(s, state, h, coeffs):
+    """One classical RK4 step of (theta, x, y)' = (u(s), cos theta, sin theta)
+    in plain floats with the math module's cosine and sine, each component
+    state + h/6 (k1 + 2 k2 + 2 k3 + k4) summed left to right."""
+    def rhs(s, state):
+        return float(polyval(s, coeffs)), math.cos(state[0]), math.sin(state[0])
+
+    half = 0.5 * h
+    k1 = rhs(s, state)
+    k2 = rhs(s + half, [v + half * k for v, k in zip(state, k1)])
+    k3 = rhs(s + half, [v + half * k for v, k in zip(state, k2)])
+    k4 = rhs(s + h, [v + h * k for v, k in zip(state, k3)])
+    return tuple(v + h / 6.0 * (((a + 2.0 * b) + 2.0 * c) + d)
+                 for v, a, b, c, d in zip(state, k1, k2, k3, k4))
+
+
+def stepped_grid(profile):
+    """The profile's grid stepped node by node from the reference frame at
+    0 to each end of the integration hull: ascending nodes and their
+    (theta, x, y)."""
+    coeffs = profile.curvature_coeffs.tolist()
+    h_max = profile.width / PROFILE_STEPS
+    start = (profile.reference_frame.angle, *profile.reference_frame.translation.tolist())
+    grid = [(0.0, start)]
+    for bound, direction in ((max(0.0, profile.s_max), 1.0), (min(0.0, profile.s_min), -1.0)):
+        span = abs(bound)
+        if span == 0.0:
+            continue
+        count = max(1, math.ceil(span / h_max))
+        h = direction * span / count
+        s, state = 0.0, start
+        for _ in range(count):
+            state = plain_rk4_step(s, state, h, coeffs)
+            s += h
+            grid.append((s, state))
+    grid.sort()
+    return [node for node, _ in grid], [state for _, state in grid]
+
+
+def assert_grid_is_stepped(profile):
+    # node for node and bit for bit
+    nodes, states = stepped_grid(profile)
+    assert profile._grid[0].tolist() == nodes
+    assert profile._grid[1].T.tolist() == [list(state) for state in states]
+
+
 def test_profile_frames_follow_the_array_rk4_step():
-    # the plain-float integrator keeps the operation order of the array
-    # form it replaced: one RK4 step of the same ODE in numpy arrays
+    # a frame is one RK4 step from the last grid node at or below s
     coeffs = (0.02, 0.003, -4e-4)
     surf = make_profile(coeffs)
-
-    def rhs(s, state):
-        return np.array([np.polynomial.polynomial.polyval(s, coeffs),
-                         math.cos(state[0]), math.sin(state[0])])
-
     grid_s, grid_states = surf._grid
     rng = np.random.default_rng(4)
-    for s in rng.uniform(-6.0, 6.0, 50):
+    for s in rng.uniform(-6.0, 6.0, 50).tolist():
         idx = max(i for i, node in enumerate(grid_s) if node <= s)
-        s0, state = grid_s[idx], np.array(grid_states[idx])
-        h = s - s0
-        k1 = rhs(s0, state)
-        k2 = rhs(s0 + 0.5 * h, state + 0.5 * h * k1)
-        k3 = rhs(s0 + 0.5 * h, state + 0.5 * h * k2)
-        k4 = rhs(s0 + h, state + h * k3)
-        expected = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        frame = surf.frame_at(float(s))
-        assert frame.angle == expected[0]
-        assert np.array_equal(frame.translation, expected[1:])
-        assert surf.curvature_at(float(s)) == np.polynomial.polynomial.polyval(s, coeffs)
+        s0 = float(grid_s[idx])
+        expected = plain_rk4_step(s0, grid_states[:, idx].tolist(), s - s0, coeffs)
+        frame = surf.frame_at(s)
+        assert (frame.angle, *frame.translation.tolist()) == expected
+        assert surf.curvature_at(s) == polyval(s, coeffs)
 
 
 CATALOG_SURFACES = {
@@ -236,6 +276,35 @@ CATALOG_SURFACES = {
     "profile_parent": polynomial_link_chain(2).links[1].parent_surface,
     "profile_cubic": make_profile(coeffs=(0.02, 0.003, -4e-4, 1e-5)),
 }
+
+
+@pytest.mark.parametrize("name", [name for name, surf in CATALOG_SURFACES.items()
+                                  if isinstance(surf, CurvatureProfile)])
+def test_catalog_profile_grids_are_stepped_node_by_node(name):
+    assert_grid_is_stepped(CATALOG_SURFACES[name])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(coeffs=st.lists(st.floats(-0.05, 0.05), min_size=1, max_size=4),
+       scale=st.floats(1e-4, 1.0), width=st.floats(0.5, 20.0), below_zero=st.floats(-0.5, 1.5),
+       angle=st.floats(-3.0, 3.0), offset=st.tuples(st.floats(-30.0, 30.0), st.floats(-30.0, 30.0)))
+# one-sided integration hulls (s_min >= 0, s_max <= 0), with a nonzero
+# reference angle and offset
+@example(coeffs=[0.03, -0.002], scale=1.0, width=7.0, below_zero=0.0, angle=0.7, offset=(4.0, -2.0))
+@example(coeffs=[-0.01, 0.004, 1e-4], scale=1.0, width=6.0, below_zero=-0.4, angle=-1.2,
+         offset=(-3.0, 5.0))
+@example(coeffs=[0.05], scale=1.0, width=8.0, below_zero=1.0, angle=2.0, offset=(1.0, 1.0))
+@example(coeffs=[0.02, 0.0, -3e-4, 1e-5], scale=1.0, width=4.0, below_zero=1.5, angle=-0.4,
+         offset=(0.5, 9.0))
+def test_profile_grids_are_stepped_node_by_node(coeffs, scale, width, below_zero, angle, offset):
+    # the domain is [-below_zero, 1 - below_zero] * width, so the hull stays
+    # within 1.5 widths; coefficient j is scaled by scale**j, so the higher
+    # powers stay moderate over it
+    profile = CurvatureProfile(
+        reference_frame=Pose2(angle, offset),
+        curvature_coeffs=[c * scale**j for j, c in enumerate(coeffs)],
+        s_min=-below_zero * width, s_max=(1.0 - below_zero) * width)
+    assert_grid_is_stepped(profile)
 
 
 def _lookup_samples(surf, rng):
