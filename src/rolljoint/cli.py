@@ -169,11 +169,11 @@ def cmd_solve(args) -> int:
         design = load_design(args.design)
         scenario = load_scenario(args.scenario)
         check_targets(scenario.loads, design.n)
-    except (ParseError, ValueError) as exc:
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         config, tau, extra, _ = _solve_scenario(design, scenario)
         _write_solved(out_dir, design, scenario, config, tau, extra)
@@ -246,12 +246,12 @@ def cmd_sweep(args) -> int:
             scenario = scenario_from_dict(item)
             check_targets(scenario.loads, design.n)
             scenarios.append(scenario)
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
     except (ParseError, KeyError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["index,value,status,tip_x_mm,tip_y_mm,tip_theta_rad,iterations,residual"]
     solved: list[Configuration] = []
     previous = None
@@ -286,6 +286,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
+        if args.seed < 0:
+            raise ParseError(f"seed must be a non-negative integer, got {args.seed}")
         design = load_design(args.design)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -76,22 +76,13 @@ class LinkDesign:
 
 @dataclass(frozen=True, eq=False)
 class MechanismDesign:
-    """Ordered chain of links with a fixed base pose.
-
-    `characteristic_length` is the mean link extent (diameter of each link's
-    entry points and surface anchor points); it scales moment residuals so
-    convergence metrics share force units.
-    """
+    """Ordered chain of links with a fixed base pose."""
 
     links: tuple[LinkDesign, ...]
     base_pose: Pose2
-    characteristic_length: float = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "links", tuple(self.links))
-        object.__setattr__(
-            self, "characteristic_length", _mean_link_extent(self.links)
-        )
 
     @property
     def n(self) -> int:
@@ -137,6 +128,22 @@ class MechanismDesign:
                              for surf in self.joint_surfaces(j)])
 
     @cached_property
+    def characteristic_length(self) -> float:
+        """Mean link extent: the diameter of each link's entry points and
+        surface midpoints, averaged over the links.  It scales moment
+        residuals so convergence metrics share force units."""
+        stack = self.surface_stack
+        _, mids, _ = stack.frames_at(0.5 * (stack.s_min + stack.s_max))
+        # stack entries 2k - 1 and 2k: link k's parent and child surfaces;
+        # the base and tip links repeat their one surface point, which
+        # leaves their diameters as they are
+        surfaces = mids[np.clip(np.arange(-1, 2 * self.n - 1), 0, len(mids) - 1)]
+        entries = [(*link.parent_points, *link.child_points) for link in self.links]
+        points = np.concatenate((entries, surfaces.reshape(-1, 2, 2)), axis=1)
+        diffs = points[:, :, None] - points[:, None]
+        return float(np.mean(np.sqrt((diffs**2).sum(axis=3)).max(axis=(1, 2))))
+
+    @cached_property
     def joint_gap_points(self) -> np.ndarray:
         """(joints, 2, sides, 2) far-end entry points of each joint's gap
         segments: column 0 the parent entry points of link j+1, column 1 the
@@ -155,20 +162,6 @@ def _frozen(arrays) -> np.ndarray:
     out = np.array(arrays, dtype=float)
     out.setflags(write=False)
     return out
-
-
-def _mean_link_extent(links) -> float:
-    extents = []
-    for link in links:
-        points = [*link.parent_points, *link.child_points]
-        for surf in (link.parent_surface, link.child_surface):
-            if surf is not None:
-                mid = 0.5 * (surf.s_min + surf.s_max)
-                points.append(surf.frame_at(mid).translation)
-        pts = np.array(points)
-        diffs = pts[:, None, :] - pts[None, :, :]
-        extents.append(float(np.sqrt((diffs**2).sum(axis=2)).max()))
-    return float(np.mean(extents))
 
 
 @dataclass(frozen=True, eq=False)

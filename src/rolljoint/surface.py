@@ -5,15 +5,18 @@ in the owning link's body coordinates whose x-axis is tangent to the surface
 and whose y-axis is normal to it, plus the arc-length twist (u(s), (1, 0))
 where u is the signed curvature.  Frames obey dT/ds = T [twist].
 
-`frame_at` and `curvature_at` look up one surface at one arc length; they
-are what rendering, verification and the tests read.  A `SurfaceStack`
-looks up a fixed sequence of surfaces, one arc length each, in one array
-pass per surface kind with the same arithmetic: a closed form for circular
-arcs, and for curvature profiles one grid-index search over every
-profile's grid at once.  A curvature profile has one RK4 step, `_rk4_step`,
-written for arrays: its grid takes all its steps through it at
-construction, and the scalar and stacked lookups each take one step
-through it from a grid node.
+Each surface kind has one lookup, written for arrays: its `stack_type`
+looks up a sequence of surfaces of that kind, one arc length each, in one
+array pass.  For circular arcs that is a closed form; for curvature
+profiles it is one grid-index search over every profile's grid at once,
+then one RK4 step from the node found.  A `SurfaceStack` groups any
+sequence of surfaces by kind and owns the one domain check and clamp.  The
+solvers' joint geometry and the rendered outlines read a design's stack;
+`frame_at` and `curvature_at`, which verification and the tests read, are
+a one-element lookup through the surface's own stack.  A curvature profile
+has one RK4 step, `_rk4_step`, written for arrays: its grid takes all its
+steps through it at construction, and its lookup takes one step through
+it from a grid node.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,11 +36,25 @@ PROFILE_STEPS = 1000
 
 
 class ContactSurface(ABC):
-    """Common interface of rolling-surface geometries."""
+    """Common interface of rolling-surface geometries.
+
+    A surface kind names its `kind`, its domain [s_min, s_max] and, as
+    `stack_type`, its array lookup: a class built from a sequence of
+    surfaces of the kind whose `frames_at(s)` returns the frame angles
+    (m,), translations (m, 2) and curvatures (m,) of surface i at s[i],
+    for arc lengths already checked and clamped into each domain.  That
+    lookup is the one contract a new kind meets: `SurfaceStack`, `frame_at`
+    and `curvature_at` all read it, and a subclass of a kind inherits its
+    kind's.  A subclass that names none cannot be constructed."""
 
     kind: str
     s_min: float
     s_max: float
+
+    @property
+    @abstractmethod
+    def stack_type(self) -> type:
+        """The kind's array lookup."""
 
     @property
     def domain(self) -> tuple[float, float]:
@@ -51,22 +69,39 @@ class ContactSurface(ABC):
                 and self.s_max > self.s_min):
             raise ValueError("surface domain must be finite with positive width")
 
-    def _checked(self, s: float) -> float:
-        slack = 1e-9 * self.width
-        if s < self.s_min - slack or s > self.s_max + slack:
-            raise self._domain_error(s)
-        return min(max(s, self.s_min), self.s_max)
+    @cached_property
+    def _stack(self) -> SurfaceStack:
+        return SurfaceStack([self])
 
-    def _domain_error(self, s: float) -> DomainError:
-        return DomainError(f"arc length {s} outside [{self.s_min}, {self.s_max}] of {self.kind}")
-
-    @abstractmethod
     def frame_at(self, s: float) -> Pose2:
         """Surface frame at arc length s, in link body coordinates."""
+        angle, translation, _ = self._stack.frames_at(np.array([s], dtype=float))
+        return Pose2(angle[0], translation[0])
 
-    @abstractmethod
     def curvature_at(self, s: float) -> float:
         """Signed curvature u(s)."""
+        return float(self._stack.frames_at(np.array([s], dtype=float))[2][0])
+
+
+class _ArcStack:
+    """Closed-form frames of a sequence of circular arcs."""
+
+    def __init__(self, arcs):
+        self.center = np.array([arc.center for arc in arcs])
+        self.radius = np.array([arc.radius for arc in arcs])
+        self.reference_angle = np.array([arc.reference_angle for arc in arcs])
+        self.sign = np.array([arc.orientation_sign for arc in arcs], dtype=float)
+        self.quarter_turn = self.sign * math.pi / 2.0
+        # returned as it is, so read-only
+        self.curvature = self.sign / self.radius
+        self.curvature.setflags(write=False)
+
+    def frames_at(self, s: np.ndarray):
+        phi = self.reference_angle + self.sign * s / self.radius
+        unit = np.empty((len(s), 2))
+        np.cos(phi, out=unit[:, 0])
+        np.sin(phi, out=unit[:, 1])
+        return phi + self.quarter_turn, self.center + self.radius[:, None] * unit, self.curvature
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,6 +117,7 @@ class CircularArc(ContactSurface):
     s_max: float
 
     kind = "circular_arc"
+    stack_type = _ArcStack
 
     def __post_init__(self):
         object.__setattr__(self, "center", np.array(self.center, dtype=float).reshape(2))
@@ -93,16 +129,6 @@ class CircularArc(ContactSurface):
         if self.orientation_sign not in (-1, 1):
             raise ValueError("orientation_sign must be +1 or -1")
         self._check_domain()
-
-    def frame_at(self, s: float) -> Pose2:
-        s = self._checked(s)
-        phi = self.reference_angle + self.orientation_sign * s / self.radius
-        position = self.center + self.radius * np.array([math.cos(phi), math.sin(phi)])
-        return Pose2(phi + self.orientation_sign * math.pi / 2.0, position)
-
-    def curvature_at(self, s: float) -> float:
-        self._checked(s)
-        return self.orientation_sign / self.radius
 
 
 def _polyval(s, coeffs):
@@ -145,6 +171,40 @@ def _rk4_step(s0, h, theta0, coeffs, s):
     return u[0], (h / 6.0) * (((k[0] + 2.0 * k[1]) + 2.0 * k[2]) + k[3])
 
 
+class _ProfileStack:
+    """Frames of a sequence of curvature profiles: each query starts from
+    the last grid node at or below it (clamped to the first) and takes one
+    RK4 step.  The grids of the
+    distinct profiles are searched at once: node x of profile i is the key
+    i + x*1j, and complex numbers order by real part, then imaginary part."""
+
+    def __init__(self, profiles):
+        unique = list(dict.fromkeys(profiles))   # shared profiles share a grid
+        sizes = np.array([len(profile._grid[0]) for profile in unique])
+        self.nodes = np.concatenate([profile._grid[0] for profile in unique])
+        self.keys = np.repeat(np.arange(len(unique), dtype=complex), sizes) + 1j * self.nodes
+        # (3, nodes): theta, x, y
+        self.states = np.concatenate([profile._grid[1] for profile in unique], axis=1)
+        which = np.array([unique.index(profile) for profile in profiles])
+        self.which = which.astype(complex)
+        self.first = np.concatenate(([0], np.cumsum(sizes)[:-1]))[which]
+        # ascending coefficients on the first axis, zero-padded on top
+        degree = max(len(profile._coeffs) for profile in profiles)
+        self.coeffs = np.zeros((degree, 1, len(profiles)))
+        for i, profile in enumerate(profiles):
+            self.coeffs[:len(profile._coeffs), 0, i] = profile._coeffs
+
+    def frames_at(self, s: np.ndarray):
+        # s lies in its surface's domain, so the search stays in its grid
+        # past the last node too, and only the first node needs the clamp
+        idx = np.searchsorted(self.keys, self.which + 1j * s, side="right") - 1
+        idx = np.maximum(idx, self.first)
+        s0, state = self.nodes[idx], self.states[:, idx]
+        curvature, increments = _rk4_step(s0, s - s0, state[0], self.coeffs, s)
+        state = np.where(s == s0, state, state + increments)
+        return state[0], state[1:].T, curvature
+
+
 @dataclass(frozen=True, eq=False)
 class CurvatureProfile(ContactSurface):
     """Surface defined by a polynomial curvature u(s) (ascending coefficients).
@@ -162,6 +222,7 @@ class CurvatureProfile(ContactSurface):
     s_max: float
 
     kind = "curvature_profile"
+    stack_type = _ProfileStack
 
     def __post_init__(self):
         coeffs = np.atleast_1d(np.array(self.curvature_coeffs, dtype=float))
@@ -203,104 +264,16 @@ class CurvatureProfile(ContactSurface):
         order = np.argsort(nodes)
         return nodes[order], np.concatenate(states, axis=1)[:, order]
 
-    def _state_at(self, s: float) -> np.ndarray:
-        nodes, states = self._grid
-        idx = max(int(np.searchsorted(nodes, s, side="right")) - 1, 0)
-        state = states[:, idx]
-        if s == nodes[idx]:
-            return state
-        s0 = nodes[idx:idx + 1]
-        _, increments = _rk4_step(s0, s - s0, state[0], self._coeffs, s)
-        return state + increments[:, 0]
-
-    def frame_at(self, s: float) -> Pose2:
-        s = self._checked(s)
-        theta, x, y = self._state_at(s).tolist()
-        return Pose2(theta, (x, y))
-
-    def curvature_at(self, s: float) -> float:
-        return _polyval(self._checked(s), self._coeffs)
-
-
-class _ArcStack:
-    """Closed-form frames of a sequence of circular arcs."""
-
-    def __init__(self, arcs):
-        self.center = np.array([arc.center for arc in arcs])
-        self.radius = np.array([arc.radius for arc in arcs])
-        self.reference_angle = np.array([arc.reference_angle for arc in arcs])
-        self.sign = np.array([arc.orientation_sign for arc in arcs], dtype=float)
-        self.quarter_turn = self.sign * math.pi / 2.0
-        # returned as it is, so read-only
-        self.curvature = self.sign / self.radius
-        self.curvature.setflags(write=False)
-
-    def frames_at(self, s: np.ndarray):
-        phi = self.reference_angle + self.sign * s / self.radius
-        unit = np.empty((len(s), 2))
-        np.cos(phi, out=unit[:, 0])
-        np.sin(phi, out=unit[:, 1])
-        return phi + self.quarter_turn, self.center + self.radius[:, None] * unit, self.curvature
-
-
-class _ProfileStack:
-    """Frames of a sequence of curvature profiles: each query starts from
-    the last grid node at or below it (clamped to the first) and takes one
-    RK4 step, as `CurvatureProfile.frame_at` does.  The grids of the
-    distinct profiles are searched at once: node x of profile i is the key
-    i + x*1j, and complex numbers order by real part, then imaginary part."""
-
-    def __init__(self, profiles):
-        unique = list(dict.fromkeys(profiles))   # shared profiles share a grid
-        sizes = np.array([len(profile._grid[0]) for profile in unique])
-        self.nodes = np.concatenate([profile._grid[0] for profile in unique])
-        self.keys = np.repeat(np.arange(len(unique), dtype=complex), sizes) + 1j * self.nodes
-        # (3, nodes): theta, x, y
-        self.states = np.concatenate([profile._grid[1] for profile in unique], axis=1)
-        which = np.array([unique.index(profile) for profile in profiles])
-        self.which = which.astype(complex)
-        self.first = np.concatenate(([0], np.cumsum(sizes)[:-1]))[which]
-        # ascending coefficients on the first axis, zero-padded on top
-        degree = max(len(profile._coeffs) for profile in profiles)
-        self.coeffs = np.zeros((degree, 1, len(profiles)))
-        for i, profile in enumerate(profiles):
-            self.coeffs[:len(profile._coeffs), 0, i] = profile._coeffs
-
-    def frames_at(self, s: np.ndarray):
-        # s lies in its surface's domain, so the search stays in its grid
-        # past the last node too, and only the first node needs the clamp
-        idx = np.searchsorted(self.keys, self.which + 1j * s, side="right") - 1
-        idx = np.maximum(idx, self.first)
-        s0, state = self.nodes[idx], self.states[:, idx]
-        curvature, increments = _rk4_step(s0, s - s0, state[0], self.coeffs, s)
-        state = np.where(s == s0, state, state + increments)
-        return state[0], state[1:].T, curvature
-
-
-class _ScalarStack:
-    """Any other surface kind, through its own `frame_at` and `curvature_at`."""
-
-    def __init__(self, surfaces):
-        self.surfaces = surfaces
-
-    def frames_at(self, s: np.ndarray):
-        frames = [surf.frame_at(s_i) for surf, s_i in zip(self.surfaces, s.tolist())]
-        return (np.array([frame.angle for frame in frames]),
-                np.array([frame.translation for frame in frames]),
-                np.array([surf.curvature_at(s_i) for surf, s_i in zip(self.surfaces, s.tolist())]))
-
-
-_STACKS = {CircularArc: _ArcStack, CurvatureProfile: _ProfileStack}
-
 
 class SurfaceStack:
     """A fixed sequence of surfaces looked up at one arc length each.
 
     `frames_at(s)` returns the frame angles (m,), translations (m, 2) and
-    curvatures (m,) of surface i at s[i], equal to `frame_at` and
-    `curvature_at` of each surface: the same domain check and clamp (the
-    first surface out of its domain raises its `DomainError`) and the same
-    arithmetic, in one array pass per surface kind."""
+    curvatures (m,) of surface i at s[i], through one array pass of each
+    kind's `stack_type`.  It holds the one domain check: an arc length
+    within 1e-9 widths of its domain is clamped into it, and the first
+    surface whose arc length is outside that slack, or NaN, raises a
+    `DomainError`."""
 
     def __init__(self, surfaces):
         self.surfaces = tuple(surfaces)
@@ -311,15 +284,18 @@ class SurfaceStack:
         self.lower, self.upper = s_min - slack, s_max + slack
         groups: dict = {}
         for i, surf in enumerate(self.surfaces):
-            groups.setdefault(_STACKS.get(type(surf), _ScalarStack), []).append(i)
+            groups.setdefault(surf.stack_type, []).append(i)
         self.kinds = [(np.array(index), stack([self.surfaces[i] for i in index]))
                       for stack, index in groups.items()]
 
     def frames_at(self, s: np.ndarray):
-        outside = (s < self.lower) | (s > self.upper)
+        # "not inside", so that NaN is outside too
+        outside = ~((s >= self.lower) & (s <= self.upper))
         if outside.any():
             i = int(np.argmax(outside))
-            raise self.surfaces[i]._domain_error(float(s[i]))
+            surf = self.surfaces[i]
+            raise DomainError(f"arc length {float(s[i])} outside "
+                              f"[{surf.s_min}, {surf.s_max}] of {surf.kind}")
         s = np.minimum(np.maximum(s, self.s_min), self.s_max)
         if len(self.kinds) == 1:
             return self.kinds[0][1].frames_at(s)

@@ -78,19 +78,11 @@ def check_geometry_identities(rng: np.random.Generator):
     return rows
 
 
-def _design_surfaces(design: MechanismDesign):
-    seen = []
-    for link in design.links:
-        for surf in (link.parent_surface, link.child_surface):
-            if surf is not None and all(surf is not s for s in seen):
-                seen.append(surf)
-    return seen
-
-
 def check_surface_ode(design: MechanismDesign):
     rows = []
     worst_ratio_err = worst_speed = 0.0
-    for surf in _design_surfaces(design):
+    # each distinct surface of the design's stack, shared ones once
+    for surf in dict.fromkeys(design.surface_stack.surfaces):
         margin = 0.05 * surf.width
         grid = np.linspace(surf.s_min + margin, surf.s_max - margin, 20)
         for s in grid:

@@ -190,6 +190,29 @@ def test_verify_two_link_design(tmp_path):
     assert main(["verify", "--design", str(path), "--seed", "1"]) == 0
 
 
+def test_verify_refuses_a_negative_seed(capsys):
+    assert main(["verify", "--design", str(DESIGN), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be a non-negative integer")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+def test_output_path_naming_a_file_exits_with_parse_error(tmp_path, capsys, command):
+    # the output directory cannot be made where a regular file stands
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    scenario = write_json(tmp_path / "s.json", tension_scenario([3.0, 1.0]))
+    argv = [command, "--design", str(DESIGN), "--scenario", scenario, "--out", str(taken)]
+    if command == "sweep":
+        argv += ["--sweep", write_json(tmp_path / "w.json",
+                                       {"parameter": "actuation.tau.0", "values": [3.0]})]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert taken.read_text() == "keep"
+
+
 def test_solve_exit_codes(tmp_path):
     # unreadable scenario
     assert main(["solve", "--design", str(DESIGN), "--scenario",

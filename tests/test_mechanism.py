@@ -1,10 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rolljoint.catalog import demo_five_link, polynomial_link_chain, standard_link_chain
 from rolljoint.errors import DegenerateTendonError
+from rolljoint.fileio import load_design
 from rolljoint.geometry import Pose2, coadjoint, compose, cross2, inverse, skew1
 from rolljoint.mechanism import (
     Configuration,
@@ -220,6 +222,34 @@ def test_validate_flags_missing_surfaces(chain2):
     links = (chain2.links[0], chain2.links[0])  # second link misses its parent
     problems = validate(MechanismDesign(links, Pose2.identity()))
     assert any("parent surface" in p for p in problems)
+
+
+PAPER5 = Path(__file__).resolve().parents[1] / "src" / "rolljoint" / "designs" / "paper5.json"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: load_design(PAPER5), lambda: polynomial_link_chain(3),
+    lambda: standard_link_chain(8), lambda: polynomial_link_chain(30),
+], ids=["paper5", "poly3", "chain8", "poly30"])
+def test_characteristic_length_is_the_mean_link_diameter(build, monkeypatch):
+    # building a design and reading its characteristic length look no
+    # surface up one at a time: the midpoints come from one stack lookup
+    calls = []
+    for kind in (CircularArc, CurvatureProfile):
+        monkeypatch.setattr(kind, "frame_at", lambda self, s, frame_at=kind.frame_at:
+                            calls.append(s) or frame_at(self, s))
+    design = build()
+    length = design.characteristic_length
+    assert calls == []
+    # the mean over links of the diameter of each link's entry points and
+    # the midpoint positions of its surfaces
+    extents = []
+    for link in design.links:
+        points = [*link.parent_points, *link.child_points]
+        points += [surf.frame_at(0.5 * (surf.s_min + surf.s_max)).translation
+                   for surf in (link.parent_surface, link.child_surface) if surf is not None]
+        extents.append(max(np.sqrt(((p - q) ** 2).sum()) for p in points for q in points))
+    assert length == float(np.mean(extents))
 
 
 def test_forward_poses_rejects_out_of_domain(paper5):

@@ -1,3 +1,4 @@
+import bisect
 import math
 import re
 
@@ -10,8 +11,10 @@ from numpy.polynomial.polynomial import polyval
 from rolljoint.catalog import polynomial_link_chain, standard_link_chain
 from rolljoint.errors import DomainError
 from rolljoint.geometry import Pose2, Twist2, compose, exp_twist
-from rolljoint.mechanism import pose_difference
-from rolljoint.surface import PROFILE_STEPS, CircularArc, CurvatureProfile, SurfaceStack
+from rolljoint.mechanism import forward_poses, pose_difference
+from rolljoint.surface import (
+    PROFILE_STEPS, CircularArc, ContactSurface, CurvatureProfile, SurfaceStack,
+)
 
 
 def make_arc(radius=10.0, sign=1, half=5.0):
@@ -46,13 +49,37 @@ def stacked_lookup(surf, s):
     return angle[0], translation[0], curvature[0]
 
 
-def assert_matches_scalar(surf, s, angle, translation, curvature):
-    # the stack repeats the scalar arithmetic; the tolerance only allows for
-    # a numpy sine or cosine that rounds differently from the math module's
-    frame = surf.frame_at(s)
-    np.testing.assert_allclose(angle, frame.angle, rtol=1e-15, atol=1e-15)
-    np.testing.assert_allclose(translation, frame.translation, rtol=1e-15, atol=1e-14)
-    assert curvature == surf.curvature_at(s)
+def closed_form_arc(arc, s):
+    """(angle, x, y, curvature) of a circular arc at s, written out in plain
+    floats with the math module's cosine and sine."""
+    phi = arc.reference_angle + arc.orientation_sign * s / arc.radius
+    return (phi + arc.orientation_sign * math.pi / 2.0,
+            arc.center[0] + arc.radius * math.cos(phi),
+            arc.center[1] + arc.radius * math.sin(phi),
+            arc.orientation_sign / arc.radius)
+
+
+def reference_lookup(surf, s):
+    """(angle, x, y, curvature) of surf at s clamped into its domain, from
+    formulas written here: an arc's closed form, or one plain-float RK4 step
+    from the last profile grid node at or below s (no step on a node), or
+    from the first node, which the running sums may leave just above s_min."""
+    s = min(max(s, surf.s_min), surf.s_max)
+    if isinstance(surf, CircularArc):
+        return closed_form_arc(surf, s)
+    coeffs = surf.curvature_coeffs.tolist()
+    nodes = surf._grid[0].tolist()
+    idx = max(bisect.bisect_right(nodes, s) - 1, 0)
+    state = surf._grid[1][:, idx].tolist()
+    if s != nodes[idx]:
+        state = plain_rk4_step(nodes[idx], state, s - nodes[idx], coeffs)
+    return (*state, float(polyval(s, coeffs)))
+
+
+def assert_matches_reference(surf, s, angle, translation, curvature):
+    # bit for bit: numpy's float64 cosine and sine round as the math
+    # module's do, which the profile grid tests below rely on too
+    assert (angle, *translation, curvature) == reference_lookup(surf, s)
 
 
 def test_arc_reference_frame():
@@ -117,7 +144,26 @@ def test_domain_error_and_slack():
             with pytest.raises(DomainError, match=re.escape(str(scalar.value))):
                 stacked_lookup(surf, s)
         edge = 5.0 + 1e-10 * surf.width
-        assert_matches_scalar(surf, edge, *stacked_lookup(surf, edge))
+        assert_matches_reference(surf, edge, *stacked_lookup(surf, edge))
+
+
+@pytest.mark.parametrize("surf", [make_arc(sign=-1), make_profile()], ids=["arc", "profile"])
+def test_nan_arc_length_is_outside_every_domain(surf):
+    with pytest.raises(DomainError, match="arc length nan outside"):
+        surf.frame_at(math.nan)
+    with pytest.raises(DomainError, match="arc length nan outside"):
+        surf.curvature_at(math.nan)
+    with pytest.raises(DomainError, match=re.escape(f"of {surf.kind}")):
+        SurfaceStack([surf, surf]).frames_at(np.array([0.0, math.nan]))
+
+
+@pytest.mark.parametrize("design", [standard_link_chain(5), polynomial_link_chain(3)],
+                         ids=["arc", "profile"])
+def test_forward_poses_refuse_a_nan_arc_length(design):
+    s = np.zeros(design.joint_count)
+    s[-1] = math.nan
+    with pytest.raises(DomainError, match="arc length nan outside"):
+        forward_poses(design, s)
 
 
 def test_profile_matches_curvature_polynomial():
@@ -321,7 +367,8 @@ def _lookup_samples(surf, rng):
 
 def test_stacked_lookup_matches_scalar_frames():
     # one stack over every catalog surface kind, mixed and repeated as in a
-    # chain, against each surface's own frame_at and curvature_at
+    # chain, and each surface's own frame_at and curvature_at, against the
+    # plain-float reference frames
     surfaces = list(CATALOG_SURFACES.values()) * 2
     rng = np.random.default_rng(8)
     samples = [_lookup_samples(surf, rng) for surf in surfaces]
@@ -330,7 +377,10 @@ def test_stacked_lookup_matches_scalar_frames():
         s = np.array([column[k % len(column)] for column in samples])
         angle, translation, curvature = stack.frames_at(s)
         for i, surf in enumerate(surfaces):
-            assert_matches_scalar(surf, s[i], angle[i], translation[i], curvature[i])
+            assert_matches_reference(surf, s[i], angle[i], translation[i], curvature[i])
+            frame = surf.frame_at(s[i])
+            assert_matches_reference(surf, s[i], frame.angle, frame.translation,
+                                     surf.curvature_at(s[i]))
     # at a grid node both take the stored state, with no step and no cosine
     profiles = [surf for surf in surfaces if isinstance(surf, CurvatureProfile)]
     for k in range(12):
@@ -353,16 +403,51 @@ def test_stacked_lookup_names_the_first_surface_out_of_its_domain():
             SurfaceStack(surfaces).frames_at(s)
 
 
-def test_other_surface_kinds_are_stacked_through_their_own_lookups():
-    # a surface type the stack has no array form for keeps working through
-    # its frame_at and curvature_at
+def seeded_arc(rng, sign):
+    s_min = rng.uniform(-20.0, 5.0)
+    return CircularArc(center=rng.uniform(-30.0, 30.0, 2), radius=rng.uniform(1.0, 60.0),
+                       reference_angle=rng.uniform(-4.0, 4.0), orientation_sign=sign,
+                       s_min=s_min, s_max=s_min + rng.uniform(0.5, 25.0))
+
+
+def test_arc_frames_follow_the_closed_form():
+    # the catalog arcs and seeded arcs of both orientations, through
+    # frame_at, curvature_at and one stack of all of them
+    rng = np.random.default_rng(33)
+    arcs = [surf for surf in CATALOG_SURFACES.values() if isinstance(surf, CircularArc)]
+    arcs += [seeded_arc(rng, sign) for sign in (1, -1) for _ in range(20)]
+    samples = [_lookup_samples(arc, rng) for arc in arcs]
+    stack = SurfaceStack(arcs)
+    for k in range(len(samples[0])):
+        s = np.array([column[k] for column in samples])
+        angle, translation, curvature = stack.frames_at(s)
+        for i, arc in enumerate(arcs):
+            expected = closed_form_arc(arc, min(max(s[i], arc.s_min), arc.s_max))
+            frame = arc.frame_at(s[i])
+            assert (angle[i], *translation[i], curvature[i]) == expected
+            assert (frame.angle, *frame.translation, arc.curvature_at(s[i])) == expected
+
+
+def test_a_kind_is_looked_up_through_its_own_array_stack():
+    # a subclass of a kind inherits the kind's array lookup, and is stacked
+    # with the kind's other surfaces in one pass
     class OwnArc(CircularArc):
         pass
 
     arc = make_arc(sign=-1)
     own = OwnArc(**{name: getattr(arc, name) for name in (
         "center", "radius", "reference_angle", "orientation_sign", "s_min", "s_max")})
+    stack = SurfaceStack([own, arc, own])
+    assert len(stack.kinds) == 1 and own.stack_type is arc.stack_type
     s = np.array([-4.0, 1.5, 5.0 + 1e-10 * arc.width])
-    angle, translation, curvature = SurfaceStack([own, arc, own]).frames_at(s)
+    angle, translation, curvature = stack.frames_at(s)
     for i, surf in enumerate((own, arc, own)):
-        assert_matches_scalar(surf, s[i], angle[i], translation[i], curvature[i])
+        assert_matches_reference(surf, s[i], angle[i], translation[i], curvature[i])
+
+    # a kind with no array lookup is refused when constructed
+    class Unstacked(ContactSurface):
+        kind = "unstacked"
+        s_min, s_max = -1.0, 1.0
+
+    with pytest.raises(TypeError, match="stack_type"):
+        Unstacked()
