@@ -1,9 +1,10 @@
 """Command-line front end: solve, sweep and verify.
 
-Exit codes: 0 success, 2 parse/validation error, 3 no convergence,
-another solver error or a non-finite result (report.json is strict JSON and
-never holds NaN), 4 contact rolled off a surface domain, 5 verification
-failure.
+Exit codes: 0 success, 2 parse/validation error or an output file or
+directory that cannot be made or written (a sweep stops at that item,
+without sweep.csv), 3 no convergence, another solver error or a non-finite
+result (report.json is strict JSON and never holds NaN), 4 contact rolled
+off a surface domain, 5 verification failure.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from .errors import ContactRolloffError, RolljointError, SolveError
 from .fileio import (
     ParseError,
     Scenario,
+    _require,
     load_design,
     load_scenario,
+    read_json,
     scenario_from_dict,
     set_by_path,
     strict_json,
@@ -96,29 +99,8 @@ def read_solution_csv(path: Path):
     return np.array(poses), np.array(svals)
 
 
-def _report_dict(scenario: Scenario, tau, lengths, extra: dict) -> dict:
-    data = {
-        "mode": scenario.mode,
-        "tau_N": [float(t) for t in tau],
-        "lengths_mm": [float(v) for v in lengths],
-    }
-    data.update(extra)
-    return data
-
-
 def _write_report(path: Path, data: dict) -> None:
     path.write_text(strict_json(data, indent=2, sort_keys=True) + "\n")
-
-
-def _write_solved(out_dir: Path, design: MechanismDesign, scenario: Scenario,
-                  config: Configuration, tau, extra: dict) -> None:
-    """report.json (`ok`) and solution.csv of one solved scenario; a
-    non-finite report value raises NonFiniteResultError before either file
-    is written."""
-    lengths = tendon_lengths(design, config)
-    extra["status"] = "ok"
-    _write_report(out_dir / "report.json", _report_dict(scenario, tau, lengths, extra))
-    write_solution_csv(out_dir / "solution.csv", config, lengths)
 
 
 def _solve_scenario(design: MechanismDesign, scenario: Scenario,
@@ -155,46 +137,24 @@ def _solve_scenario(design: MechanismDesign, scenario: Scenario,
     return config, tau, extra, None
 
 
-def _failure(exc: RolljointError) -> tuple[str, int]:
-    """report.json status and exit code of a failed solve."""
-    if isinstance(exc, ContactRolloffError):
-        return "contact_rolloff", EXIT_ROLLOFF
-    if isinstance(exc, SolveError):
-        return "no_convergence", EXIT_NO_CONVERGENCE
-    return "solve_error", EXIT_NO_CONVERGENCE
-
-
 def cmd_solve(args) -> int:
     try:
         design = load_design(args.design)
         scenario = load_scenario(args.scenario)
         check_targets(scenario.loads, design.n)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (ParseError, OSError, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    try:
-        config, tau, extra, _ = _solve_scenario(design, scenario)
-        _write_solved(out_dir, design, scenario, config, tau, extra)
-    except RolljointError as exc:
-        status, code = _failure(exc)
-        _write_failure(out_dir, scenario, status, str(exc))
-        print(f"error: {exc}", file=sys.stderr)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result, _, code = _solve_into(out_dir, design, scenario)
+    if code != EXIT_OK:
+        print(f"error: {result}", file=sys.stderr)
         return code
-
     if args.svg:
-        (out_dir / "config.svg").write_text(
-            render_svg(design, [config], scenario.loads)
-        )
+        (out_dir / "config.svg").write_text(render_svg(design, [result[0]], [scenario.loads]))
     log.info("solved %s -> %s", args.scenario, out_dir)
     return EXIT_OK
-
-
-def _write_failure(out_dir: Path, scenario: Scenario, status: str, message: str) -> None:
-    _write_report(out_dir / "report.json", {
-        "mode": scenario.mode, "status": status, "message": message,
-    })
 
 
 def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
@@ -223,15 +183,39 @@ def _solve_warm(design: MechanismDesign, scenario: Scenario, previous):
     return _solve_scenario(design, scenario)
 
 
+def _solve_into(out_dir: Path, design: MechanismDesign, scenario: Scenario,
+                previous=None):
+    """Solve one scenario by `_solve_warm` (cold without `previous`) and
+    write its files into `out_dir`: report.json (status `ok`) and
+    solution.csv, or the failure report.json; a non-finite report value
+    fails the solve before either file is written.  Returns (what
+    `_solve_scenario` returns or the error, status, exit code)."""
+    try:
+        result = config, tau, extra, _ = _solve_warm(design, scenario, previous)
+        lengths = tendon_lengths(design, config)
+        _write_report(out_dir / "report.json", {
+            **extra, "mode": scenario.mode, "status": "ok",
+            "tau_N": tau.tolist(), "lengths_mm": lengths.tolist()})
+        write_solution_csv(out_dir / "solution.csv", config, lengths)
+        return result, "ok", EXIT_OK
+    except RolljointError as exc:
+        rolloff = isinstance(exc, ContactRolloffError)
+        status = "contact_rolloff" if rolloff else (
+            "no_convergence" if isinstance(exc, SolveError) else "solve_error")
+        _write_report(out_dir / "report.json",
+                      {"mode": scenario.mode, "status": status, "message": str(exc)})
+        return exc, status, EXIT_ROLLOFF if rolloff else EXIT_NO_CONVERGENCE
+
+
 def cmd_sweep(args) -> int:
     try:
         design = load_design(args.design)
-        template = json.loads(Path(args.scenario).read_text())
-        sweep = json.loads(Path(args.sweep).read_text())
+        template = read_json(args.scenario, "scenario")
+        sweep = read_json(args.sweep, "sweep")
         if not isinstance(sweep, dict) or not isinstance(sweep.get("parameter"), str):
             raise ParseError('a sweep file is {"parameter": path, "values": [...]}')
         parameter = sweep["parameter"]
-        values = sweep["values"]
+        values = _require(sweep, "values", "sweep file")
         if not isinstance(values, list) or not values:
             raise ParseError("sweep needs a non-empty list of values")
         scenarios = []
@@ -246,41 +230,37 @@ def cmd_sweep(args) -> int:
             scenario = scenario_from_dict(item)
             check_targets(scenario.loads, design.n)
             scenarios.append(scenario)
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (ParseError, KeyError, OSError, ValueError) as exc:
+    except (ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    out_dir = Path(args.out)
+    item_dirs = [out_dir / f"item_{idx:03d}" for idx in range(len(values))]
+    for item_dir in item_dirs:
+        item_dir.mkdir(parents=True, exist_ok=True)
 
     lines = ["index,value,status,tip_x_mm,tip_y_mm,tip_theta_rad,iterations,residual"]
-    solved: list[Configuration] = []
+    solved = []
     previous = None
     # items run in order, each warm-started from the last solution found
     for idx, (value, scenario) in enumerate(zip(values, scenarios)):
-        item_dir = out_dir / f"item_{idx:03d}"
-        item_dir.mkdir(exist_ok=True)
-        try:
-            config, tau, extra, blocks = _solve_warm(design, scenario, previous)
-            _write_solved(item_dir, design, scenario, config, tau, extra)
-        except RolljointError as exc:
-            status, _ = _failure(exc)
-            _write_failure(item_dir, scenario, status, str(exc))
+        result, status, _ = _solve_into(item_dirs[idx], design, scenario, previous)
+        if status != "ok":
             lines.append(f"{idx},{_fmt_value(value)},{status},,,,,")
             continue
+        config, tau, extra, blocks = result
         tip = [*config.link_translations[-1].tolist(), config.link_angles[-1]]
         lines.append(",".join([
             str(idx), _fmt_value(value), "ok", *map(_fmt, tip),
             str(extra.get("iterations", extra.get("outer_iterations", 0))),
             _fmt(extra["final_residual_norm"]),
         ]))
-        solved.append(config)
+        solved.append((config, scenario.loads))
         previous = config, tau, scenario, blocks
     (out_dir / "sweep.csv").write_text("\n".join(lines) + "\n")
 
     if args.svg and solved:
-        (out_dir / "sweep.svg").write_text(
-            render_svg(design, solved, scenarios[0].loads)
-        )
+        configs, loads = zip(*solved)
+        (out_dir / "sweep.svg").write_text(render_svg(design, configs, loads))
     return EXIT_OK if len(solved) == len(values) else EXIT_NO_CONVERGENCE
 
 
@@ -343,7 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

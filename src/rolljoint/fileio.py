@@ -9,7 +9,7 @@ given in gram-force via "tau_gram" and are converted with g = 9.80665 m/s^2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
 
@@ -164,12 +164,16 @@ def design_to_dict(design: MechanismDesign) -> dict:
     }
 
 
-def load_design(path) -> MechanismDesign:
+def read_json(path, what: str):
+    """The JSON value of a `what` file; one unreadable or not JSON is a ParseError."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read design file {path}: {exc}") from exc
-    return design_from_dict(data)
+        raise ParseError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_design(path) -> MechanismDesign:
+    return design_from_dict(read_json(path, "design"))
 
 
 def strict_json(data, **kwargs) -> str:
@@ -226,8 +230,8 @@ def _load_from_dict(entry: dict, index: int) -> ExternalLoad:
     raise ParseError(f"{where}: unknown variant '{variant}'")
 
 
-_SOLVER_KEYS = frozenset(("tol_residual", "max_iters"))
-_DISPLACEMENT_KEYS = frozenset(("grad_tol", "max_outer_iters", "tension_floor"))
+_SOLVER_KEYS = frozenset(f.name for f in fields(SolverOptions))
+_DISPLACEMENT_KEYS = frozenset(f.name for f in fields(DisplacementOptions)) - {"inner"}
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -284,11 +288,7 @@ def scenario_from_dict(data: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read scenario file {path}: {exc}") from exc
-    return scenario_from_dict(data)
+    return scenario_from_dict(read_json(path, "scenario"))
 
 
 def set_by_path(data: Any, path: str, value: Any) -> None:

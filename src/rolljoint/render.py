@@ -94,7 +94,9 @@ def _load_arrows(design: MechanismDesign, config: Configuration, loads, scale: f
 
 def render_svg(design: MechanismDesign, configs, loads=()) -> str:
     """SVG text showing one or more configurations (link outlines, tendon
-    polylines, load arrows with length proportional to magnitude)."""
+    polylines, load arrows with length proportional to magnitude).  `loads`
+    holds one tuple of loads per configuration, drawn on it; none when
+    empty."""
     configs = list(configs)
     points, owners, ends = _body_points(design)
     world = _world_points(configs, points, owners)
@@ -111,14 +113,12 @@ def render_svg(design: MechanismDesign, configs, loads=()) -> str:
                 elements.append(_polyline(coords[start:end], "#555555", 0.3, dash="1,1"))
 
     span = max(float(world.max() - world.min()), 1.0)
-    max_force = max(
-        [float(np.linalg.norm(load.wrench.f)) for load in loads if hasattr(load, "wrench")]
-        + [1.0]
-    )
+    max_force = max([float(np.linalg.norm(load.wrench.f)) for config_loads in loads
+                     for load in config_loads if hasattr(load, "wrench")] + [1.0])
     arrow_scale = 0.25 * span / max_force
     arrow_points = []
-    for config in configs:
-        for start, end in _load_arrows(design, config, loads, arrow_scale):
+    for config, config_loads in zip(configs, loads):
+        for start, end in _load_arrows(design, config, config_loads, arrow_scale):
             elements.append(_polyline(_coords(np.array([start, end])), "#ff7f0e", 0.8))
             arrow_points += [start, end]
 

@@ -99,12 +99,13 @@ def reference_render_svg(design, configs, loads=()):
     pts = np.array(all_points)
     span = max(float(pts.max() - pts.min()), 1.0)
     max_force = max(
-        [float(np.linalg.norm(load.wrench.f)) for load in loads if hasattr(load, "wrench")]
+        [float(np.linalg.norm(load.wrench.f))
+         for config_loads in loads for load in config_loads if hasattr(load, "wrench")]
         + [1.0]
     )
     arrow_scale = 0.25 * span / max_force
-    for config in configs:
-        for start, end in _load_arrows(design, config, loads, arrow_scale):
+    for config, config_loads in zip(configs, loads):
+        for start, end in _load_arrows(design, config, config_loads, arrow_scale):
             elements.append(polyline([start, end], "#ff7f0e", 0.8))
             all_points.extend([start, end])
 

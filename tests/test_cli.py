@@ -197,20 +197,36 @@ def test_verify_refuses_a_negative_seed(capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("command", ["solve", "sweep"])
-def test_output_path_naming_a_file_exits_with_parse_error(tmp_path, capsys, command):
-    # the output directory cannot be made where a regular file stands
-    taken = tmp_path / "taken"
+@pytest.mark.parametrize("command, blocked, directory", [
+    ("solve", "", False),
+    ("sweep", "", False),
+    ("sweep", "item_000", False),
+    ("solve", "report.json", True),
+    ("sweep", "item_001/solution.csv", True),
+], ids=["solve", "sweep", "sweep_item_dir", "solve_report_json", "sweep_item_solution_csv"])
+def test_output_path_naming_a_file_exits_with_parse_error(tmp_path, capsys, command, blocked,
+                                                          directory):
+    # an output directory cannot be made where a regular file stands, nor an
+    # output file written where a directory stands; either leaves the
+    # blocking entry as it was, and a sweep stops without sweep.csv
+    out = tmp_path / "taken"
+    taken = out / blocked
+    taken.parent.mkdir(parents=True, exist_ok=True)
+    if directory:
+        taken.mkdir()
+        taken = taken / "kept"
     taken.write_text("keep")
     scenario = write_json(tmp_path / "s.json", tension_scenario([3.0, 1.0]))
-    argv = [command, "--design", str(DESIGN), "--scenario", scenario, "--out", str(taken)]
+    argv = [command, "--design", str(DESIGN), "--scenario", scenario, "--out", str(out)]
     if command == "sweep":
         argv += ["--sweep", write_json(tmp_path / "w.json",
-                                       {"parameter": "actuation.tau.0", "values": [3.0]})]
+                                       {"parameter": "actuation.tau.0", "values": [3.0, 2.0]})]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert taken.read_text() == "keep"
+    assert not directory or list(taken.parent.iterdir()) == [taken]
+    assert not (out / "sweep.csv").exists()
 
 
 def test_solve_exit_codes(tmp_path):
@@ -350,13 +366,14 @@ def _set_design_value(data, path, value):
     # is not link 1 (the fixed base, whose loads are ignored)
     (None, {"parameter": "loads.0.target_link", "values": [4.7]}, "target_link"),
     (None, {"parameter": "loads.0.target_link", "values": [True]}, "target_link"),
+    (None, {"parameter": "actuation.tau.0"}, "missing 'values' in sweep file"),
     ({"links": [1, 2]}, None, None),
     ({**design_to_dict(demo_five_link()), "base_pose": {"angle": "x"}}, None, None),
     # a fractional sign would otherwise be truncated to +1 and pass verify
     (_set_design_value(design_to_dict(demo_five_link()),
                        "links.1.parent_surface.orientation_sign", 1.9), None, "orientation_sign"),
 ], ids=["sweep_list", "sweep_load_index", "sweep_tau_index", "sweep_fractional_target_link",
-        "sweep_bool_target_link", "design_link_not_object", "design_pose_angle",
+        "sweep_bool_target_link", "sweep_no_values", "design_link_not_object", "design_pose_angle",
         "design_fractional_orientation_sign"])
 def test_malformed_file_structure_exits_with_parse_error(tmp_path, capsys, design, sweep, field):
     # design cases run `verify`, sweep cases `sweep` on the shipped design

@@ -38,8 +38,8 @@ def test_shipped_scenario_svg_matches_reference(name):
     design = load_design(DESIGN)
     scenario = load_scenario(ROOT / "scenarios" / name)
     config, *_ = cli._solve_scenario(design, scenario)
-    assert render_svg(design, [config], scenario.loads) == reference_render_svg(
-        design, [config], scenario.loads)
+    assert render_svg(design, [config], [scenario.loads]) == reference_render_svg(
+        design, [config], [scenario.loads])
 
 
 @pytest.mark.parametrize("scenario, sweep", SWEEPS, ids=[s for _, s in SWEEPS])
@@ -62,11 +62,11 @@ def test_shipped_sweep_svg_matches_reference(tmp_path, monkeypatch, scenario, sw
 
 
 def test_loaded_six_configuration_svg_matches_reference(paper5):
-    configs = []
-    for k in range(6):
-        loads = (ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (0.25 * k, 0.0)),
-                                   attach=(1.0, -2.0)),)
-        configs.append(solve_tension(paper5, (6.0, 3.0), loads)[0])
+    configs, loads = [], []
+    for k in range(1, 7):
+        loads.append((ConstantWorkspace(target_link=5, wrench=Wrench2(0.0, (0.25 * k, 0.0)),
+                                        attach=(1.0, -2.0)),))
+        configs.append(solve_tension(paper5, (6.0, 3.0), loads[-1])[0])
     svg = render_svg(paper5, configs, loads)
     assert svg.count('stroke="#ff7f0e"') == 6
     assert svg == reference_render_svg(paper5, configs, loads)
@@ -94,7 +94,7 @@ def test_spring_and_body_load_arrows(paper5):
     loads = (LinearSpring(target_link=3, stiffness=0.05, anchor=(20.0, 60.0)),
              ConstantBody(target_link=5, wrench=Wrench2(0.0, (0.5, -2.0))))
     configs = [solve_tension(paper5, tau, loads)[0] for tau in ((3.0, 1.0), (1.0, 2.0))]
-    svg = render_svg(paper5, configs, loads)
+    svg = render_svg(paper5, configs, [loads] * len(configs))
     arrows = _polylines(svg, "#ff7f0e")
     drawn = np.concatenate([line for stroke in ("#1f77b4", "#d62728", "#555555")
                             for line in _polylines(svg, stroke)])
@@ -109,3 +109,17 @@ def test_spring_and_body_load_arrows(paper5):
     assert len(arrows) == 4
     np.testing.assert_allclose(np.array(arrows), np.array(expected), rtol=0, atol=1e-9)
 
+
+
+def test_sweep_svg_draws_each_pose_with_its_own_loads(tmp_path):
+    # the README pull sweep: item 0 pulls with 0 N and draws no arrow; each
+    # later item draws its own pull, longer the harder it pulls
+    out = tmp_path / "sweep"
+    assert cli.main(["sweep", "--design", str(DESIGN),
+                     "--scenario", str(ROOT / "scenarios" / "tension_63_pull.json"),
+                     "--sweep", str(ROOT / "scenarios" / "sweep_pull.json"),
+                     "--out", str(out), "--svg"]) == 0
+    arrows = _polylines((out / "sweep.svg").read_text(), "#ff7f0e")
+    assert len(arrows) == 6
+    lengths = [float(np.linalg.norm(end - start)) for start, end in arrows]
+    assert all(b > a for a, b in zip(lengths, lengths[1:]))
