@@ -4,7 +4,7 @@ All builders produce upright chains: each link spans one `pitch` vertically
 in its own frame, with the parent contact apex at the bottom, the child
 contact apex at the top and tendon channels at x = +-channel_x.  At equal
 tensions and no load the straight stack (all s = 0) is the symmetric
-equilibrium.
+equilibrium.  Both chain families share one link layout, `_chain`.
 """
 
 from __future__ import annotations
@@ -16,28 +16,37 @@ from .mechanism import LinkDesign, MechanismDesign
 from .surface import CircularArc, CurvatureProfile
 
 
-def _child_arc(pitch: float, radius: float, half_domain: float) -> CircularArc:
-    # convex top surface: frame x tangent (pointing +x at the apex), y up
+def _arc(pitch: float, radius: float, half_domain: float, side: int) -> CircularArc:
+    # side +1: convex top (child) surface, frame x tangent pointing +x at the apex;
+    # side -1: the bottom (parent) one, same at contact; centre y is +0.0 at radius = pitch/2
     return CircularArc(
-        center=(0.0, pitch / 2.0 - radius),
+        center=(0.0, side * pitch / 2.0 - side * radius),
         radius=radius,
-        reference_angle=math.pi / 2.0,
-        orientation_sign=-1,
+        reference_angle=side * math.pi / 2.0,
+        orientation_sign=-side,
         s_min=-half_domain,
         s_max=half_domain,
     )
 
 
-def _parent_arc(pitch: float, radius: float, half_domain: float) -> CircularArc:
-    # convex bottom surface sharing the child frame convention at contact
-    return CircularArc(
-        center=(0.0, -pitch / 2.0 + radius),
-        radius=radius,
-        reference_angle=-math.pi / 2.0,
-        orientation_sign=1,
-        s_min=-half_domain,
-        s_max=half_domain,
+def _chain(surfaces, channel_x: float, entry_y: float, base_pose: Pose2 | None) -> MechanismDesign:
+    """One link per (parent, child) surface pair, named link1, link2, ...;
+    tendons enter at (+-channel_x, -entry_y) below and (+-channel_x, entry_y) above."""
+    if len(surfaces) < 2:
+        raise ValueError("a mechanism needs at least two links")
+    links = tuple(
+        LinkDesign(
+            name=f"link{k + 1}",
+            parent_surface=parent,
+            child_surface=child,
+            p_l=(-channel_x, -entry_y),
+            p_r=(channel_x, -entry_y),
+            c_l=(-channel_x, entry_y),
+            c_r=(channel_x, entry_y),
+        )
+        for k, (parent, child) in enumerate(surfaces)
     )
+    return MechanismDesign(links, base_pose or Pose2.identity())
 
 
 def standard_link_chain(
@@ -56,29 +65,16 @@ def standard_link_chain(
     entry points away from the contact apex so the inter-link gap segments
     stay open across the working bend range.
     """
-    if n < 2:
-        raise ValueError("a mechanism needs at least two links")
     if joint_radii is None:
         joint_radii = [(18.0, 18.0)] * (n - 1)
-    if len(joint_radii) != n - 1:
+    elif n > 1 and len(joint_radii) != n - 1:   # fewer links raise in _chain
         raise ValueError("need one radius pair per joint")
-    entry_y = pitch / 2.0 - entry_inset
-    links = []
-    for k in range(n):
-        parent = None if k == 0 else _parent_arc(pitch, joint_radii[k - 1][1], half_domain)
-        child = None if k == n - 1 else _child_arc(pitch, joint_radii[k][0], half_domain)
-        links.append(
-            LinkDesign(
-                name=f"link{k + 1}",
-                parent_surface=parent,
-                child_surface=child,
-                p_l=(-channel_x, -entry_y),
-                p_r=(channel_x, -entry_y),
-                c_l=(-channel_x, entry_y),
-                c_r=(channel_x, entry_y),
-            )
-        )
-    return MechanismDesign(tuple(links), base_pose or Pose2.identity())
+    surfaces = [
+        (None if k == 0 else _arc(pitch, joint_radii[k - 1][1], half_domain, -1),
+         None if k == n - 1 else _arc(pitch, joint_radii[k][0], half_domain, 1))
+        for k in range(n)
+    ]
+    return _chain(surfaces, channel_x, pitch / 2.0 - entry_inset, base_pose)
 
 
 def polynomial_link_chain(
@@ -91,36 +87,19 @@ def polynomial_link_chain(
     parent_coeffs=(1.0 / 17.0, 0.0, -2e-4),
     base_pose: Pose2 | None = None,
 ) -> MechanismDesign:
-    """Chain with polynomial-curvature rolling surfaces (general shapes)."""
-    if n < 2:
-        raise ValueError("a mechanism needs at least two links")
-    entry_y = pitch / 2.0 - entry_inset
-    child = CurvatureProfile(
-        reference_frame=Pose2(0.0, (0.0, pitch / 2.0)),
-        curvature_coeffs=child_coeffs,
-        s_min=-half_domain,
-        s_max=half_domain,
-    )
-    parent = CurvatureProfile(
-        reference_frame=Pose2(0.0, (0.0, -pitch / 2.0)),
-        curvature_coeffs=parent_coeffs,
-        s_min=-half_domain,
-        s_max=half_domain,
-    )
-    links = []
-    for k in range(n):
-        links.append(
-            LinkDesign(
-                name=f"link{k + 1}",
-                parent_surface=None if k == 0 else parent,
-                child_surface=None if k == n - 1 else child,
-                p_l=(-channel_x, -entry_y),
-                p_r=(channel_x, -entry_y),
-                c_l=(-channel_x, entry_y),
-                c_r=(channel_x, entry_y),
-            )
+    """Chain with polynomial-curvature rolling surfaces (general shapes);
+    every joint shares one child and one parent profile."""
+    child, parent = (
+        CurvatureProfile(
+            reference_frame=Pose2(0.0, (0.0, side * pitch / 2.0)),
+            curvature_coeffs=coeffs,
+            s_min=-half_domain,
+            s_max=half_domain,
         )
-    return MechanismDesign(tuple(links), base_pose or Pose2.identity())
+        for side, coeffs in ((1, child_coeffs), (-1, parent_coeffs))
+    )
+    surfaces = [(None if k == 0 else parent, None if k == n - 1 else child) for k in range(n)]
+    return _chain(surfaces, channel_x, pitch / 2.0 - entry_inset, base_pose)
 
 
 def demo_five_link() -> MechanismDesign:

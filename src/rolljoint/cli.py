@@ -34,7 +34,7 @@ from .fileio import (
 )
 from .loads import check_targets
 from .mechanism import Configuration, MechanismDesign, tendon_lengths
-from .render import render_svg
+from .render import _fmt, render_svg
 from .solver_displacement import solve_displacement
 from .solver_tension import solve_tension, tangent_start
 
@@ -45,10 +45,6 @@ EXIT_ROLLOFF = 4
 EXIT_VERIFY_FAILED = 5
 
 log = logging.getLogger("rolljoint")
-
-
-def _fmt(value: float) -> str:
-    return f"{float(value):.12g}"
 
 
 def _fmt_value(value) -> str:

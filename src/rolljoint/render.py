@@ -18,7 +18,8 @@ _SURFACE_SAMPLES = 24
 
 
 def _fmt(value: float) -> str:
-    return f"{value:.12g}"
+    """12 significant digits: the one number format of every output file."""
+    return f"{float(value):.12g}"
 
 
 _COORD = "{:.12g},{:.12g}".format

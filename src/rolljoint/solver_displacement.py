@@ -56,7 +56,9 @@ arrays are the elimination's columns and the balance rows.
 Only the start is an equilibrium solve: `solve_tension` at `tau_init`.  The
 descent stops at an iterate whose scaled residual is within the inner
 `tol_residual` and whose gradient e^T J is within `grad_tol` (relative to
-max(1, ||e|| ||J||)); both are read from that step's own elimination.
+max(1, ||e|| ||J||)); both are read from that step's own elimination.  A
+balanced iterate whose first trial rounds to no tension change is stationary
+and stops converged; a zero step after a rejection stops it unconverged.
 
 The start does not depend on the target lengths: it is the equilibrium at
 `tau_init`, its tendon lengths, its balance rows and its first elimination,
@@ -239,7 +241,9 @@ def solve_displacement(
 
     An unloaded chain's J has rank 1 (J tau = 0), so an unreachable target
     stops on the gradient test at a least-squares point: `converged` then
-    means stationary, and `length_error_mm` says how far the target was missed."""
+    means stationary, and `length_error_mm` says how far the target was missed.
+    A balanced iterate whose first tension step rounds to no change ends the
+    descent as stationary too."""
     opts = opts or DisplacementOptions()
     l_des = np.asarray(l_des, dtype=float)
     tau = np.asarray(tau_init, dtype=float)
@@ -273,8 +277,8 @@ def solve_displacement(
         grad_norm = math.sqrt(g0 * g0 + g1 * g1)
         jac_sq = j00 * j00 + j01 * j01 + j10 * j10 + j11 * j11
         scale = max(1.0, math.sqrt((e0 * e0 + e1 * e1) * jac_sq))
-        converged = (residual_norm(rows, np.inf) <= opts.inner.tol_residual
-                     and grad_norm <= opts.grad_tol * scale)
+        balanced = residual_norm(rows, np.inf) <= opts.inner.tol_residual
+        converged = balanced and grad_norm <= opts.grad_tol * scale
         if converged or outer == opts.max_outer_iters:
             break
         # the tension step lowers the linearized error r = e + L ds0
@@ -293,7 +297,7 @@ def solve_displacement(
                   (n01, j01 * j01 + j11 * j11 if free1 else 0.0))
 
         accepted = False
-        for _ in range(MAX_BACKTRACKS + 1):
+        for retry in range(MAX_BACKTRACKS + 1):
             d0, d1 = damped_step(normal, (g0, g1), alpha)
             # max(x, floor) keeps a NaN x, as np.maximum does
             u0, u1 = max(t0 - d0, floor), max(t1 - d1, floor)
@@ -304,6 +308,9 @@ def solve_displacement(
                         "descent pinned both tensions at the floor",
                         configuration=config,
                     )
+                # no representable tension change is left: a balanced
+                # iterate is stationary, unless the step was already damped
+                converged = balanced and retry == 0
                 break
             update = etas @ np.array((1.0, step0, step1))
             try:

@@ -51,6 +51,11 @@ def test_shipped_design_matches_catalog():
         assert type(a.child_surface) is type(b.child_surface)
 
 
+def test_catalog_writes_the_shipped_design_byte_for_byte(tmp_path):
+    save_design(demo_five_link(), tmp_path / "paper5.json")
+    assert (tmp_path / "paper5.json").read_bytes() == DESIGN.read_bytes()
+
+
 def test_solve_equal_tensions_straight_csv(tmp_path):
     scenario = write_json(tmp_path / "s.json", tension_scenario([1.0, 1.0]))
     out = tmp_path / "out"

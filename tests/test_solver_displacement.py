@@ -328,6 +328,59 @@ def test_collapsed_tendon_trial_is_a_rejected_trial(monkeypatch):
     assert report.backtrack_count == plain.backtrack_count + 1
     assert report.length_error_mm <= 1e-6
 
+def test_reached_target_whose_step_rounds_to_zero_is_stationary(poly3):
+    # a benchmark request (seed 116, request 195): after 4 steps the lengths
+    # are 1e-11 mm from the target and the balance is within tolerance, but
+    # the gradient is above grad_tol and the next damped step rounds to no
+    # tension change; no representable step is left, so the descent converged
+    generator, _ = solve_tension(poly3, (2.0212139499897717, 1.4666997748943178))
+    _, config, report = solve_displacement(poly3, tendon_lengths(poly3, generator))
+    assert report.converged and report.outer_iterations == 4
+    assert report.gradient_norm > DisplacementOptions().grad_tol
+    assert report.length_error_mm < 1e-10
+    assert max_pose_error(generator.poses, config.poses) < 1e-9
+
+
+@pytest.mark.parametrize("balanced", [True, False])
+def test_zero_first_step_is_stationary_only_where_balanced(monkeypatch, balanced):
+    # with every damped step rounding to no tension change, the balanced
+    # start is stationary; a start off balance is stuck
+    design = demo_five_link()
+    target = tendon_lengths(design, solve_tension(design, (2.5, 1.0))[0])
+    monkeypatch.setattr(solver_displacement, "damped_step", lambda *args: (0.0, 0.0))
+    if not balanced:
+        rows = solver_displacement.block_residual
+        monkeypatch.setattr(solver_displacement, "block_residual", lambda *args: rows(*args) + 1.0)
+        with pytest.raises(NoConvergenceError):
+            solve_displacement(design, target)
+        return
+    tau, _, report = solve_displacement(design, target)
+    assert report.converged and report.outer_iterations == 1
+    np.testing.assert_array_equal(tau, (1.0, 1.0))
+
+
+def test_zero_step_after_a_rejection_stays_unconverged(monkeypatch):
+    # the first trial collapses a tendon and is rejected, and its damped
+    # retry rounds to no tension change: the step is stuck, not stationary
+    design = demo_five_link()
+    target = tendon_lengths(design, solve_tension(design, (2.5, 1.0))[0])
+    damped = solver_displacement.damped_step
+    steps = []
+
+    def collapsing(*args):
+        raise DegenerateTendonError("gap segment collapsed")
+
+    def vanishing_after_the_first(normal, grad, alpha):
+        steps.append(alpha)
+        return damped(normal, grad, alpha) if len(steps) == 1 else (0.0, 0.0)
+
+    monkeypatch.setattr(solver_displacement, "evaluate", collapsing)
+    monkeypatch.setattr(solver_displacement, "damped_step", vanishing_after_the_first)
+    with pytest.raises(NoConvergenceError) as info:
+        solve_displacement(design, target)
+    assert len(steps) == 2 and info.value.report.backtrack_count == 1
+
+
 def test_unloaded_iterates_build_no_per_object_values(paper5, monkeypatch):
     # each evaluated iterate is one array pass: the surfaces are looked up
     # as a stack, not through frame_at, and no Pose2 is built, since an
