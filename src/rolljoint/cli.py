@@ -12,8 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import logging
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -44,20 +42,12 @@ EXIT_NO_CONVERGENCE = 3
 EXIT_ROLLOFF = 4
 EXIT_VERIFY_FAILED = 5
 
-log = logging.getLogger("rolljoint")
-
 
 def _fmt_value(value) -> str:
     """Sweep values may be vectors; keep the CSV cell comma-free."""
     if isinstance(value, (list, tuple)):
         return ";".join(_fmt(v) for v in value)
     return _fmt(value)
-
-
-def _setup_logging() -> None:
-    level = os.environ.get("ROLLJOINT_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        format="%(levelname)s %(name)s: %(message)s")
 
 
 CSV_COLUMNS = ("link_index", "x_mm", "y_mm", "theta_rad", "s_mm",
@@ -149,7 +139,6 @@ def cmd_solve(args) -> int:
         return code
     if args.svg:
         (out_dir / "config.svg").write_text(render_svg(design, [result[0]], [scenario.loads]))
-    log.info("solved %s -> %s", args.scenario, out_dir)
     return EXIT_OK
 
 
@@ -317,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

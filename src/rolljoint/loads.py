@@ -2,9 +2,12 @@
 perturbations T -> T (I + [delta_xi]).
 
 `target_link` is 1-based (link 1 is the fixed base link), matching design
-files and solver reports.  `net_wrench` and `net_derivative` stack the loads
-of links 2..n: a load acts on link k exactly when its target_link equals k
-for some 2 <= k <= n, and loads on one link are added in the order given.
+files and solver reports.  A load maps its link's rotation matrix and
+translation to the body-frame wrench array (m, f_x, f_y) and its (3, 3)
+derivative.  `net_wrench` and `net_derivative` stack the loads of links 2..n
+of a configuration at its link-pose arrays: a load acts on link k exactly
+when its target_link equals k for some 2 <= k <= n, and loads on one link
+are added in the order given.
 """
 
 from __future__ import annotations
@@ -15,17 +18,17 @@ from numbers import Real
 import numpy as np
 
 from .errors import InvalidLoadError
-from .geometry import Pose2, Wrench2, cross2, skew2, _frozen_vec2
+from .geometry import Wrench2, cross2, rot2, skew2, _frozen_vec2
 
 
 @dataclass(frozen=True, eq=False)
 class ExternalLoad:
     target_link: int
 
-    def body_wrench(self, pose: Pose2) -> Wrench2:
+    def body_wrench(self, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def body_wrench_derivative(self, pose: Pose2) -> np.ndarray:
+    def body_wrench_derivative(self, rotation: np.ndarray, translation: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -37,10 +40,10 @@ class ConstantBody(ExternalLoad):
 
     variant = "constant_body"
 
-    def body_wrench(self, pose: Pose2) -> Wrench2:
-        return self.wrench
+    def body_wrench(self, rotation, translation):
+        return self.wrench.as_array()
 
-    def body_wrench_derivative(self, pose: Pose2) -> np.ndarray:
+    def body_wrench_derivative(self, rotation, translation):
         return np.zeros((3, 3))
 
 
@@ -57,16 +60,14 @@ class ConstantWorkspace(ExternalLoad):
     def __post_init__(self):
         object.__setattr__(self, "attach", _frozen_vec2(self.attach))
 
-    def body_wrench(self, pose: Pose2) -> Wrench2:
-        force = pose.rotation.T @ self.wrench.f
-        moment = self.wrench.m + cross2(self.attach, force)
-        return Wrench2(moment, force)
+    def body_wrench(self, rotation, translation):
+        force = rotation.T @ self.wrench.f
+        return np.array([self.wrench.m + cross2(self.attach, force), *force])
 
-    def body_wrench_derivative(self, pose: Pose2) -> np.ndarray:
+    def body_wrench_derivative(self, rotation, translation):
         # only the rotation perturbation moves the body-frame image of the
         # world-fixed force; the moment offset is constant
-        rot_t = pose.rotation.T
-        col = rot_t @ skew2(self.wrench.f)
+        col = rotation.T @ skew2(self.wrench.f)
         out = np.zeros((3, 3))
         out[0, 0] = -skew2(self.attach) @ col
         out[1:, 0] = col
@@ -87,14 +88,14 @@ class LinearSpring(ExternalLoad):
             raise ValueError("spring stiffness must be non-negative")
         object.__setattr__(self, "anchor", _frozen_vec2(self.anchor))
 
-    def body_wrench(self, pose: Pose2) -> Wrench2:
-        force = -self.stiffness * (pose.rotation.T @ (pose.translation - self.anchor))
-        return Wrench2(0.0, force)
+    def body_wrench(self, rotation, translation):
+        force = -self.stiffness * (rotation.T @ (translation - self.anchor))
+        return np.array([0.0, *force])
 
-    def body_wrench_derivative(self, pose: Pose2) -> np.ndarray:
+    def body_wrench_derivative(self, rotation, translation):
         out = np.zeros((3, 3))
-        stretch = pose.translation - self.anchor
-        out[1:, 0] = -self.stiffness * (pose.rotation.T @ skew2(stretch))
+        stretch = translation - self.anchor
+        out[1:, 0] = -self.stiffness * (rotation.T @ skew2(stretch))
         out[1:, 1:] = -self.stiffness * np.eye(2)
         return out
 
@@ -119,21 +120,24 @@ def check_targets(loads, link_count: int) -> None:
             )
 
 
-def net_wrench(loads, poses) -> np.ndarray:
-    """Summed body-frame wrenches (n-1, 3) on links 2..n at the n poses."""
-    total = np.zeros((len(poses), 3))
+def net_wrench(loads, config) -> np.ndarray:
+    """Summed body-frame wrenches (n-1, 3) on links 2..n of `config`."""
+    angles, translations = config.link_angles, config.link_translations
+    total = np.zeros((len(angles), 3))
     for load in loads:
-        if load.target_link in range(2, len(poses) + 1):
+        if load.target_link in range(2, len(angles) + 1):
             k = int(load.target_link) - 1
-            total[k] += load.body_wrench(poses[k]).as_array()
+            # rot2 of the angle, as `Pose2.rotation` builds it
+            total[k] += load.body_wrench(rot2(angles[k]), translations[k])
     return total[1:]
 
 
-def net_derivative(loads, poses) -> np.ndarray:
-    """Summed wrench derivatives (n-1, 3, 3) on links 2..n at the n poses."""
-    total = np.zeros((len(poses), 3, 3))
+def net_derivative(loads, config) -> np.ndarray:
+    """Summed wrench derivatives (n-1, 3, 3) on links 2..n of `config`."""
+    angles, translations = config.link_angles, config.link_translations
+    total = np.zeros((len(angles), 3, 3))
     for load in loads:
-        if load.target_link in range(2, len(poses) + 1):
+        if load.target_link in range(2, len(angles) + 1):
             k = int(load.target_link) - 1
-            total[k] += load.body_wrench_derivative(poses[k])
+            total[k] += load.body_wrench_derivative(rot2(angles[k]), translations[k])
     return total[1:]

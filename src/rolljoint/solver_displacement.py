@@ -91,7 +91,7 @@ from .solver_tension import (
     block_solve,
     solve_tension,
 )
-from .statics import assemble_blocks, block_residual, residual_norm
+from .statics import assemble_blocks, residual_norm
 
 DAMPING_FLOOR = 1e-10   # lower bound on lambda / ||J||_F^2
 ALPHA_GROWTH = 10.0     # alpha factor after an accepted step
@@ -154,7 +154,7 @@ def tendon_jacobian(
     responses are only meaningful around a balanced state.
     """
     blocks = assemble_blocks(design, config, tau, loads)
-    if residual_norm(block_residual(design, blocks), np.inf) > 1e-6:
+    if residual_norm(blocks.rows, np.inf) > 1e-6:
         raise ValueError("tendon_jacobian requires an equilibrium configuration")
     return _bordered_columns(config, blocks)[1][:, 1:]
 
@@ -178,8 +178,8 @@ def _solve_start(design: MechanismDesign, tau: np.ndarray, loads, inner: SolverO
     lengths and scaled balance rows, and its first elimination
     `_bordered_columns` (etas, moves)."""
     config, report = solve_tension(design, tau, loads, init=init, opts=inner)
-    return (config, report, tendon_lengths(design, config),
-            block_residual(design, report.blocks), _bordered_columns(config, report.blocks))
+    return (config, report, tendon_lengths(design, config), report.blocks.rows,
+            _bordered_columns(config, report.blocks))
 
 
 # design -> (tau_init, loads, inner options, start) of its last cold start
@@ -326,8 +326,7 @@ def solve_displacement(
             # next step's elimination
             tau_trial = np.array((u0, u1))
             blocks_trial = assemble_blocks(design, trial, tau_trial, loads)
-            rows_trial = block_residual(design, blocks_trial)
-            objective_trial = _merit(f0, f1, rows_trial)
+            objective_trial = _merit(f0, f1, blocks_trial.rows)
             # a NaN merit fails the test and counts as a backtrack
             if objective_trial <= objective * (1.0 + 1e-14) + 1e-300:
                 # the model's decrease: its lengths r + J dtau, its balance
@@ -339,7 +338,7 @@ def solve_displacement(
                 fits = (predicted > 0.0
                         and abs(objective - objective_trial - predicted) <= GAIN_BAND * predicted)
                 alpha *= ALPHA_GROWTH**2 if fits else ALPHA_GROWTH
-                tau, t0, t1, config, rows = tau_trial, u0, u1, trial, rows_trial
+                tau, t0, t1, config, rows = tau_trial, u0, u1, trial, blocks_trial.rows
                 lengths, e0, e1, objective = lengths_trial, f0, f1, objective_trial
                 etas, moves = _bordered_columns(trial, blocks_trial)
                 accepted = True

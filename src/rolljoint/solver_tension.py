@@ -47,7 +47,7 @@ import numpy as np
 from .errors import ContactRolloffError, NoConvergenceError, SingularBlockError
 from .loads import check_targets, net_wrench
 from .mechanism import Configuration, MechanismDesign, evaluate
-from .statics import LinkBlocks, assemble_blocks, block_residual, residual_norm, unforced_balance
+from .statics import LinkBlocks, assemble_blocks, residual_norm, unforced_balance
 
 CONDITION_LIMIT = 1e12
 _EYE3 = np.eye(3)
@@ -268,9 +268,9 @@ def initial_forces(design: MechanismDesign, config: Configuration, tau, loads=()
     iterate on a nearly singular manifold where the first step degenerates.
     The fit reads the force columns from the contact co-adjoints and the
     zero-force balance rows from the tendon pulls and loads, all from the
-    configuration's geometry and poses, which depend on s alone; an
-    evaluated configuration is therefore fitted without building its
-    geometry again.
+    configuration's geometry and link-pose arrays, which depend on s alone;
+    an evaluated configuration is therefore fitted without building its
+    geometry again, and no fit reads `config.poses`.
     """
     joints = design.joint_count
     coadjoints, h = unforced_balance(design, config, tau, loads)
@@ -294,9 +294,9 @@ def _balance_change(config: Configuration, blocks: LinkBlocks, tau, loads,
     affine in the tensions (gradient F) and in the load wrenches."""
     dh = blocks.F @ (np.asarray(new_tau, dtype=float) - np.asarray(tau, dtype=float))
     if new_loads:
-        dh += net_wrench(new_loads, config.poses)
+        dh += net_wrench(new_loads, config)
     if loads:
-        dh -= net_wrench(loads, config.poses)
+        dh -= net_wrench(loads, config)
     return dh
 
 
@@ -386,9 +386,8 @@ def solve_tension(
         )
 
     blocks = assemble_blocks(design, config, tau, loads)
-    rows = block_residual(design, blocks)
-    norm_inf = residual_norm(rows, np.inf)
-    norm_2 = residual_norm(rows, 2)
+    norm_inf = residual_norm(blocks.rows, np.inf)
+    norm_2 = residual_norm(blocks.rows, 2)
     history.append(norm_inf)
 
     while not norm_inf <= opts.tol_residual:   # a NaN residual keeps iterating
@@ -409,8 +408,7 @@ def solve_tension(
             s_trial = config.s + scale * etas[:, 0, 0]
             trial = evaluate(design, _clamp_s(design, s_trial), config.f + scale * etas[:, 1:, 0])
             blocks_trial = assemble_blocks(design, trial, tau, loads)
-            rows_trial = block_residual(design, blocks_trial)
-            trial_2 = residual_norm(rows_trial, 2)
+            trial_2 = residual_norm(blocks_trial.rows, 2)
             if trial_2 < norm_2 or trial_2 <= opts.tol_residual:
                 accepted = True
                 break
@@ -425,9 +423,9 @@ def solve_tension(
                 report=stalled,
                 configuration=config,
             )
-        config, blocks, rows, norm_2 = trial, blocks_trial, rows_trial, trial_2
+        config, blocks, norm_2 = trial, blocks_trial, trial_2
         clamped_all.update(_outside_joints(design, s_trial))
-        norm_inf = residual_norm(rows, np.inf)
+        norm_inf = residual_norm(blocks.rows, np.inf)
         history.append(norm_inf)
 
     final = report(True)

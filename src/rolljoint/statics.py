@@ -18,10 +18,11 @@ and its child contact from joint i + 1.  The two contacts of every joint
 are handled as one stack (the geometry's column axis): one co-adjoint per
 contact frame, one product with the contact force wrenches and one set of
 tendon pulls.  The loads enter as the stacks `loads.net_wrench` and
-`net_derivative` build from the link poses, and only when there are loads,
-so an unloaded balance never reads `config.poses`.  `joint_geometry` is
-re-exported here: the whole-chain kernel keeps the name under which the
-balance has always read it.
+`net_derivative` build from the configuration's link-pose arrays, and only
+when there are loads, so an unloaded balance never chains the link poses
+and no balance reads `config.poses`.  `joint_geometry` is re-exported here:
+the whole-chain kernel keeps the name under which the balance has always
+read it.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ def _balance(
     h += contact[:, 1]
     h[:-1] -= contact[1:, 0]
     if loads:
-        h += loads_mod.net_wrench(loads, config.poses)
+        h += loads_mod.net_wrench(loads, config)
     return h
 
 
@@ -156,15 +157,8 @@ def unforced_balance(
     # of the full balance do
     h = _tendon_wrenches(_pulls(design, geom)[:, :, 0]) @ np.asarray(tau, dtype=float) + 0.0
     if loads:
-        h += loads_mod.net_wrench(loads, config.poses)
+        h += loads_mod.net_wrench(loads, config)
     return coadjoints, h
-
-
-def block_residual(design: MechanismDesign, blocks: "LinkBlocks") -> np.ndarray:
-    """Scaled residual rows read from the blocks' balance rows h."""
-    rows = blocks.h.copy()
-    rows[:, 0] /= design.characteristic_length
-    return rows
 
 
 def residual_norm(rows: np.ndarray, ord: float = np.inf) -> float:
@@ -179,10 +173,12 @@ def residual_norm(rows: np.ndarray, ord: float = np.inf) -> float:
 @dataclass(frozen=True, eq=False)
 class LinkBlocks:
     """First-order blocks of the links' two equation rows (pose chain and
-    balance), in the unscaled units of the balance itself.  `assemble_blocks`
-    stacks them on a leading link axis (row i is link i+1: A..E (links, 3,
-    3), F (links, 3, sides), h (links, 3)); indexing gives one link's
-    blocks, slicing a shorter stack."""
+    balance), in the unscaled units of the balance itself, and `rows`, the
+    balance rows h scaled as `residual` scales them (the form the solver
+    tolerances refer to).  `assemble_blocks` stacks them on a leading link
+    axis (row i is link i+1: A..E (links, 3, 3), F (links, 3, sides), h and
+    rows (links, 3)); indexing gives one link's blocks, slicing a shorter
+    stack."""
 
     A: np.ndarray
     B: np.ndarray
@@ -191,6 +187,7 @@ class LinkBlocks:
     E: np.ndarray
     F: np.ndarray
     h: np.ndarray
+    rows: np.ndarray
 
     def __len__(self) -> int:
         return len(self.h)
@@ -222,7 +219,7 @@ def assemble_blocks(
     b_blk[:, 0, 0] = -geom.curve_gap
     b_blk[:, 1:, 0] = geom.curve_gap[:, None] * _perp(geom.contact_translation[:, 1])
 
-    c_blk = loads_mod.net_derivative(loads, config.poses) if loads else np.zeros((links, 3, 3))
+    c_blk = loads_mod.net_derivative(loads, config) if loads else np.zeros((links, 3, 3))
 
     # each contact's co-adjoint, and column 0 of its s-derivative: the
     # twisted contact force plus the turning tendon pulls
@@ -242,4 +239,6 @@ def assemble_blocks(
     # the balance is linear in the tensions: F is its tension gradient
     f_blk = _tendon_wrenches(pulls[:, :, 0])
     h = _balance(config, contact[:, :, 1], f_blk, tau, loads)
-    return LinkBlocks(a_blk, b_blk, c_blk, d_blk, e_blk, f_blk, h)
+    rows = h.copy()
+    rows[:, 0] /= design.characteristic_length
+    return LinkBlocks(a_blk, b_blk, c_blk, d_blk, e_blk, f_blk, h, rows)

@@ -132,16 +132,15 @@ def check_load_derivatives(rng: np.random.Generator):
         for _ in range(100):
             load = make()
             pose = _random_pose(rng)
-            closed = load.body_wrench_derivative(pose)
+            closed = load.body_wrench_derivative(pose.rotation, pose.translation)
             fd = np.zeros((3, 3))
             for col in range(3):
                 delta = np.zeros(3)
                 delta[col] = h
-                xi = geo.Twist2(delta[0], delta[1:])
-                upper = load.body_wrench(geo.compose(pose, geo.exp_twist(xi))).as_array()
-                xi = geo.Twist2(-delta[0], -delta[1:])
-                lower = load.body_wrench(geo.compose(pose, geo.exp_twist(xi))).as_array()
-                fd[:, col] = (upper - lower) / (2.0 * h)
+                upper = geo.compose(pose, geo.exp_twist(geo.Twist2(delta[0], delta[1:])))
+                lower = geo.compose(pose, geo.exp_twist(geo.Twist2(-delta[0], -delta[1:])))
+                fd[:, col] = (load.body_wrench(upper.rotation, upper.translation)
+                              - load.body_wrench(lower.rotation, lower.translation)) / (2.0 * h)
             denom = max(np.abs(closed).max(), 1.0)
             worst = max(worst, np.abs(fd - closed).max() / denom)
         rows.append(CheckResult("loads", f"{name} derivative vs FD", worst < 1e-5,

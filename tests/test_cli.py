@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 from dataclasses import fields
 from pathlib import Path
@@ -66,6 +67,16 @@ def test_solve_equal_tensions_straight_csv(tmp_path):
     np.testing.assert_allclose(svals, 0.0, atol=1e-9)
     report = json.loads((out / "report.json").read_text())
     assert report["converged"] is True and report["status"] == "ok"
+
+
+def test_main_leaves_the_root_logger_alone(tmp_path, monkeypatch):
+    # an in-process caller's bare root logger gets no handler from a command
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    assert main(["solve", "--design", str(DESIGN),
+                 "--scenario", str(SCENARIOS / "tension_31.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert root.handlers == []
 
 
 def test_doubled_tension_pose_columns_byte_identical(tmp_path):

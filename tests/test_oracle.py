@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import rolljoint
+from rolljoint.catalog import polynomial_link_chain, standard_link_chain
 from rolljoint.errors import UnsupportedLoadError
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantBody, ConstantWorkspace, LinearSpring
@@ -116,3 +117,23 @@ def test_dense_solve_accepts_warm_start(paper5):
     near = Configuration.from_unknowns(paper5, fast.s + 0.01, fast.f)
     ref = dense_solve(paper5, (4.0, 1.5), init=near, tol=1e-11)
     assert np.abs(fast.s - ref.s).max() < 1e-8
+
+
+@pytest.mark.parametrize("make, sizes", [
+    (standard_link_chain, (10, 50, 200)),
+    (polynomial_link_chain, (10, 50)),
+], ids=["arc", "profile"])
+@pytest.mark.parametrize("couple", [0.0, 5.0], ids=["unloaded", "tip_couple"])
+def test_uniform_chains_take_the_one_joint_equilibrium(make, sizes, couple):
+    # every joint of a chain of identical joints carries the same two tendon
+    # pulls and, unloaded or under a pure couple on the tip, the same
+    # moment, so each takes the equilibrium of the 2-link chain's one joint
+    def loads(n):
+        return (ConstantBody(target_link=n, wrench=Wrench2(couple, (0.0, 0.0))),) if couple else ()
+
+    tau = (3.0, 2.0)
+    joint = dense_solve(make(2), tau, loads(2), tol=1e-13)
+    for n in sizes:
+        config, _ = solve_tension(make(n), tau, loads(n), opts=SolverOptions(tol_residual=1e-13))
+        assert np.abs(config.s - joint.s[0]).max() < 1e-10
+        assert np.abs(config.f - joint.f[0]).max() < 1e-12

@@ -1,5 +1,6 @@
 import gc
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -349,8 +350,14 @@ def test_zero_first_step_is_stationary_only_where_balanced(monkeypatch, balanced
     target = tendon_lengths(design, solve_tension(design, (2.5, 1.0))[0])
     monkeypatch.setattr(solver_displacement, "damped_step", lambda *args: (0.0, 0.0))
     if not balanced:
-        rows = solver_displacement.block_residual
-        monkeypatch.setattr(solver_displacement, "block_residual", lambda *args: rows(*args) + 1.0)
+        solve = solver_displacement.solve_tension
+
+        def off_balance(*args, **kwargs):
+            config, report = solve(*args, **kwargs)
+            blocks = replace(report.blocks, rows=report.blocks.rows + 1.0)
+            return config, replace(report, blocks=blocks)
+
+        monkeypatch.setattr(solver_displacement, "solve_tension", off_balance)
         with pytest.raises(NoConvergenceError):
             solve_displacement(design, target)
         return

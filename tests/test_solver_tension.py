@@ -12,6 +12,7 @@ from rolljoint.errors import (
 from rolljoint.geometry import Wrench2
 from rolljoint.loads import ConstantWorkspace, LinearSpring
 from rolljoint.mechanism import Configuration, evaluate, tendon_lengths
+from rolljoint.oracle import dense_solve
 from rolljoint import mechanism, solver_tension
 from rolljoint.solver_tension import (
     CONDITION_LIMIT,
@@ -29,7 +30,7 @@ from rolljoint.solver_tension import (
     solve_tension,
     tangent_start,
 )
-from rolljoint.statics import assemble_blocks, block_residual, residual, residual_norm
+from rolljoint.statics import assemble_blocks, residual, residual_norm
 
 from conftest import count_calls, max_pose_error
 from helpers import dense_block_solve, dense_newton_step
@@ -398,8 +399,7 @@ def test_each_iterate_is_balanced_once(monkeypatch):
     assert report.iterations >= 1 and report.backtrack_count >= 1
     assert residual_calls[0] == 0
     assert block_calls[0] == 1 + report.iterations + report.backtrack_count
-    np.testing.assert_array_equal(block_residual(design, report.blocks),
-                                  residual(design, config, tau))
+    np.testing.assert_array_equal(report.blocks.rows, residual(design, config, tau))
 
     with pytest.raises(NoConvergenceError) as info:
         solve_tension(design, tau, opts=SolverOptions(max_iters=2))
@@ -536,6 +536,19 @@ def test_tangent_start_follows_the_branch_of_a_fine_continuation(paper5):
     assert config.link_translations[-1, 0] > 40.0
     assert max_pose_error(config.poses, cold.poses) < 1e-6
     assert max_pose_error(config.poses, followed.poses) < 1e-6
+
+
+def test_tangent_start_from_the_unloaded_equilibrium_reaches_a_loaded_one(paper5):
+    # a 0.5 N tip pull at tau = (5.5, 2) N, whose cold solve stalls: the
+    # unloaded equilibrium's tangent start converges, to the root the dense
+    # oracle polishes from there
+    tau = (5.5, 2.0)
+    unloaded, found = solve_tension(paper5, tau)
+    start = tangent_start(paper5, unloaded, found.blocks, tau, (), tau, tip_pull(0.5))
+    config, report = solve_tension(paper5, tau, tip_pull(0.5), init=start)
+    assert report.converged
+    reference = dense_solve(paper5, tau, tip_pull(0.5), init=config, tol=1e-13)
+    assert np.abs(config.s - reference.s).max() < 1e-8
 
 
 def test_tangent_start_keeps_an_equilibrium_at_unchanged_inputs(paper5):
